@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from spsqkd.channel import LinkSpec
-from spsqkd.pipeline import run_experiment
+from spsqkd.pipeline import run_experiment_detailed
 from spsqkd.rates import RateInputs, gllp_rate
 from spsqkd.sources import PRESETS
 
@@ -33,7 +33,9 @@ def main() -> None:
         source = PRESETS[name]
         rows = []
         for s in range(args.seeds):
-            summary = run_experiment(source, link, args.pulses, master_seed=args.seed_base + s)
+            summary, _ = run_experiment_detailed(
+                source, link, args.pulses, master_seed=args.seed_base + s
+            )
             if summary.aborted:
                 raise SystemExit(f"{name} run with seed {args.seed_base + s} aborted")
             rows.append(

@@ -14,7 +14,6 @@ a bit.  A disclosed subsample estimates the QBER and is struck from the keys.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,92 +22,10 @@ from .channel import LinkSpec
 from .sources import SourceSpec, sample_photon_numbers
 
 __all__ = [
-    "Basis",
-    "Polarization",
-    "alice_encode",
-    "bob_measure",
-    "PulseRecord",
     "SessionResult",
     "run_session",
     "format_session_csv",
 ]
-
-# runs above this keep no per-pulse records even when asked
-RECORD_LIMIT = 10_000_000
-
-
-class Basis(enum.IntEnum):
-    LINEAR = 0
-    CIRCULAR = 1
-
-
-class Polarization(enum.IntEnum):
-    H = 0
-    V = 1
-    LCIRC = 2
-    RCIRC = 3
-
-    @property
-    def basis(self) -> Basis:
-        return Basis(self.value >> 1)
-
-    @property
-    def bit(self) -> int:
-        return self.value & 1
-
-
-def alice_encode(bit: int, basis: Basis) -> Polarization:
-    """Bit/basis pair to launched polarization: (0,lin)=H (1,lin)=V
-    (0,circ)=L (1,circ)=R."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return Polarization((Basis(basis) << 1) | bit)
-
-
-def bob_measure(
-    pol: Polarization,
-    bob_basis: Basis,
-    n_photons: int,
-    link: LinkSpec,
-    rng: np.random.Generator,
-) -> tuple[bool, bool]:
-    """Click pattern (detector0, detector1) for one analyzed pulse.
-
-    ``n_photons`` is the count arriving at the analyzer, loss already
-    applied.  Detector index is the bit value in Bob's basis.
-    """
-    if n_photons < 0:
-        raise ValueError("n_photons must be non-negative")
-    if pol.basis == bob_basis:
-        p_det1 = 1.0 - link.misalignment if pol.bit == 1 else link.misalignment
-    else:
-        p_det1 = 0.5
-    n_to_1 = rng.binomial(n_photons, p_det1)
-    half_dark = link.dark_count_prob / 2.0
-    dark0 = rng.random() < half_dark
-    dark1 = rng.random() < half_dark
-    click0 = (n_photons - n_to_1) > 0 or dark0
-    click1 = n_to_1 > 0 or dark1
-    return click0, click1
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """Trace of one excitation gate through the signal path.
-
-    ``resolved_bit`` is None when no detector fired, and additionally for
-    double clicks under the discard policy.
-    """
-
-    index: int
-    alice_bit: int
-    alice_basis: Basis
-    n_photons_emitted: int
-    n_photons_arrived: int
-    bob_basis: Basis
-    click0: bool
-    click1: bool
-    resolved_bit: int | None
 
 
 @dataclass(frozen=True)
@@ -130,8 +47,6 @@ class SessionResult:
     sift_alice_bits: np.ndarray
     sift_bob_bits: np.ndarray
     disclosed_mask: np.ndarray
-    records: tuple[PulseRecord, ...] = ()
-    records_elided: bool = True
 
     @property
     def sifted_alice(self) -> np.ndarray:
@@ -158,6 +73,31 @@ class SessionResult:
         return self.sifted_count / self.duration_s
 
 
+def _detector_clicks(
+    n_arrived: np.ndarray,
+    alice_bit: np.ndarray,
+    matched: np.ndarray,
+    link: LinkSpec,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Click patterns (detector0, detector1) of Bob's analyzer, per pulse.
+
+    ``n_arrived`` is the photon count reaching the analyzer, loss already
+    applied.  Detector index is the bit value in Bob's basis.
+    """
+    # probability an arriving photon lands in detector 1 of Bob's basis
+    e = link.misalignment
+    p_det1 = np.where(matched, np.where(alice_bit == 1, 1.0 - e, e), 0.5)
+    n_to_1 = rng.binomial(n_arrived, p_det1)
+
+    half_dark = link.dark_count_prob / 2.0
+    dark0 = rng.random(n_arrived.size) < half_dark
+    dark1 = rng.random(n_arrived.size) < half_dark
+    click0 = ((n_arrived - n_to_1) > 0) | dark0
+    click1 = (n_to_1 > 0) | dark1
+    return click0, click1
+
+
 def run_session(
     source: SourceSpec,
     link: LinkSpec,
@@ -166,7 +106,6 @@ def run_session(
     disclose_fraction: float = 0.1,
     double_click_policy: str = "random",
     full_compare: bool = False,
-    record_pulses: bool = False,
     protocol_bits: np.ndarray | None = None,
 ) -> SessionResult:
     """Simulate ``n_pulses`` excitation gates end to end.
@@ -210,16 +149,7 @@ def run_session(
     n_arrived = rng.binomial(n_emitted, link.total_efficiency)
 
     matched = alice_basis == bob_basis
-    # probability an arriving photon lands in detector 1 of Bob's basis
-    e = link.misalignment
-    p_det1 = np.where(matched, np.where(alice_bit == 1, 1.0 - e, e), 0.5)
-    n_to_1 = rng.binomial(n_arrived, p_det1)
-
-    half_dark = link.dark_count_prob / 2.0
-    dark0 = rng.random(n_pulses) < half_dark
-    dark1 = rng.random(n_pulses) < half_dark
-    click0 = ((n_arrived - n_to_1) > 0) | dark0
-    click1 = (n_to_1 > 0) | dark1
+    click0, click1 = _detector_clicks(n_arrived, alice_bit, matched, link, rng)
 
     detected = click0 | click1
     single = click0 ^ click1
@@ -255,28 +185,6 @@ def run_session(
         else:
             qber = float("nan")
 
-    records: tuple[PulseRecord, ...] = ()
-    elided = True
-    if record_pulses and n_pulses <= RECORD_LIMIT:
-        resolved_bits: list[int | None] = [None] * n_pulses
-        for i in np.flatnonzero(resolved):
-            resolved_bits[i] = int(bob_bit[i])
-        records = tuple(
-            PulseRecord(
-                index=i,
-                alice_bit=int(alice_bit[i]),
-                alice_basis=Basis(int(alice_basis[i])),
-                n_photons_emitted=int(n_emitted[i]),
-                n_photons_arrived=int(n_arrived[i]),
-                bob_basis=Basis(int(bob_basis[i])),
-                click0=bool(click0[i]),
-                click1=bool(click1[i]),
-                resolved_bit=resolved_bits[i],
-            )
-            for i in range(n_pulses)
-        )
-        elided = False
-
     return SessionResult(
         n_pulses=n_pulses,
         rep_rate_hz=source.rep_rate_hz,
@@ -289,8 +197,6 @@ def run_session(
         sift_alice_bits=sift_alice,
         sift_bob_bits=sift_bob,
         disclosed_mask=disclosed_mask,
-        records=records,
-        records_elided=elided,
     )
 
 

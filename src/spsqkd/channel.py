@@ -9,6 +9,7 @@ efficiency, dark counts per gate, and a polarisation misalignment error.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ __all__ = [
     "click_probability",
     "exact_click_probability",
     "error_rate_model",
-    "transmit_photons",
 ]
 
 
@@ -48,6 +48,10 @@ class LinkSpec:
     misalignment: float = 0.03
 
     def __post_init__(self) -> None:
+        for name in ("distance_km", "attenuation_db_per_km"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.distance_km < 0:
             raise ValueError("distance_km must be non-negative")
         if self.attenuation_db_per_km < 0:
@@ -108,11 +112,3 @@ def error_rate_model(mu: float, link: LinkSpec) -> float:
     num = link.misalignment * mu * link.total_efficiency + 0.5 * link.dark_count_prob
     return min(0.5, max(0.0, num / p_click))
 
-
-def transmit_photons(
-    photon_counts: np.ndarray, efficiency: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Binomial thinning: each photon independently survives with ``efficiency``."""
-    if not 0 <= efficiency <= 1:
-        raise ValueError("efficiency must be in [0, 1]")
-    return rng.binomial(photon_counts, efficiency)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,65 +41,83 @@ from .sources import get_preset
 
 __all__ = ["main", "entry", "build_parser"]
 
-# dest -> (config key, type, default); None defaults mean "not set"
+
+class Setting(NamedTuple):
+    """One setting: config key, value kind, default (None: not set), help."""
+
+    key: str
+    kind: type
+    default: object
+    help: str | None = None
+
+
+# command -> dest -> setting; each dest is also the flag `--dest-with-dashes`
 _SCHEMAS = {
     "session": {
-        "preset": ("source.preset", str, "nv"),
-        "pulses": ("session.pulses", int, 1_000_000),
-        "distance_km": ("link.distance_km", float, 0.0),
-        "attenuation_db_per_km": ("link.attenuation_db_per_km", float, 0.4),
-        "setup_efficiency": ("link.setup_efficiency", float, 0.31),
-        "dark_count_prob": ("link.dark_count_prob", float, 2.4e-5),
-        "misalignment": ("link.misalignment", float, 0.03),
-        "disclose_fraction": ("session.disclose_fraction", float, 0.0),
-        "double_click_policy": ("session.double_click_policy", str, "random"),
-        "n_passes": ("recon.n_passes", int, 4),
-        "verify_bits": ("recon.verify_bits", int, 50),
-        "safety_margin": ("recon.safety_margin", int, 30),
-        "entropy_file": ("session.entropy_file", str, ""),
-        "bits_csv": ("session.bits_csv", bool, False),
+        "preset": Setting("source.preset", str, "nv"),
+        "pulses": Setting("session.pulses", int, 1_000_000),
+        "distance_km": Setting("link.distance_km", float, 0.0),
+        "attenuation_db_per_km": Setting("link.attenuation_db_per_km", float, 0.4),
+        "setup_efficiency": Setting("link.setup_efficiency", float, 0.31),
+        "dark_count_prob": Setting("link.dark_count_prob", float, 2.4e-5),
+        "misalignment": Setting("link.misalignment", float, 0.03),
+        "disclose_fraction": Setting("session.disclose_fraction", float, 0.0),
+        "double_click_policy": Setting("session.double_click_policy", str, "random"),
+        "n_passes": Setting("recon.n_passes", int, 4),
+        "verify_bits": Setting("recon.verify_bits", int, 50),
+        "safety_margin": Setting("recon.safety_margin", int, 30),
+        "entropy_file": Setting(
+            "session.entropy_file", str, "", "raw bytes supplying protocol bits"
+        ),
+        "bits_csv": Setting(
+            "session.bits_csv", bool, False, "also write the per-bit sifted-key CSV"
+        ),
     },
     "rates": {
-        "preset": ("source.preset", str, "nv"),
-        "dmax": ("rates.dmax_km", float, 30.0),
-        "step": ("rates.step_km", float, 0.1),
-        "rep_rate": ("rates.rep_rate_hz", float, 1e6),
-        "f_ec": ("rates.f_ec", float, 1.22),
-        "flat_error": ("rates.flat_error", bool, False),
-        "wcp": ("rates.wcp", bool, False),
-        "decoy": ("rates.decoy", bool, False),
-        "ideal10": ("rates.ideal10", bool, False),
-        "ideal95": ("rates.ideal95", bool, False),
-        "attenuation_db_per_km": ("link.attenuation_db_per_km", float, 0.4),
-        "setup_efficiency": ("link.setup_efficiency", float, 0.31),
-        "dark_count_prob": ("link.dark_count_prob", float, 2.4e-5),
-        "misalignment": ("link.misalignment", float, 0.03),
+        "preset": Setting("source.preset", str, "nv"),
+        "dmax": Setting("rates.dmax_km", float, 30.0, "sweep end in km"),
+        "step": Setting("rates.step_km", float, 0.1, "sweep step in km"),
+        "rep_rate": Setting("rates.rep_rate_hz", float, 1e6),
+        "f_ec": Setting("rates.f_ec", float, 1.22),
+        "flat_error": Setting("rates.flat_error", bool, False),
+        "wcp": Setting("rates.wcp", bool, False),
+        "decoy": Setting("rates.decoy", bool, False),
+        "ideal10": Setting("rates.ideal10", bool, False),
+        "ideal95": Setting("rates.ideal95", bool, False),
+        "attenuation_db_per_km": Setting("link.attenuation_db_per_km", float, 0.4),
+        "setup_efficiency": Setting("link.setup_efficiency", float, 0.31),
+        "dark_count_prob": Setting("link.dark_count_prob", float, 2.4e-5),
+        "misalignment": Setting("link.misalignment", float, 0.03),
     },
     "cascade": {
-        "n_bits": ("cascade.n_bits", int, 10_000),
-        "qber": ("cascade.qber", float, 0.03),
-        "est_qber": ("cascade.est_qber", float, None),
-        "n_passes": ("recon.n_passes", int, 4),
-        "verify_bits": ("recon.verify_bits", int, 50),
-        "alice_file": ("cascade.alice_file", str, ""),
-        "bob_file": ("cascade.bob_file", str, ""),
+        "n_bits": Setting("cascade.n_bits", int, 10_000),
+        "qber": Setting("cascade.qber", float, 0.03),
+        "est_qber": Setting("cascade.est_qber", float, None),
+        "n_passes": Setting("recon.n_passes", int, 4),
+        "verify_bits": Setting("recon.verify_bits", int, 50),
+        "alice_file": Setting("cascade.alice_file", str, "", "text file of 0/1 characters"),
+        "bob_file": Setting("cascade.bob_file", str, "", "text file of 0/1 characters"),
     },
     "g2": {
-        "preset": ("source.preset", str, "nv"),
-        "pulses": ("g2.pulses", int, 10_000_000),
-        "mu": ("source.mu", float, None),
-        "g2_zero": ("source.g2_zero", float, None),
-        "lifetime_ns": ("source.lifetime_ns", float, None),
-        "rep_rate": ("source.rep_rate_hz", float, None),
-        "splitter_ratio": ("g2.splitter_ratio", float, 0.5),
-        "detection_eff": ("g2.detection_eff", float, 1.0),
-        "bin_width_ns": ("g2.bin_width_ns", float, 1.0),
-        "window_periods": ("g2.window_periods", int, 5),
+        "preset": Setting("source.preset", str, "nv"),
+        "pulses": Setting("g2.pulses", int, 10_000_000),
+        "mu": Setting("source.mu", float, None),
+        "g2_zero": Setting("source.g2_zero", float, None),
+        "lifetime_ns": Setting("source.lifetime_ns", float, None),
+        "rep_rate": Setting("source.rep_rate_hz", float, None),
+        "splitter_ratio": Setting("g2.splitter_ratio", float, 0.5),
+        "detection_eff": Setting("g2.detection_eff", float, 1.0),
+        "bin_width_ns": Setting("g2.bin_width_ns", float, 1.0),
+        "window_periods": Setting("g2.window_periods", int, 5),
     },
 }
+# every subcommand takes the master seed
+for _schema in _SCHEMAS.values():
+    _schema["seed"] = Setting("seed", int, 0, "master seed")
 
-_KNOWN_KEYS = {key for schema in _SCHEMAS.values() for key, _, _ in schema.values()}
-_KNOWN_KEYS |= {"seed", "out", "quiet"}
+# out and quiet are read by main and stay out of the hashed settings
+_KNOWN_KEYS = {s.key for schema in _SCHEMAS.values() for s in schema.values()}
+_KNOWN_KEYS |= {"out", "quiet"}
 
 
 def _int_arg(text: str) -> int:
@@ -107,7 +127,6 @@ def _int_arg(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file")
-    common.add_argument("--seed", type=_int_arg, default=None, help="master seed")
     common.add_argument("--out", default=None, help="output file prefix")
     common.add_argument("--quiet", action="store_const", const=True, default=None)
 
@@ -116,60 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-photon QKD bench simulator and rate analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("session", parents=[common], help="one BB84 run to secured key")
-    p.add_argument("--preset")
-    p.add_argument("--pulses", type=_int_arg)
-    p.add_argument("--distance-km", type=float)
-    p.add_argument("--attenuation-db-per-km", type=float)
-    p.add_argument("--setup-efficiency", type=float)
-    p.add_argument("--dark-count-prob", type=float)
-    p.add_argument("--misalignment", type=float)
-    p.add_argument("--disclose-fraction", type=float)
-    p.add_argument("--double-click-policy", choices=["random", "discard"])
-    p.add_argument("--n-passes", type=_int_arg)
-    p.add_argument("--verify-bits", type=_int_arg)
-    p.add_argument("--safety-margin", type=_int_arg)
-    p.add_argument("--entropy-file", help="raw bytes supplying protocol bits")
-    p.add_argument("--bits-csv", action="store_const", const=True,
-                   help="also write the per-bit sifted-key CSV")
-
-    p = sub.add_parser("rates", parents=[common], help="secure rate vs distance sweep")
-    p.add_argument("--preset")
-    p.add_argument("--dmax", type=float, help="sweep end in km")
-    p.add_argument("--step", type=float, help="sweep step in km")
-    p.add_argument("--rep-rate", type=float)
-    p.add_argument("--f-ec", type=float)
-    p.add_argument("--flat-error", action="store_const", const=True)
-    p.add_argument("--wcp", action="store_const", const=True)
-    p.add_argument("--decoy", action="store_const", const=True)
-    p.add_argument("--ideal10", action="store_const", const=True)
-    p.add_argument("--ideal95", action="store_const", const=True)
-    p.add_argument("--attenuation-db-per-km", type=float)
-    p.add_argument("--setup-efficiency", type=float)
-    p.add_argument("--dark-count-prob", type=float)
-    p.add_argument("--misalignment", type=float)
-
-    p = sub.add_parser("cascade", parents=[common], help="error correction on a key pair")
-    p.add_argument("--n-bits", type=_int_arg)
-    p.add_argument("--qber", type=float)
-    p.add_argument("--est-qber", type=float)
-    p.add_argument("--n-passes", type=_int_arg)
-    p.add_argument("--verify-bits", type=_int_arg)
-    p.add_argument("--alice-file", help="text file of 0/1 characters")
-    p.add_argument("--bob-file", help="text file of 0/1 characters")
-
-    p = sub.add_parser("g2", parents=[common], help="HBT run with g2 and lifetime fits")
-    p.add_argument("--preset")
-    p.add_argument("--pulses", type=_int_arg)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--g2-zero", type=float)
-    p.add_argument("--lifetime-ns", type=float)
-    p.add_argument("--rep-rate", type=float)
-    p.add_argument("--splitter-ratio", type=float)
-    p.add_argument("--detection-eff", type=float)
-    p.add_argument("--bin-width-ns", type=float)
-    p.add_argument("--window-periods", type=_int_arg)
+    for command, schema in _SCHEMAS.items():
+        p = sub.add_parser(command, parents=[common], help=_COMMANDS[command][1])
+        for dest, setting in schema.items():
+            flag = "--" + dest.replace("_", "-")
+            if setting.kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=setting.help)
+            else:
+                kind = _int_arg if setting.kind is int else setting.kind
+                p.add_argument(flag, type=kind, help=setting.help)
     return parser
 
 
@@ -178,14 +152,12 @@ def _resolve(command: str, args: argparse.Namespace, file_cfg: dict) -> dict:
     for key in file_cfg:
         if key not in _KNOWN_KEYS:
             raise ValueError(f"unknown config key: {key}")
-    schema = dict(_SCHEMAS[command])
-    schema["seed"] = ("seed", int, 0)
     settings = {}
-    for dest, (key, kind, default) in schema.items():
+    for dest, (key, kind, default, _) in _SCHEMAS[command].items():
         value = default
         if key in file_cfg:
             value = coerce_value(key, file_cfg[key], kind)
-        flag = getattr(args, dest, None)
+        flag = getattr(args, dest)
         if flag is not None:
             value = flag
         settings[dest] = value
@@ -194,11 +166,9 @@ def _resolve(command: str, args: argparse.Namespace, file_cfg: dict) -> dict:
 
 def _effective(command: str, settings: dict) -> dict:
     eff = {"command": command}
-    schema = dict(_SCHEMAS[command])
-    schema["seed"] = ("seed", int, 0)
-    for dest, (key, _, _) in schema.items():
+    for dest, setting in _SCHEMAS[command].items():
         value = settings[dest]
-        eff[key] = "" if value is None else format_value(value)
+        eff[setting.key] = "" if value is None else format_value(value)
     return eff
 
 
@@ -281,12 +251,13 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
 
 
 def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
-    if settings["step"] <= 0:
-        raise ValueError("step must be positive")
-    if settings["dmax"] < 0:
-        raise ValueError("dmax must be non-negative")
+    step, dmax = settings["step"], settings["dmax"]
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(dmax) and dmax >= 0):
+        raise ValueError(f"dmax must be non-negative and finite, got {dmax}")
     link = _link_from(settings)
-    distances = np.arange(0.0, settings["dmax"] + settings["step"] / 2, settings["step"])
+    distances = np.arange(0.0, dmax + step / 2, step)
 
     variants = [RateVariant(settings["preset"], "fixed", get_preset(settings["preset"]))]
     if settings["ideal10"] and settings["preset"] != "ideal10":
@@ -376,18 +347,11 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
 
 
 def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
-    source = get_preset(settings["preset"])
-    overrides = {}
-    if settings["mu"] is not None:
-        overrides["mu"] = settings["mu"]
-    if settings["g2_zero"] is not None:
-        overrides["g2_zero"] = settings["g2_zero"]
-    if settings["lifetime_ns"] is not None:
-        overrides["lifetime_ns"] = settings["lifetime_ns"]
-    if settings["rep_rate"] is not None:
-        overrides["rep_rate_hz"] = settings["rep_rate"]
-    if overrides:
-        source = dataclasses.replace(source, **overrides)
+    # settings that, when set, override a field of the preset source
+    fields = {"mu": "mu", "g2_zero": "g2_zero", "lifetime_ns": "lifetime_ns",
+              "rep_rate": "rep_rate_hz"}
+    overrides = {f: settings[d] for d, f in fields.items() if settings[d] is not None}
+    source = dataclasses.replace(get_preset(settings["preset"]), **overrides)
 
     rng = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
     stream = simulate_hbt(
@@ -440,11 +404,12 @@ def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
     return 0
 
 
+# command -> (runner, help line)
 _COMMANDS = {
-    "session": cmd_session,
-    "rates": cmd_rates,
-    "cascade": cmd_cascade,
-    "g2": cmd_g2,
+    "session": (cmd_session, "one BB84 run to secured key"),
+    "rates": (cmd_rates, "secure rate vs distance sweep"),
+    "cascade": (cmd_cascade, "error correction on a key pair"),
+    "g2": (cmd_g2, "HBT run with g2 and lifetime fits"),
 }
 
 
@@ -460,7 +425,8 @@ def main(argv: list[str] | None = None) -> int:
         quiet = args.quiet
         if quiet is None:
             quiet = coerce_value("quiet", file_cfg.get("quiet", "false"), bool)
-        return _COMMANDS[args.command](settings, out, quiet)
+        run, _ = _COMMANDS[args.command]
+        return run(settings, out, quiet)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,13 @@ _CHUNK_PULSES = 1 << 22
 
 # histogram bins below this fraction of the peak end the lifetime fit region
 _FIT_FLOOR_COUNTS = 5
+
+# most bins one histogram may hold (32 MiB of counts); a finer binning is a
+# mistyped width, not a measurement
+_MAX_BINS = 1 << 22
+
+# one raw tag record: u64 LE picoseconds, u8 detector, packed to 9 bytes
+_TAG_RECORD = np.dtype([("t", "<u8"), ("d", "u1")])
 
 
 class InsufficientDataError(RuntimeError):
@@ -102,26 +108,20 @@ class TimeTagStream:
 
     def to_bytes(self) -> bytes:
         """Raw record stream: u64 LE picoseconds, u8 detector, per tag."""
-        ps = np.round(self.times_ns * 1000.0).astype(np.uint64)
-        out = bytearray()
-        for t, d in zip(ps, self.detectors):
-            out += struct.pack("<QB", int(t), int(d))
-        return bytes(out)
+        records = np.empty(len(self), dtype=_TAG_RECORD)
+        records["t"] = np.round(self.times_ns * 1000.0).astype(np.uint64)
+        records["d"] = self.detectors
+        return records.tobytes()
 
     @classmethod
     def from_bytes(
         cls, data: bytes, duration_ns: float, rep_period_ns: float
     ) -> "TimeTagStream":
-        if len(data) % 9:
+        if len(data) % _TAG_RECORD.itemsize:
             raise ValueError("tag record stream length must be a multiple of 9")
-        n = len(data) // 9
-        times = np.empty(n, dtype=np.float64)
-        dets = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            t, d = struct.unpack_from("<QB", data, 9 * i)
-            times[i] = t / 1000.0
-            dets[i] = d
-        return cls(times, dets, duration_ns, rep_period_ns)
+        records = np.frombuffer(data, dtype=_TAG_RECORD)
+        times = records["t"] / 1000.0
+        return cls(times, records["d"].astype(np.uint8), duration_ns, rep_period_ns)
 
 
 def simulate_hbt(
@@ -200,6 +200,18 @@ class CorrelationHistogram:
         return 0.5 * (self.bin_edges_ns[:-1] + self.bin_edges_ns[1:])
 
 
+def _bin_count(span_ns: float, bin_width_ns: float) -> int:
+    """Number of ``bin_width_ns`` bins across ``span_ns``, at most _MAX_BINS."""
+    if not (math.isfinite(bin_width_ns) and bin_width_ns > 0):
+        raise ValueError(f"bin_width_ns must be positive and finite, got {bin_width_ns}")
+    n_bins = span_ns / bin_width_ns
+    if n_bins > _MAX_BINS:
+        raise ValueError(
+            f"bin_width_ns = {bin_width_ns:g} needs {n_bins:.3g} bins, over {_MAX_BINS}"
+        )
+    return int(round(n_bins))
+
+
 def correlation_histogram(
     stream: TimeTagStream,
     bin_width_ns: float = 1.0,
@@ -210,14 +222,13 @@ def correlation_histogram(
     Every cross-detector pair within +-window_periods repetition periods is
     counted once.  Total counts therefore equal the number of such pairs.
     """
-    if bin_width_ns <= 0:
-        raise ValueError("bin_width_ns must be positive")
+    window = window_periods * stream.rep_period_ns
+    n_bins = _bin_count(2.0 * window, bin_width_ns)
     t0 = stream.times_ns[stream.detectors == 0]
     t1 = stream.times_ns[stream.detectors == 1]
     if t0.size == 0 or t1.size == 0:
         raise InsufficientDataError("need tags on both detectors")
 
-    window = window_periods * stream.rep_period_ns
     lo = np.searchsorted(t1, t0 - window, side="left")
     hi = np.searchsorted(t1, t0 + window, side="right")
     per_tag = hi - lo
@@ -227,7 +238,6 @@ def correlation_histogram(
     offsets = np.arange(total) - np.repeat(np.cumsum(per_tag) - per_tag, per_tag)
     taus = t1[base + offsets] - np.repeat(t0, per_tag)
 
-    n_bins = int(round(2.0 * window / bin_width_ns))
     edges = np.linspace(-window, window, n_bins + 1)
     counts, _ = np.histogram(taus, bins=edges)
     return CorrelationHistogram(
@@ -280,11 +290,9 @@ def fit_lifetime(
     the fitted constant is not comfortably inside the repetition period,
     since phase wraparound then flattens the decay.
     """
-    if bin_width_ns <= 0:
-        raise ValueError("bin_width_ns must be positive")
     period = stream.rep_period_ns
+    n_bins = max(4, _bin_count(period, bin_width_ns))
     phases = stream.times_ns[stream.detectors == detector] % period
-    n_bins = max(4, int(round(period / bin_width_ns)))
     counts, edges = np.histogram(phases, bins=n_bins, range=(0.0, period))
     centers = 0.5 * (edges[:-1] + edges[1:])
 

@@ -20,7 +20,6 @@ from .sources import SourceSpec, multiphoton_probability
 
 __all__ = [
     "ExperimentSummary",
-    "run_experiment",
     "run_experiment_detailed",
     "format_summary_text",
     "derive_seed",
@@ -54,61 +53,6 @@ class ExperimentSummary:
     aborted: bool
 
 
-def _aborted_summary(session: SessionResult, qber: float) -> ExperimentSummary:
-    return ExperimentSummary(
-        n_pulses=session.n_pulses,
-        duration_s=session.duration_s,
-        detected_count=session.detected_count,
-        detected_rate_cps=session.detected_rate_cps,
-        sifted_count=session.sifted_count,
-        sifted_rate_bps=session.sifted_rate_bps,
-        qber=qber,
-        est_qber=float("nan"),
-        corrections_made=0,
-        leaked_bits=0,
-        delta=float("nan"),
-        secret_bits=0,
-        secured_rate_bps=0.0,
-        verified=False,
-        aborted=True,
-    )
-
-
-def run_experiment(
-    source: SourceSpec,
-    link: LinkSpec,
-    n_pulses: int,
-    master_seed: int,
-    disclose_fraction: float = 0.0,
-    double_click_policy: str = "random",
-    n_passes: int = 4,
-    verify_bits: int = 50,
-    safety_margin: int = 30,
-    protocol_bits: np.ndarray | None = None,
-) -> ExperimentSummary:
-    """One full run from pulses to secured key length.
-
-    With the default zero disclosure the error rate is read off the whole
-    sifted key (simulation privilege standing in for the authenticated
-    sample), and the leakage charged to the key is what CASCADE actually
-    spent.  Session, shuffle and hash randomness use seed words 0..2
-    derived from the master seed.
-    """
-    summary, _ = run_experiment_detailed(
-        source,
-        link,
-        n_pulses,
-        master_seed,
-        disclose_fraction=disclose_fraction,
-        double_click_policy=double_click_policy,
-        n_passes=n_passes,
-        verify_bits=verify_bits,
-        safety_margin=safety_margin,
-        protocol_bits=protocol_bits,
-    )
-    return summary
-
-
 def run_experiment_detailed(
     source: SourceSpec,
     link: LinkSpec,
@@ -121,7 +65,16 @@ def run_experiment_detailed(
     safety_margin: int = 30,
     protocol_bits: np.ndarray | None = None,
 ) -> tuple[ExperimentSummary, SessionResult]:
-    """Same as run_experiment but also hands back the raw session."""
+    """One full run from pulses to secured key length, and the raw session.
+
+    With the default zero disclosure the error rate is read off the whole
+    sifted key (simulation privilege standing in for the authenticated
+    sample), and the leakage charged to the key is what CASCADE actually
+    spent.  Session, shuffle and hash randomness use seed words 0..2
+    derived from the master seed.  A run that cannot distill a key reports
+    zero secret bits with ``aborted`` set; stages it never reached read
+    nan or 0.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
     session = run_session(
         source,
@@ -136,42 +89,36 @@ def run_experiment_detailed(
     qber = session.qber_measured
     alice = session.sifted_alice
     bob = session.sifted_bob
-    if alice.size < 8 or math.isnan(qber):
-        return _aborted_summary(session, qber), session
-
-    est_qber = min(0.49, max(qber, _EST_QBER_FLOOR))
-    cfg = ReconciliationConfig(
-        est_qber=est_qber,
-        n_passes=n_passes,
-        shuffle_seed=derive_seed(master_seed, 1),
-        verify_bits=verify_bits,
-    )
-    outcome = cascade(alice, bob, cfg)
-
-    p_click = click_probability(source.mu, link)
-    delta = multiphoton_probability(source) / p_click if p_click > 0 else 1.0
-    e_phase_bound = qber / (1.0 - delta) if delta < 1.0 else 1.0
-    if not outcome.verified_equal or delta >= 1.0 or e_phase_bound >= 0.5:
-        base = _aborted_summary(session, qber)
-        summary = ExperimentSummary(
-            **{
-                **base.__dict__,
-                "est_qber": est_qber,
-                "corrections_made": outcome.corrections_made,
-                "leaked_bits": outcome.leaked_bits,
-                "delta": min(delta, 1.0),
-            }
+    est_qber = delta = float("nan")
+    corrections_made = leaked_bits = secret_bits = 0
+    verified, aborted = False, True
+    if alice.size >= 8 and not math.isnan(qber):
+        est_qber = min(0.49, max(qber, _EST_QBER_FLOOR))
+        cfg = ReconciliationConfig(
+            est_qber=est_qber,
+            n_passes=n_passes,
+            shuffle_seed=derive_seed(master_seed, 1),
+            verify_bits=verify_bits,
         )
-        return summary, session
+        outcome = cascade(alice, bob, cfg)
+        corrections_made = outcome.corrections_made
+        leaked_bits = outcome.leaked_bits
 
-    secret = privacy_amplify(
-        outcome.corrected_bob_key,
-        outcome.leaked_bits,
-        delta,
-        qber,
-        safety_margin=safety_margin,
-        hash_seed=derive_seed(master_seed, 2),
-    )
+        p_click = click_probability(source.mu, link)
+        delta = multiphoton_probability(source) / p_click if p_click > 0 else 1.0
+        e_phase_bound = qber / (1.0 - delta) if delta < 1.0 else 1.0
+        if outcome.verified_equal and delta < 1.0 and e_phase_bound < 0.5:
+            secret = privacy_amplify(
+                outcome.corrected_bob_key,
+                outcome.leaked_bits,
+                delta,
+                qber,
+                safety_margin=safety_margin,
+                hash_seed=derive_seed(master_seed, 2),
+            )
+            secret_bits, verified, aborted = len(secret), True, secret.aborted
+        delta = min(delta, 1.0)
+
     summary = ExperimentSummary(
         n_pulses=session.n_pulses,
         duration_s=session.duration_s,
@@ -181,13 +128,13 @@ def run_experiment_detailed(
         sifted_rate_bps=session.sifted_rate_bps,
         qber=qber,
         est_qber=est_qber,
-        corrections_made=outcome.corrections_made,
-        leaked_bits=outcome.leaked_bits,
+        corrections_made=corrections_made,
+        leaked_bits=leaked_bits,
         delta=delta,
-        secret_bits=len(secret),
-        secured_rate_bps=len(secret) / session.duration_s,
-        verified=outcome.verified_equal,
-        aborted=secret.aborted,
+        secret_bits=secret_bits,
+        secured_rate_bps=secret_bits / session.duration_s,
+        verified=verified,
+        aborted=aborted,
     )
     return summary, session
 

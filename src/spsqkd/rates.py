@@ -73,6 +73,10 @@ class RateInputs:
     q: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("mu", "rep_rate_hz", "f_ec"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
         if not 0 <= self.multiphoton <= 1:

@@ -20,13 +20,10 @@ __all__ = [
     "PRESETS",
     "get_preset",
     "photon_number_distribution",
-    "sample_photon_number",
     "sample_photon_numbers",
     "multiphoton_probability",
     "subpoissonian_multiphoton",
     "poissonian_multiphoton",
-    "sample_emission_delay",
-    "sample_emission_delays",
 ]
 
 # Poisson tables are extended until the missing tail is below this, which keeps
@@ -71,6 +68,10 @@ class SourceSpec:
     decoy_levels: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("mu", "g2_zero", "lifetime_ns", "rep_rate_hz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lifetime_ns <= 0:
             raise ValueError("lifetime_ns must be positive")
         if self.rep_rate_hz <= 0:
@@ -110,6 +111,8 @@ class SourceSpec:
             raise ValueError("decoy sources require at least one intensity level")
         weights = [w for _, w in self.decoy_levels]
         mus = [m for m, _ in self.decoy_levels]
+        if not all(math.isfinite(x) for x in weights + mus):
+            raise ValueError("decoy level intensities and weights must be finite")
         if any(w <= 0 for w in weights):
             raise ValueError("decoy level weights must be positive")
         if any(m < 0 for m in mus):
@@ -209,22 +212,6 @@ def sample_photon_numbers(
     weights = np.array([w for _, w in spec.decoy_levels])
     level = rng.choice(len(mus), size=n_pulses, p=weights)
     return rng.poisson(mus[level])
-
-
-def sample_photon_number(spec: SourceSpec, rng: np.random.Generator) -> int:
-    """Single-pulse photon count draw."""
-    return int(sample_photon_numbers(spec, 1, rng)[0])
-
-
-def sample_emission_delays(
-    spec: SourceSpec, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exponential emission delays (ns) after the excitation pulse."""
-    return rng.exponential(spec.lifetime_ns, n)
-
-
-def sample_emission_delay(spec: SourceSpec, rng: np.random.Generator) -> float:
-    return float(rng.exponential(spec.lifetime_ns))
 
 
 def _sub(mu: float, g2: float, lifetime: float, rep: float) -> SourceSpec:

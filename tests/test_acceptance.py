@@ -25,7 +25,7 @@ from spsqkd.channel import (
     exact_click_probability,
 )
 from spsqkd.hbt import correlation_histogram, fit_lifetime, g2_at_zero, simulate_hbt
-from spsqkd.pipeline import run_experiment
+from spsqkd.pipeline import run_experiment_detailed
 from spsqkd.rates import (
     RateInputs,
     binary_entropy,
@@ -44,7 +44,9 @@ TABLE_LINK = LinkSpec()  # 0.4 dB/km, eta 0.31, darks 2.4e-5, misalignment 3%
 def _table_row(preset: str, n_seeds: int = 10, n_pulses: int = 1_000_000):
     det, sif, qber, sec = [], [], [], []
     for s in range(n_seeds):
-        summary = run_experiment(PRESETS[preset], TABLE_LINK, n_pulses, master_seed=1000 + s)
+        summary, _ = run_experiment_detailed(
+            PRESETS[preset], TABLE_LINK, n_pulses, master_seed=1000 + s
+        )
         assert not summary.aborted
         det.append(summary.detected_rate_cps)
         sif.append(summary.sifted_rate_bps)
@@ -223,7 +225,7 @@ def test_criterion_8_monte_carlo_matches_closed_form():
         for j, dist in enumerate((0.0, 5.0, 15.0)):
             link = LinkSpec(distance_km=dist)
             master = int(np.random.SeedSequence([8000, i, j]).generate_state(1)[0])
-            s = run_experiment(source, link, n, master_seed=master)
+            s, _ = run_experiment_detailed(source, link, n, master_seed=master)
 
             # detected clicks against the photon-number expansion, and for
             # the three-level sources also against the first-order model

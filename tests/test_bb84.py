@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spsqkd.bb84 import (
-    Basis,
-    Polarization,
-    alice_encode,
-    bob_measure,
-    format_session_csv,
-    run_session,
-)
+from spsqkd.bb84 import _detector_clicks, format_session_csv, run_session
 from spsqkd.channel import LinkSpec
 from spsqkd.sources import SourceKind, SourceSpec, get_preset
 
@@ -25,73 +18,66 @@ def _perfect_link():
     return LinkSpec(setup_efficiency=1.0, dark_count_prob=0.0, misalignment=0.0)
 
 
-def test_alice_encode_mapping():
-    assert alice_encode(0, Basis.LINEAR) is Polarization.H
-    assert alice_encode(1, Basis.LINEAR) is Polarization.V
-    assert alice_encode(0, Basis.CIRCULAR) is Polarization.LCIRC
-    assert alice_encode(1, Basis.CIRCULAR) is Polarization.RCIRC
-    outputs = {alice_encode(b, beta) for b in (0, 1) for beta in Basis}
-    assert len(outputs) == 4
-    with pytest.raises(ValueError):
-        alice_encode(2, Basis.LINEAR)
-
-
-def test_polarization_decomposition():
-    for pol in Polarization:
-        assert alice_encode(pol.bit, pol.basis) is pol
-    assert Polarization.H.basis is Basis.LINEAR
-    assert Polarization.RCIRC.basis is Basis.CIRCULAR
-    assert Polarization.V.bit == 1
+def _pinned_bits(alice_bit, alice_basis, bob_basis, n):
+    """Protocol bits giving every pulse the same bit and bases."""
+    return np.tile(np.array([alice_bit, alice_basis, bob_basis], dtype=np.uint8), n)
 
 
 def test_bob_measure_matched_noiseless():
-    link = _perfect_link()
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        assert bob_measure(Polarization.H, Basis.LINEAR, 1, link, rng) == (True, False)
-        assert bob_measure(Polarization.V, Basis.LINEAR, 1, link, rng) == (False, True)
+    # one photon per pulse, every one arrives: Bob reads Alice's bit in
+    # either basis, so each of the four states is sifted without error
+    for bit in (0, 1):
+        for basis in (0, 1):
+            res = run_session(_perfect_source(), _perfect_link(), 50,
+                              np.random.default_rng(1),
+                              protocol_bits=_pinned_bits(bit, basis, basis, 50),
+                              full_compare=True)
+            assert res.sifted_count == 50
+            assert np.all(res.sift_basis == basis)
+            assert np.all(res.sift_bob_bits == bit)
 
 
 def test_bob_measure_bright_mismatch_double_clicks():
     # 64 photons into a 50/50 split: odds of a single-sided outcome are 2^-63
-    link = _perfect_link()
-    rng = np.random.default_rng(2)
-    assert bob_measure(Polarization.H, Basis.CIRCULAR, 64, link, rng) == (True, True)
+    n = 200
+    click0, click1 = _detector_clicks(np.full(n, 64), np.zeros(n, dtype=np.uint8),
+                                      np.zeros(n, dtype=bool), _perfect_link(),
+                                      np.random.default_rng(2))
+    assert click0.all() and click1.all()
 
 
 def test_bob_measure_mismatch_is_unbiased():
-    link = _perfect_link()
-    rng = np.random.default_rng(3)
     n = 100_000
-    det0 = sum(
-        bob_measure(Polarization.H, Basis.CIRCULAR, 1, link, rng)[0]
-        for _ in range(n)
-    )
-    assert abs(det0 / n - 0.5) < 0.01
+    click0, click1 = _detector_clicks(np.ones(n, dtype=np.int64),
+                                      np.zeros(n, dtype=np.uint8),
+                                      np.zeros(n, dtype=bool), _perfect_link(),
+                                      np.random.default_rng(3))
+    # a lone photon fires exactly one detector
+    assert np.array_equal(click0, ~click1)
+    assert abs(click0.mean() - 0.5) < 0.01
 
 
 def test_bob_measure_misalignment_rate():
     link = LinkSpec(setup_efficiency=1.0, dark_count_prob=0.0, misalignment=0.1)
-    rng = np.random.default_rng(4)
     n = 50_000
-    wrong = sum(
-        bob_measure(Polarization.H, Basis.LINEAR, 1, link, rng)[1] for _ in range(n)
-    )
-    assert abs(wrong / n - 0.1) < 4 * math.sqrt(0.1 * 0.9 / n)
+    res = run_session(_perfect_source(), link, n, np.random.default_rng(4),
+                      protocol_bits=_pinned_bits(0, 0, 0, n), full_compare=True)
+    assert res.sifted_count == n
+    assert abs(res.qber_measured - 0.1) < 4 * math.sqrt(0.1 * 0.9 / n)
 
 
 def test_bob_measure_dark_counts_only():
-    link = LinkSpec(dark_count_prob=0.2)
-    rng = np.random.default_rng(5)
+    # a link that delivers no photons: every click is a dark count
+    link = LinkSpec(distance_km=10_000.0, dark_count_prob=0.2)
     n = 50_000
-    clicks = [bob_measure(Polarization.H, Basis.LINEAR, 0, link, rng) for _ in range(n)]
-    frac0 = sum(c[0] for c in clicks) / n
-    frac1 = sum(c[1] for c in clicks) / n
+    res = run_session(_perfect_source(), link, n, np.random.default_rng(5),
+                      protocol_bits=_pinned_bits(0, 0, 0, n), full_compare=True)
     # each detector fires at half the per-gate dark probability
-    assert abs(frac0 - 0.1) < 4 * math.sqrt(0.1 * 0.9 / n)
-    assert abs(frac1 - 0.1) < 4 * math.sqrt(0.1 * 0.9 / n)
-    with pytest.raises(ValueError):
-        bob_measure(Polarization.H, Basis.LINEAR, -1, link, rng)
+    p_click = 1.0 - 0.9**2
+    assert abs(res.detected_count / n - p_click) < 4 * math.sqrt(p_click * (1 - p_click) / n)
+    # darks land in either detector alike, so half the resolved bits are wrong
+    sigma = 0.5 / math.sqrt(res.sifted_count)
+    assert abs(res.qber_measured - 0.5) < 4 * sigma
 
 
 def test_run_session_validation():
@@ -184,40 +170,43 @@ def test_zero_disclosure_flags_undefined_qber():
 
 
 def test_double_click_policies():
-    # bright Poissonian pulses force double clicks on mismatched bases
+    # bright pulses with misalignment split between both matched detectors
+    n = 5_000
     src = SourceSpec(SourceKind.POISSONIAN, mu=8.0)
     link = LinkSpec(setup_efficiency=1.0, dark_count_prob=0.0, misalignment=0.2)
-    kept = run_session(src, link, 5_000, np.random.default_rng(12),
-                       full_compare=True, record_pulses=True)
-    dropped = run_session(src, link, 5_000, np.random.default_rng(12),
+    bits = _pinned_bits(0, 0, 0, n)
+    kept = run_session(src, link, n, np.random.default_rng(12),
+                       full_compare=True, protocol_bits=bits)
+    dropped = run_session(src, link, n, np.random.default_rng(12),
                           full_compare=True, double_click_policy="discard",
-                          record_pulses=True)
-    assert dropped.sifted_count < kept.sifted_count
-    for rec in kept.records:
-        assert (rec.resolved_bit is not None) == (rec.click0 or rec.click1)
-    for rec in dropped.records:
-        if rec.click0 and rec.click1:
-            assert rec.resolved_bit is None
+                          protocol_bits=bits)
+    # "random" resolves every click to a bit; "discard" keeps single clicks only
+    assert kept.sifted_count == kept.detected_count
+    assert dropped.detected_count == kept.detected_count
+    p_single = math.exp(-8.0 * 0.2) + math.exp(-8.0 * 0.8) - 2 * math.exp(-8.0)
+    sigma = math.sqrt(p_single * (1 - p_single) / n)
+    assert abs(dropped.sifted_count / n - p_single) < 4 * sigma
 
 
 def test_pulse_record_invariants():
-    rng = np.random.default_rng(13)
-    res = run_session(get_preset("nv"), LinkSpec(), 5_000, rng, record_pulses=True)
-    assert not res.records_elided
-    assert len(res.records) == 5_000
-    sifted = set(res.sift_pulse_index.tolist())
-    for rec in res.records:
-        assert rec.n_photons_arrived <= rec.n_photons_emitted
-        assert (rec.resolved_bit is not None) == (rec.click0 or rec.click1)
-        should_sift = rec.alice_basis == rec.bob_basis and rec.resolved_bit is not None
-        assert (rec.index in sifted) == should_sift
-
-
-def test_records_elided_by_default():
-    rng = np.random.default_rng(14)
-    res = run_session(get_preset("nv"), LinkSpec(), 1_000, rng)
-    assert res.records_elided
-    assert res.records == ()
+    # a pulse is sifted iff the bases match and its clicks resolved to a bit
+    n = 5_000
+    src, link = get_preset("nv"), LinkSpec(dark_count_prob=0.05)
+    bits = np.random.default_rng(13).integers(0, 2, 3 * n, dtype=np.uint8)
+    alice_bit, alice_basis, bob_basis = bits.reshape(n, 3).T
+    res = run_session(src, link, n, np.random.default_rng(14),
+                      protocol_bits=bits, full_compare=True)
+    idx = res.sift_pulse_index
+    assert res.sifted_count > 0
+    assert np.array_equal(alice_basis[idx], bob_basis[idx])
+    assert np.array_equal(res.sift_basis, alice_basis[idx])
+    assert np.array_equal(res.sift_alice_bits, alice_bit[idx])
+    # all bases matched: every detection is sifted; none matched: none is
+    for bob, expect_all in ((1, True), (0, False)):
+        res = run_session(src, link, n, np.random.default_rng(15),
+                          protocol_bits=_pinned_bits(0, 1, bob, n), full_compare=True)
+        assert res.detected_count > 0
+        assert res.sifted_count == (res.detected_count if expect_all else 0)
 
 
 def test_external_protocol_bits():

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spsqkd.bb84 import run_session
 from spsqkd.channel import (
     LinkSpec,
     click_probability,
     error_rate_model,
     exact_click_probability,
     fibre_transmission,
-    transmit_photons,
 )
 from spsqkd.sources import PRESETS, SourceKind, SourceSpec
 
@@ -124,6 +124,8 @@ def test_at_distance_keeps_other_fields():
         (dict(setup_efficiency=1.2), "setup_efficiency"),
         (dict(dark_count_prob=1.0), "dark_count_prob"),
         (dict(misalignment=0.6), "misalignment"),
+        (dict(distance_km=float("inf")), "distance_km must be finite"),
+        (dict(attenuation_db_per_km=float("nan")), "attenuation_db_per_km must be finite"),
     ],
 )
 def test_link_validation(kwargs, match):
@@ -161,18 +163,13 @@ def test_error_rate_bounds_and_monotonicity(mu, dist, e):
 
 
 def test_transmit_photons_statistics():
-    rng = np.random.default_rng(19)
-    counts = np.full(200_000, 2)
-    out = transmit_photons(counts, 0.3, rng)
-    # mean 0.6, var = 2 * 0.3 * 0.7 = 0.42
-    assert abs(out.mean() - 0.6) < 4 * math.sqrt(0.42 / counts.size)
-    assert out.min() >= 0 and out.max() <= 2
-
-
-def test_transmit_photons_edge_efficiencies():
-    rng = np.random.default_rng(0)
-    counts = np.array([0, 1, 2, 3])
-    assert np.array_equal(transmit_photons(counts, 1.0, rng), counts)
-    assert np.array_equal(transmit_photons(counts, 0.0, rng), np.zeros(4, dtype=int))
-    with pytest.raises(ValueError, match="efficiency"):
-        transmit_photons(counts, 1.5, rng)
+    # one photon per pulse, no darks: a click is a photon that survived the
+    # binomial thinning, so the click rate is the link efficiency
+    link = LinkSpec(distance_km=5.0, setup_efficiency=0.6, dark_count_prob=0.0)
+    eta = link.total_efficiency
+    n = 200_000
+    bits = np.zeros(3 * n, dtype=np.uint8)
+    res = run_session(SourceSpec(SourceKind.SUB_POISSONIAN, mu=1.0, g2_zero=0.0),
+                      link, n, np.random.default_rng(19), protocol_bits=bits,
+                      full_compare=True)
+    assert abs(res.detected_count / n - eta) < 4 * math.sqrt(eta * (1 - eta) / n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spsqkd import cli
-from spsqkd.config import coerce_value, config_hash, parse_config_text
+from spsqkd.config import coerce_value, config_hash, load_config_file, parse_config_text
 
 
 def _read_fields(path):
@@ -56,6 +56,52 @@ def test_config_hash_is_order_free_and_value_bound():
     assert config_hash(a) == config_hash(b)
     assert len(config_hash(a)) == 12
     assert config_hash(a) != config_hash({"x": 1, "y": 2.6})
+
+
+_ALL_SETTINGS = [(c, d) for c, schema in cli._SCHEMAS.items() for d in schema]
+
+
+@pytest.mark.parametrize(
+    "command, dest", _ALL_SETTINGS, ids=[f"{c}-{d}" for c, d in _ALL_SETTINGS]
+)
+def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
+    setting = cli._SCHEMAS[command][dest]
+    text = {int: "7", float: "0.125", str: "other", bool: "true"}[setting.kind]
+    flag = "--" + dest.replace("_", "-")
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{setting.key} = {text}\n")
+
+    def hash_of(argv):
+        args = cli.build_parser().parse_args([command, *argv])
+        file_cfg = load_config_file(args.config) if args.config else {}
+        return config_hash(cli._effective(command, cli._resolve(command, args, file_cfg)))
+
+    by_flag = hash_of([flag] if setting.kind is bool else [flag, text])
+    assert by_flag == hash_of(["--config", str(cfg)]) != hash_of([])
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        (["rates", "--f-ec", "nan"], "f_ec"),
+        (["rates", "--f-ec", "inf"], "f_ec"),
+        (["rates", "--rep-rate", "nan"], "rep_rate"),
+        (["rates", "--attenuation-db-per-km", "nan"], "attenuation_db_per_km"),
+        (["rates", "--dmax", "nan"], "dmax"),
+        (["rates", "--step", "nan"], "step"),
+        (["g2", "--pulses", "10000", "--lifetime-ns", "nan"], "lifetime_ns"),
+        (["g2", "--pulses", "10000", "--rep-rate", "inf"], "rep_rate"),
+        (["g2", "--pulses", "10000", "--bin-width-ns", "1e-9"], "bin_width_ns"),
+        (["session", "--pulses", "1000", "--distance-km", "nan"], "distance_km"),
+        (["session", "--pulses", "1000", "--double-click-policy", "drop"],
+         "double_click_policy"),
+    ],
+)
+def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting in err
 
 
 # ---------------------------------------------------------------- session

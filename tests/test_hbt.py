@@ -1,5 +1,7 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,17 @@ def test_histogram_rejects_narrow_window(nv_stream_1e7):
         correlation_histogram(nv_stream_1e7, bin_width_ns=0.0)
 
 
+def test_histogram_bins_are_capped():
+    # a mistyped width asks for ~1e11 bins; it is refused before allocating
+    stream = TimeTagStream(np.array([10.0, 20.0]), np.array([0, 1], dtype=np.uint8),
+                           1000.0, 100.0)
+    for width in (1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bin_width_ns"):
+            correlation_histogram(stream, bin_width_ns=width)
+        with pytest.raises(ValueError, match="bin_width_ns"):
+            fit_lifetime(stream, bin_width_ns=width)
+
+
 def test_histogram_counts_every_cross_pair_once():
     stream = simulate_hbt(get_preset("nv"), 200_000, _rng(202, 3))
     hist = correlation_histogram(stream)
@@ -201,7 +214,10 @@ def test_csv_round_trip():
 def test_binary_round_trip():
     stream = simulate_hbt(get_preset("nv"), 50_000, _rng(404, 1))
     blob = stream.to_bytes()
-    assert len(blob) == 9 * len(stream)
+    # the record layout, packed tag by tag as the reference
+    ps = np.round(stream.times_ns * 1000.0).astype(np.uint64)
+    records = zip(ps.tolist(), stream.detectors.tolist())
+    assert blob == b"".join(struct.pack("<QB", t, d) for t, d in records)
     back = TimeTagStream.from_bytes(blob, stream.duration_ns, stream.rep_period_ns)
     assert np.allclose(back.times_ns, stream.times_ns, atol=5e-4)
     assert np.array_equal(back.detectors, stream.detectors)

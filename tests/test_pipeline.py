@@ -9,7 +9,6 @@ from spsqkd.channel import LinkSpec
 from spsqkd.pipeline import (
     derive_seed,
     format_summary_text,
-    run_experiment,
     run_experiment_detailed,
 )
 from spsqkd.sources import get_preset
@@ -24,15 +23,15 @@ def test_derive_seed_is_stable_and_word_dependent():
 
 def test_experiment_is_deterministic_in_master_seed():
     link = LinkSpec()
-    a = run_experiment(get_preset("nv"), link, 200_000, master_seed=5)
-    b = run_experiment(get_preset("nv"), link, 200_000, master_seed=5)
-    c = run_experiment(get_preset("nv"), link, 200_000, master_seed=6)
+    a, _ = run_experiment_detailed(get_preset("nv"), link, 200_000, master_seed=5)
+    b, _ = run_experiment_detailed(get_preset("nv"), link, 200_000, master_seed=5)
+    c, _ = run_experiment_detailed(get_preset("nv"), link, 200_000, master_seed=6)
     assert a == b
     assert a != c
 
 
 def test_secured_key_accounting_hangs_together():
-    summary = run_experiment(get_preset("nv"), LinkSpec(), 500_000, master_seed=2)
+    summary, _ = run_experiment_detailed(get_preset("nv"), LinkSpec(), 500_000, master_seed=2)
     assert summary.verified and not summary.aborted
     assert 0 < summary.secret_bits < summary.sifted_count
     assert summary.leaked_bits >= summary.corrections_made
@@ -42,7 +41,7 @@ def test_secured_key_accounting_hangs_together():
 
 
 def test_dead_link_aborts_cleanly():
-    summary = run_experiment(
+    summary, _ = run_experiment_detailed(
         get_preset("nv"), LinkSpec(distance_km=200.0), 20_000, master_seed=1
     )
     assert summary.aborted
@@ -64,7 +63,7 @@ def test_sampled_disclosure_mode_still_distills():
 
 
 def test_summary_text_round_trips_fields():
-    summary = run_experiment(get_preset("siv"), LinkSpec(), 300_000, master_seed=4)
+    summary, _ = run_experiment_detailed(get_preset("siv"), LinkSpec(), 300_000, master_seed=4)
     text = format_summary_text(summary, {"config_hash": "deadbeef0123"})
     assert text.startswith("# config_hash=deadbeef0123\n")
     parsed = {}
@@ -80,6 +79,6 @@ def test_summary_text_round_trips_fields():
 
 def test_zero_click_run_reports_nan_qber():
     dead = LinkSpec(distance_km=400.0, dark_count_prob=0.0)
-    summary = run_experiment(get_preset("siv80"), dead, 5_000, master_seed=9)
+    summary, _ = run_experiment_detailed(get_preset("siv80"), dead, 5_000, master_seed=9)
     assert summary.aborted
     assert math.isnan(summary.qber) or summary.sifted_count < 8

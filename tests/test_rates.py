@@ -190,6 +190,10 @@ def test_rate_inputs_validation():
         RateInputs(mu=0.1, multiphoton=1.5, link=LinkSpec())
     with pytest.raises(ValueError, match="f_ec"):
         RateInputs(mu=0.1, multiphoton=0.0, link=LinkSpec(), f_ec=0.9)
+    for name in ("mu", "rep_rate_hz", "f_ec"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RateInputs(**{"mu": 0.1, "multiphoton": 0.0, "link": LinkSpec(),
+                          name: float("nan")})
     with pytest.raises(ValueError, match="mode"):
         RateVariant("x", "laser")
     with pytest.raises(ValueError, match="source"):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spsqkd.hbt import simulate_hbt
 from spsqkd.sources import (
     PRESETS,
     SourceKind,
@@ -20,8 +21,6 @@ from spsqkd.sources import (
     multiphoton_probability,
     photon_number_distribution,
     poissonian_multiphoton,
-    sample_emission_delays,
-    sample_photon_number,
     sample_photon_numbers,
     subpoissonian_multiphoton,
 )
@@ -158,6 +157,16 @@ def test_poisson_multiphoton_matches_table(mu):
             ),
             "decoy sources",
         ),
+        (
+            dict(
+                kind=SourceKind.DECOY_POISSONIAN,
+                mu=0.5,
+                decoy_levels=((float("nan"), 1.0),),
+            ),
+            "finite",
+        ),
+        (dict(kind=SourceKind.SUB_POISSONIAN, mu=0.1, g2_zero=float("nan")), "finite"),
+        (dict(kind=SourceKind.POISSONIAN, mu=0.3, lifetime_ns=float("inf")), "finite"),
     ],
 )
 def test_source_spec_validation(kwargs, match):
@@ -201,19 +210,14 @@ def test_decoy_sampling_mean():
     assert abs(draws.mean() - spec.mu) < 4 * math.sqrt(var / n)
 
 
-def test_scalar_sample_matches_vector_head():
-    spec = get_preset("nv")
-    a = sample_photon_number(spec, np.random.default_rng(3))
-    b = sample_photon_numbers(spec, 1, np.random.default_rng(3))[0]
-    assert a == b
-
-
 def test_emission_delay_mean():
+    # at a 1 us period the 28.5 ns decay never wraps, so a tag's phase within
+    # its period is its emission delay
     spec = get_preset("nv")
-    rng = np.random.default_rng(5)
-    n = 100_000
-    delays = sample_emission_delays(spec, n, rng)
-    assert np.all(delays >= 0)
+    stream = simulate_hbt(spec, 3_000_000, np.random.default_rng(5))
+    delays = stream.times_ns % spec.rep_period_ns
+    n = delays.size
+    assert n > 50_000
     assert abs(delays.mean() - 28.5) < 4 * 28.5 / math.sqrt(n)
 
 
