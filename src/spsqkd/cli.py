@@ -120,6 +120,11 @@ _KNOWN_KEYS = {s.key for schema in _SCHEMAS.values() for s in schema.values()}
 _KNOWN_KEYS |= {"out", "quiet"}
 
 
+# most distance points one rate sweep may hold; a finer grid is a mistyped
+# step, not a measurement
+_MAX_POINTS = 1 << 20
+
+
 def _int_arg(text: str) -> int:
     return coerce_value("argument", text, int)
 
@@ -256,6 +261,11 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
         raise ValueError(f"step must be positive and finite, got {step}")
     if not (math.isfinite(dmax) and dmax >= 0):
         raise ValueError(f"dmax must be non-negative and finite, got {dmax}")
+    if dmax / step + 1 > _MAX_POINTS:
+        raise ValueError(
+            f"step = {step:g} over dmax = {dmax:g} needs {dmax / step + 1:.3g} points, "
+            f"over {_MAX_POINTS}"
+        )
     link = _link_from(settings)
     distances = np.arange(0.0, dmax + step / 2, step)
 
@@ -292,6 +302,9 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
 
 
 def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
+    qber = settings["qber"]
+    if not (math.isfinite(qber) and 0.0 <= qber < 0.5):
+        raise ValueError(f"qber must be finite and in [0, 0.5), got {qber}")
     if bool(settings["alice_file"]) != bool(settings["bob_file"]):
         raise ValueError("provide both --alice-file and --bob-file, or neither")
     if settings["alice_file"]:
@@ -299,16 +312,18 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         bob = _load_key_file(settings["bob_file"])
         qber_true = float("nan")
     else:
+        if settings["n_bits"] < 8:
+            raise ValueError(f"n_bits must be at least 8, got {settings['n_bits']}")
         rng_a = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
         rng_b = np.random.default_rng(np.random.SeedSequence([settings["seed"], 1]))
         alice = rng_a.integers(0, 2, settings["n_bits"], dtype=np.uint8)
-        flips = (rng_b.random(settings["n_bits"]) < settings["qber"]).astype(np.uint8)
+        flips = (rng_b.random(settings["n_bits"]) < qber).astype(np.uint8)
         bob = alice ^ flips
         qber_true = float(flips.mean())
 
     est = settings["est_qber"]
     if est is None:
-        est = max(settings["qber"], 0.005)
+        est = max(qber, 0.005)
     cfg = ReconciliationConfig(
         est_qber=est,
         n_passes=settings["n_passes"],

@@ -77,7 +77,7 @@ def coerce_value(key: str, raw: str, kind: type):
                 raise ValueError(raw)
             return as_int
         return kind(raw)
-    except ValueError:
+    except (ValueError, OverflowError):  # int(inf) overflows
         raise ValueError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}")
 
 

@@ -17,6 +17,7 @@ current round's subset (lo/hi index its positions in ascending order).
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 from dataclasses import dataclass
@@ -53,6 +54,25 @@ _REPAIR_TAG = 0xFF
 # frame caps it anyway, and a run that needs this many rounds is hopeless
 _ROUND_BUDGET = 0xFFFF
 
+# the pass number is the u8 pass byte of a request, below the reserved tags
+_MAX_PASSES = _ROUND_TAG - 1
+
+# one parity query as sent: a 0x01 request frame (pass byte, lo, hi) and
+# its 0x02 reply frame, 20 bytes; the struct writes one, the dtype a batch
+_QUERY = struct.Struct("<IBBIIIBB")
+_QUERIES = np.dtype(
+    [
+        ("req_len", "<u4"),
+        ("req_type", "u1"),
+        ("pass_byte", "u1"),
+        ("lo", "<u4"),
+        ("hi", "<u4"),
+        ("rep_len", "<u4"),
+        ("rep_type", "u1"),
+        ("parity", "u1"),
+    ]
+)
+
 
 @dataclass(frozen=True)
 class ReconciliationConfig:
@@ -76,8 +96,10 @@ class ReconciliationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.est_qber < 0.5:
             raise ValueError("est_qber must be in (0, 0.5)")
-        if self.n_passes < 2:
-            raise ValueError("n_passes must be at least 2")
+        if not 2 <= self.n_passes <= _MAX_PASSES:
+            raise ValueError(
+                f"n_passes must be in [2, {_MAX_PASSES}], got {self.n_passes}"
+            )
         if self.k1 is not None and self.k1 < 1:
             raise ValueError("k1 must be at least 1")
         if self.shuffle_seed < 0:
@@ -117,6 +139,21 @@ def _frame(msg_type: int, payload: bytes) -> bytes:
     return struct.pack("<IB", len(payload), msg_type) + payload
 
 
+def _query_frames(
+    pass_byte: int, lo: np.ndarray, hi: np.ndarray, parity: np.ndarray
+) -> bytes:
+    frames = np.empty(lo.size, dtype=_QUERIES)
+    frames["req_len"] = 9
+    frames["req_type"] = MSG_PARITY_REQUEST
+    frames["pass_byte"] = pass_byte
+    frames["lo"] = lo
+    frames["hi"] = hi
+    frames["rep_len"] = 1
+    frames["rep_type"] = MSG_PARITY_REPLY
+    frames["parity"] = parity
+    return frames.tobytes()
+
+
 def iter_transcript(data: bytes) -> Iterator[tuple[int, bytes]]:
     """Yield (message type, payload) frames; raises on truncation."""
     off = 0
@@ -138,6 +175,13 @@ def _as_bits(key, name: str) -> np.ndarray:
     if arr.size and arr.max() > 1:
         raise ValueError(f"{name} must be 0/1 valued")
     return arr
+
+
+def _prefix_parities(bits: np.ndarray) -> bytes:
+    # byte i is the parity of bits[:i], so a range parity is two lookups
+    prefix = np.zeros(bits.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=prefix[1:])
+    return prefix.tobytes()
 
 
 def _bisect(lo: int, hi: int, parity_differs) -> tuple[int, int]:
@@ -203,7 +247,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     perms: list[np.ndarray] = []
     inv_perms: list[np.ndarray] = []
-    alice_prefix: list[np.ndarray] = []
+    alice_prefix: list[bytes] = []
     block_size: list[int] = []
     for p in range(cfg.n_passes):
         if p == 0:
@@ -213,33 +257,40 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
             perm = rng.permutation(n)
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
-        prefix = np.zeros(n + 1, dtype=np.uint8)
-        prefix[1:] = np.cumsum(alice[perm], dtype=np.int64) & 1
         perms.append(perm)
         inv_perms.append(inv)
-        alice_prefix.append(prefix)
+        alice_prefix.append(_prefix_parities(alice[perm]))
         block_size.append(min(n, cfg.initial_block * (1 << p)))
 
     parity_replies = 0
 
-    def alice_parity(p: int, lo: int, hi: int) -> int:
+    def locate(pass_byte: int, coords: np.ndarray, a_prefix: bytes, base: int) -> int:
+        # bisect the query range [base, base + coords.size) down to one
+        # differing bit; coords are its key positions in query order and
+        # a_prefix Alice's prefix parities over query coordinates.  Bob
+        # holds his side fixed while bisecting, so one prefix of the
+        # differences answers every half he compares
         nonlocal parity_replies
-        transcript.extend(_frame(MSG_PARITY_REQUEST, struct.pack("<BII", p, lo, hi)))
-        parity = int(alice_prefix[p][hi + 1] ^ alice_prefix[p][lo])
-        transcript.extend(_frame(MSG_PARITY_REPLY, bytes([parity])))
-        parity_replies += 1
-        return parity
+        diff = _prefix_parities(alice[coords] ^ bob[coords])
 
-    def bob_parity(p: int, lo: int, hi: int) -> int:
-        return int(np.bitwise_xor.reduce(bob[perms[p][lo : hi + 1]]))
+        def differs(lo: int, mid: int) -> bool:
+            parity = a_prefix[mid + 1] ^ a_prefix[lo]
+            transcript.extend(
+                _QUERY.pack(
+                    9, MSG_PARITY_REQUEST, pass_byte, lo, mid, 1, MSG_PARITY_REPLY, parity
+                )
+            )
+            return diff[mid + 1 - base] != diff[lo - base]
 
-    def block_bounds(p: int, block_id: int) -> tuple[int, int]:
-        k = block_size[p]
-        lo = block_id * k
-        return lo, min(lo + k, n) - 1
+        pos, queries = _bisect(base, base + coords.size - 1, differs)
+        parity_replies += queries
+        return int(coords[pos - base])
 
     corrections = 0
+    # blocks with a known parity mismatch; the heap orders them by (pass,
+    # block) and may also hold entries since toggled out of the set
     pending: set[tuple[int, int]] = set()
+    heap: list[tuple[int, int]] = []
 
     def flip(g: int, announced: int) -> None:
         nonlocal corrections
@@ -250,24 +301,35 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         # including any block just bisected (now even again)
         for r in range(announced):
             key = (r, int(inv_perms[r][g]) // block_size[r])
-            pending.symmetric_difference_update({key})
+            if key in pending:
+                pending.remove(key)
+            else:
+                pending.add(key)
+                heapq.heappush(heap, key)
 
     def drain(announced: int) -> None:
+        # smallest pass first: cheapest blocks, fastest convergence
         while pending:
-            # smallest pass first: cheapest blocks, fastest convergence
-            q, block_id = min(pending)
-            lo, hi = block_bounds(q, block_id)
-            pos, _ = _bisect(
-                lo, hi, lambda a, b: alice_parity(q, a, b) != bob_parity(q, a, b)
-            )
-            flip(int(perms[q][pos]), announced)
+            key = heapq.heappop(heap)
+            if key in pending:
+                q, block_id = key
+                lo = block_id * block_size[q]
+                hi = min(lo + block_size[q], n)
+                flip(locate(q, perms[q][lo:hi], alice_prefix[q], lo), announced)
+        heap.clear()  # only stale entries are left
 
     for p in range(cfg.n_passes):
-        k = block_size[p]
-        for block_id in range((n + k - 1) // k):
-            lo, hi = block_bounds(p, block_id)
-            if alice_parity(p, lo, hi) != bob_parity(p, lo, hi):
-                pending.add((p, block_id))
+        # every block parity of the pass at once, both parties
+        starts = np.arange(0, n, block_size[p])
+        ends = np.minimum(starts + block_size[p], n)
+        a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
+        a_par = a_prefix[ends] ^ a_prefix[starts]
+        b_par = np.bitwise_xor.reduceat(bob[perms[p]], starts)
+        transcript += _query_frames(p, starts, ends - 1, a_par)
+        parity_replies += starts.size
+        # ascending, so already a heap
+        heap.extend((p, block_id) for block_id in np.flatnonzero(a_par != b_par).tolist())
+        pending.update(heap)
         drain(p + 1)
 
     verified = True
@@ -282,42 +344,22 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
                 verified = False
                 break
             subset = rng.random(n) < 0.5
-            positions = np.flatnonzero(subset)
-            transcript.extend(
-                _frame(
-                    MSG_PARITY_REQUEST,
-                    struct.pack("<BII", _ROUND_TAG, len(round_parities), 0),
-                )
+            a_par = np.count_nonzero(alice & subset) & 1
+            transcript += _QUERY.pack(
+                9, MSG_PARITY_REQUEST, _ROUND_TAG, len(round_parities), 0,
+                1, MSG_PARITY_REPLY, a_par,
             )
-            a_par = int(np.bitwise_xor.reduce(alice[positions])) if positions.size else 0
-            transcript.extend(_frame(MSG_PARITY_REPLY, bytes([a_par])))
             parity_replies += 1
             round_parities.append(a_par)
-            b_par = int(np.bitwise_xor.reduce(bob[positions])) if positions.size else 0
-            if a_par == b_par:
+            if a_par == np.count_nonzero(bob & subset) & 1:
                 agree_streak += 1
                 continue
             agree_streak = 0
             # the subset hides an odd number of differences; bisect it in
             # ascending-position order, then backtrack the pass blocks
-            a_prefix = np.zeros(positions.size + 1, dtype=np.uint8)
-            a_prefix[1:] = np.cumsum(alice[positions], dtype=np.int64) & 1
-
-            def subset_differs(lo: int, mid: int) -> bool:
-                nonlocal parity_replies
-                transcript.extend(
-                    _frame(
-                        MSG_PARITY_REQUEST, struct.pack("<BII", _REPAIR_TAG, lo, mid)
-                    )
-                )
-                pa = int(a_prefix[mid + 1] ^ a_prefix[lo])
-                transcript.extend(_frame(MSG_PARITY_REPLY, bytes([pa])))
-                parity_replies += 1
-                pb = int(np.bitwise_xor.reduce(bob[positions[lo : mid + 1]]))
-                return pa != pb
-
-            idx, _ = _bisect(0, positions.size - 1, subset_differs)
-            flip(int(positions[idx]), cfg.n_passes)
+            positions = np.flatnonzero(subset)
+            g = locate(_REPAIR_TAG, positions, _prefix_parities(alice[positions]), 0)
+            flip(g, cfg.n_passes)
             drain(cfg.n_passes)
         payload = struct.pack("<QH", cfg.shuffle_seed, len(round_parities))
         payload += np.packbits(np.asarray(round_parities, dtype=np.uint8)).tobytes()
@@ -345,6 +387,13 @@ def privacy_amplify(
     Output length: floor(n (1 - delta) (1 - h2(qber / (1 - delta)))) minus
     the reconciliation leakage and a finite-size safety margin, floored at
     zero.  A zero-length result flags the insecure regime.
+
+    The matrix-vector product is an integer convolution, computed with a
+    real FFT at the first power-of-two length of at least 2n + m - 2 in
+    O((n + m) log(n + m)).  Every exact sum is an integer of at most n, so
+    rounding recovers it bit for bit while the float error stays below
+    1/2; the hash raises ``ArithmeticError`` if the largest rounding error
+    reaches 0.25 instead of returning bits it cannot vouch for.
     """
     bits = _as_bits(key, "key")
     n = bits.size
@@ -372,5 +421,14 @@ def privacy_amplify(
     diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64)
     # Toeplitz matrix T[i, j] = diagonals[i - j + n - 1]; row i of T @ key is
     # the full convolution at lag i + n - 1
-    out = np.convolve(diagonals, bits.astype(np.int64))[n - 1 : n - 1 + m] & 1
+    size = 1 << (2 * n + m - 3).bit_length()
+    spectrum = np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size)
+    sums = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    rounded = np.rint(sums)
+    error = float(np.max(np.abs(sums - rounded)))
+    if not error < 0.25:
+        raise ArithmeticError(
+            f"Toeplitz hash lost precision: rounding error {error:.3g}"
+        )
+    out = rounded.astype(np.int64) & 1
     return SecretKey(out.astype(np.uint8), inputs, aborted=False)

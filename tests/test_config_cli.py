@@ -1,5 +1,7 @@
 """Config parsing, hash binding, and the four CLI subcommands."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,8 @@ def test_coerce_value_handles_counts_and_bools():
     assert coerce_value("k", "off", bool) is False
     with pytest.raises(ValueError, match="session.pulses"):
         coerce_value("session.pulses", "1.5", int)
+    with pytest.raises(ValueError, match="session.pulses"):
+        coerce_value("session.pulses", "inf", int)
     with pytest.raises(ValueError):
         coerce_value("k", "maybe", bool)
 
@@ -95,6 +99,20 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
         (["session", "--pulses", "1000", "--distance-km", "nan"], "distance_km"),
         (["session", "--pulses", "1000", "--double-click-policy", "drop"],
          "double_click_policy"),
+        # the pass number is a u8 below the reserved confirmation tags 0xFE/0xFF
+        (["cascade", "--n-bits", "1000", "--n-passes", "254"], "n_passes"),
+        (["cascade", "--n-bits", "1000", "--n-passes", "256"], "n_passes"),
+        (["cascade", "--n-bits", "1000", "--n-passes", "257"], "n_passes"),
+        (["cascade", "--n-bits", "1000", "--n-passes", "1e12"], "n_passes"),
+        (["session", "--preset", "wcp", "--pulses", "10000", "--n-passes", "254"],
+         "n_passes"),
+        (["session", "--preset", "wcp", "--pulses", "10000", "--n-passes", "1e12"],
+         "n_passes"),
+        (["cascade", "--n-bits", "1000", "--qber", "nan", "--est-qber", "0.03"], "qber"),
+        (["cascade", "--n-bits", "1000", "--qber", "0.5"], "qber"),
+        (["rates", "--step", "1e-12"], "step"),
+        (["rates", "--dmax", "1e12"], "step"),
+        (["cascade", "--n-bits", "-1"], "n_bits"),
     ],
 )
 def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
@@ -102,6 +120,46 @@ def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypat
     assert cli.main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err
+
+
+# every numeric flag alone on a small run; the run sizes themselves stay
+# small, since a session of 1e12 pulses is a real allocation, not a bad value
+_FUZZ_BASE = {
+    "session": ["--preset", "wcp", "--pulses", "2000"],
+    "rates": ["--dmax", "2", "--step", "0.5"],
+    "cascade": ["--n-bits", "1000"],
+    "g2": ["--pulses", "20000"],
+}
+_FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-12", "1e12"]
+_SIZE_FLAGS = {"pulses", "n_bits"}
+_FUZZ_CASES = [
+    (command, dest, value)
+    for command, schema in cli._SCHEMAS.items()
+    for dest, setting in schema.items()
+    if setting.kind in (int, float)
+    for value in _FUZZ_VALUES
+    if not (dest in _SIZE_FLAGS and value == "1e12")
+]
+
+
+@pytest.mark.parametrize(
+    "command, dest, value",
+    _FUZZ_CASES,
+    ids=[f"{c}-{d}-{v}" for c, d, v in _FUZZ_CASES],
+)
+def test_numeric_flags_fail_cleanly(command, dest, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + dest.replace("_", "-")
+    argv = [command, *_FUZZ_BASE[command], f"{flag}={value}", "--quiet"]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refusing the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error" in err
 
 
 # ---------------------------------------------------------------- session
@@ -272,6 +330,25 @@ def test_cascade_seeded_run_corrects_everything(tmp_path, monkeypatch):
     assert float(fields["residual_error_rate"]) < 1e-3
     assert fields["verified"] == "True"
     assert 1.0 < float(fields["shannon_ratio"]) < 1.35
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n-bits", "100000", "--qber", "0.1", "--seed", "2"],
+         "ee30c49641ea0d91a2ea23c711b8d4ae06f15657f6c29c02e444fdf54a055d0e"),
+        (["--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
+         "7ceeaf02c66520deb85a8aad5f9ae0659213a029280fe6d86d23cf5bf896b0ed"),
+    ],
+    ids=["n100000-qber0.1", "n10000-qber0.03"],
+)
+def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
+    # digests of transcripts written by the one-frame-at-a-time CASCADE this
+    # implementation replaced: every query, reply and its order must survive
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["cascade", *argv, "--quiet"]) == 0
+    data = (tmp_path / "cascade.transcript.bin").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cascade_key_files_round_trip(tmp_path, monkeypatch):

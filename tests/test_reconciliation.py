@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spsqkd.rates import binary_entropy
@@ -105,6 +105,10 @@ def test_cascade_validation():
         ReconciliationConfig(est_qber=0.0)
     with pytest.raises(ValueError, match="n_passes"):
         ReconciliationConfig(est_qber=0.03, n_passes=1)
+    # pass bytes 0xFE and 0xFF tag the confirmation frames
+    assert ReconciliationConfig(est_qber=0.03, n_passes=0xFD).n_passes == 0xFD
+    with pytest.raises(ValueError, match="n_passes"):
+        ReconciliationConfig(est_qber=0.03, n_passes=0xFE)
     with pytest.raises(ValueError, match="0/1"):
         cascade(np.full(16, 2, dtype=np.uint8), key, ReconciliationConfig(est_qber=0.03))
 
@@ -256,6 +260,28 @@ def test_privacy_amplify_avalanche():
         bits = privacy_amplify(unit, 30, 0.0, 0.01, hash_seed=t).bits
         fractions[t] = bits.mean()
     assert abs(fractions.mean() - 0.5) < 0.05
+
+
+@given(
+    n=st.integers(min_value=1, max_value=2000),
+    m=st.integers(min_value=1, max_value=2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m=1, seed=0)
+@example(n=2000, m=1, seed=1)
+@example(n=2000, m=2000, seed=2)
+@settings(max_examples=150, deadline=None)
+def test_privacy_amplify_matches_direct_convolution(n, m, seed):
+    # with delta = qber = margin = 0 the output length is n - leaked_bits,
+    # so every m from 1 to n is reachable; np.convolve is the O(n m) oracle
+    m = min(m, n)
+    key = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    sk = privacy_amplify(key, n - m, 0.0, 0.0, safety_margin=0, hash_seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64)
+    expect = np.convolve(diagonals, key.astype(np.int64))[n - 1 : n - 1 + m] & 1
+    assert sk.bits.dtype == np.uint8
+    assert np.array_equal(sk.bits, expect)
 
 
 def test_privacy_amplify_validation():
