@@ -1,6 +1,6 @@
 """Reproduce the two summary-table rows from seeded end-to-end sessions.
 
-Runs the full per-pulse chain (emission, loss, detection, sifting,
+Runs the full Monte-Carlo chain (emission, loss, detection, sifting,
 reconciliation, distillation) for the nv and siv presets, averages over
 seeds, and prints the measured rates next to the closed-form prediction
 at the same operating point.

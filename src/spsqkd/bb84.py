@@ -1,4 +1,4 @@
-"""Per-pulse Monte-Carlo of the polarization BB84 protocol.
+"""Event-driven Monte-Carlo of the polarization BB84 protocol.
 
 Alice encodes a random bit in a random basis (H/V linear or L/R circular),
 the pulse is thinned photon-by-photon through the link budget, and Bob's
@@ -7,6 +7,13 @@ chosen basis.  Matched-basis photons land in the wrong detector with the
 misalignment probability; mismatched-basis photons split 50/50.  Dark counts
 fire each detector independently at half the per-gate dark probability, so
 the per-pulse accidental rate matches the scalar link model.
+
+Only pulses that click are simulated past the source.  The non-vacuum
+pulses are sampled block by block and thinned by the link; the dark clicks
+are sampled on their own as rare events; their union is the set of pulses
+with a click.  Protocol bits, routing and double-click resolution are drawn
+for those pulses alone, so a run costs in proportion to its photons and
+clicks, not its pulses.
 
 Sifting keeps pulses where the bases match and the click pattern resolved to
 a bit.  A disclosed subsample estimates the QBER and is struck from the keys.
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSpec
-from .sources import SourceSpec, sample_photon_numbers
+from .sources import _CHUNK_PULSES, SourceSpec, sample_events, sample_photon_numbers
 
 __all__ = [
     "SessionResult",
@@ -39,6 +46,7 @@ class SessionResult:
     n_pulses: int
     rep_rate_hz: float
     detected_count: int
+    double_click_count: int
     sifted_count: int
     disclosed_count: int
     qber_measured: float  # nan when no bits were disclosed/compared
@@ -77,25 +85,53 @@ def _detector_clicks(
     n_arrived: np.ndarray,
     alice_bit: np.ndarray,
     matched: np.ndarray,
+    dark: np.ndarray,
     link: LinkSpec,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Click patterns (detector0, detector1) of Bob's analyzer, per pulse.
 
     ``n_arrived`` is the photon count reaching the analyzer, loss already
-    applied.  Detector index is the bit value in Bob's basis.
+    applied; ``dark`` holds each pulse's dark clicks, bit 0 for detector 0
+    and bit 1 for detector 1.  Detector index is the bit value in Bob's
+    basis.
     """
     # probability an arriving photon lands in detector 1 of Bob's basis
     e = link.misalignment
     p_det1 = np.where(matched, np.where(alice_bit == 1, 1.0 - e, e), 0.5)
     n_to_1 = rng.binomial(n_arrived, p_det1)
-
-    half_dark = link.dark_count_prob / 2.0
-    dark0 = rng.random(n_arrived.size) < half_dark
-    dark1 = rng.random(n_arrived.size) < half_dark
-    click0 = ((n_arrived - n_to_1) > 0) | dark0
-    click1 = (n_to_1 > 0) | dark1
+    click0 = (n_arrived > n_to_1) | ((dark & 1) > 0)
+    click1 = (n_to_1 > 0) | ((dark & 2) > 0)
     return click0, click1
+
+
+def _clicking_pulses(
+    source: SourceSpec, link: LinkSpec, n_pulses: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pulses with a click: ascending index, arrived photons, dark-click bits.
+
+    The dark bits are laid out as ``_detector_clicks`` reads them.
+    """
+    lit_index, lit_photons = [], []
+    for start in range(0, n_pulses, _CHUNK_PULSES):
+        emitted = sample_photon_numbers(source, min(_CHUNK_PULSES, n_pulses - start), rng)
+        arrived = rng.binomial(emitted.photons, link.total_efficiency)
+        lit = arrived > 0
+        lit_index.append(emitted.pulse_index[lit] + start)
+        lit_photons.append(arrived[lit])
+    photon_index = np.concatenate(lit_index)
+
+    # classes: no dark, detector 0 only, detector 1 only, both
+    h = link.dark_count_prob / 2.0
+    dark_table = [(1.0 - h) ** 2, h * (1.0 - h), h * (1.0 - h), h * h]
+    dark_index, dark_bits = sample_events(dark_table, n_pulses, rng)
+
+    index = np.union1d(photon_index, dark_index)
+    n_arrived = np.zeros(index.size, dtype=np.int64)
+    n_arrived[np.searchsorted(index, photon_index)] = np.concatenate(lit_photons)
+    dark = np.zeros(index.size, dtype=np.uint8)
+    dark[np.searchsorted(index, dark_index)] = dark_bits
+    return index, n_arrived, dark
 
 
 def run_session(
@@ -111,10 +147,12 @@ def run_session(
     """Simulate ``n_pulses`` excitation gates end to end.
 
     Protocol randomness (Alice's bit and basis, Bob's basis) comes from
-    ``protocol_bits`` when given: a 0/1 array consumed three bits per pulse
-    in that order.  Physical randomness (emission, loss, routing, darks,
-    double-click resolution, disclosure choice) always comes from ``rng``,
-    drawn in that fixed order so a seed pins the whole run.
+    ``protocol_bits`` when given: a 0/1 array holding three bits per pulse
+    in that order, read at the pulses that click.  Physical randomness
+    (emission and loss, darks, routing, double-click resolution, disclosure
+    choice) always comes from ``rng``, drawn in that fixed order, with the
+    protocol bits drawn after the darks when not given, so a seed pins the
+    whole run.
 
     ``full_compare`` computes the QBER over every sifted bit and discloses
     nothing, for test benches that want the exact error count.
@@ -125,14 +163,7 @@ def run_session(
         raise ValueError("disclose_fraction must be in [0, 1)")
     if double_click_policy not in ("random", "discard"):
         raise ValueError("double_click_policy must be 'random' or 'discard'")
-
-    n_emitted = sample_photon_numbers(source, n_pulses, rng)
-
-    if protocol_bits is None:
-        alice_bit = rng.integers(0, 2, n_pulses, dtype=np.uint8)
-        alice_basis = rng.integers(0, 2, n_pulses, dtype=np.uint8)
-        bob_basis = rng.integers(0, 2, n_pulses, dtype=np.uint8)
-    else:
+    if protocol_bits is not None:
         bits = np.asarray(protocol_bits, dtype=np.uint8)
         if bits.size < 3 * n_pulses:
             raise ValueError(
@@ -142,29 +173,30 @@ def run_session(
         if np.any(bits > 1):
             raise ValueError("protocol_bits must be 0/1 valued")
         triplets = bits[: 3 * n_pulses].reshape(n_pulses, 3)
-        alice_bit = triplets[:, 0]
-        alice_basis = triplets[:, 1]
-        bob_basis = triplets[:, 2]
 
-    n_arrived = rng.binomial(n_emitted, link.total_efficiency)
+    pulse_index, n_arrived, dark = _clicking_pulses(source, link, n_pulses, rng)
+    if protocol_bits is None:
+        triplets = rng.integers(0, 2, (pulse_index.size, 3), dtype=np.uint8)
+    else:
+        triplets = triplets[pulse_index]
+    alice_bit, alice_basis, bob_basis = triplets.T
 
     matched = alice_basis == bob_basis
-    click0, click1 = _detector_clicks(n_arrived, alice_bit, matched, link, rng)
+    click0, click1 = _detector_clicks(n_arrived, alice_bit, matched, dark, link, rng)
 
-    detected = click0 | click1
+    # every pulse here has an arrived photon or a dark click, so one detector fired
     single = click0 ^ click1
     double = click0 & click1
 
-    bob_bit = np.where(click1 & ~click0, 1, 0).astype(np.uint8)
+    bob_bit = (click1 & ~click0).astype(np.uint8)
     n_double = int(double.sum())
     if double_click_policy == "random":
         bob_bit[double] = rng.integers(0, 2, n_double, dtype=np.uint8)
-        resolved = detected
+        sift = matched
     else:
-        resolved = single
+        sift = matched & single
 
-    sift = matched & resolved
-    sift_idx = np.flatnonzero(sift)
+    sift_idx = pulse_index[sift]
     sift_alice = alice_bit[sift]
     sift_bob = bob_bit[sift]
     sift_bases = alice_basis[sift]
@@ -188,7 +220,8 @@ def run_session(
     return SessionResult(
         n_pulses=n_pulses,
         rep_rate_hz=source.rep_rate_hz,
-        detected_count=int(detected.sum()),
+        detected_count=int(pulse_index.size),
+        double_click_count=n_double,
         sifted_count=n_sifted,
         disclosed_count=disclosed_count,
         qber_measured=qber,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import SourceSpec, sample_photon_numbers
+from .sources import _CHUNK_PULSES, SourceSpec, sample_photon_numbers
 
 __all__ = [
     "InsufficientDataError",
@@ -28,10 +28,6 @@ __all__ = [
     "g2_at_zero",
     "fit_lifetime",
 ]
-
-# pulses simulated per vectorized block; fixed so a seed gives the same
-# stream no matter how the total pulse count is reached
-_CHUNK_PULSES = 1 << 22
 
 # histogram bins below this fraction of the peak end the lifetime fit region
 _FIT_FLOOR_COUNTS = 5
@@ -133,10 +129,13 @@ def simulate_hbt(
 ) -> TimeTagStream:
     """Time tags from ``n_pulses`` excitation gates into the splitter.
 
-    Per pulse: photon count from the source statistics, one exponential
-    emission delay per photon, Bernoulli detection at ``detection_eff``,
-    routing to detector 0 with ``splitter_ratio``.  Random draws happen in
-    that order per fixed-size pulse block, so a seed pins the stream.
+    The source is sampled as events: only the non-vacuum pulses are drawn,
+    block by block so that memory follows the tags kept.  For each block:
+    the non-vacuum pulses and their photon counts, then each one's binomial
+    count detected at ``detection_eff``, then per detected photon one
+    exponential emission delay and the routing to detector 0 with
+    ``splitter_ratio``.  Random draws happen in that order, so a seed pins
+    the stream.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
@@ -150,25 +149,17 @@ def simulate_hbt(
     times_parts: list[np.ndarray] = []
     det_parts: list[np.ndarray] = []
     for start in range(0, n_pulses, _CHUNK_PULSES):
-        m = min(_CHUNK_PULSES, n_pulses - start)
-        counts = sample_photon_numbers(source, m, rng)
-        pulse_idx = np.repeat(np.arange(start, start + m), counts)
-        if pulse_idx.size == 0:
-            continue
+        emitted = sample_photon_numbers(source, min(_CHUNK_PULSES, n_pulses - start), rng)
+        detected = rng.binomial(emitted.photons, detection_eff)
+        pulse_idx = np.repeat(emitted.pulse_index + start, detected)
         k = pulse_idx.size
         delays = rng.exponential(source.lifetime_ns, k)
-        detected = rng.random(k) < detection_eff
-        to_det0 = rng.random(k) < splitter_ratio
-        t = pulse_idx[detected] * period + delays[detected]
-        times_parts.append(t)
-        det_parts.append(np.where(to_det0[detected], 0, 1).astype(np.uint8))
+        to_det1 = rng.random(k) >= splitter_ratio
+        times_parts.append(pulse_idx * period + delays)
+        det_parts.append(to_det1.astype(np.uint8))
 
-    if times_parts:
-        times = np.concatenate(times_parts)
-        dets = np.concatenate(det_parts)
-    else:
-        times = np.zeros(0, dtype=np.float64)
-        dets = np.zeros(0, dtype=np.uint8)
+    times = np.concatenate(times_parts)
+    dets = np.concatenate(det_parts)
     # a delay can spill past the end of the measurement window
     inside = times < duration
     times = times[inside]
@@ -188,10 +179,6 @@ class CorrelationHistogram:
     rep_period_ns: float
 
     def __post_init__(self) -> None:
-        if self.window_periods < 5:
-            raise ValueError(
-                "window_periods must be at least 5 to cover the side peaks"
-            )
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
 
@@ -222,8 +209,18 @@ def correlation_histogram(
     Every cross-detector pair within +-window_periods repetition periods is
     counted once.  Total counts therefore equal the number of such pairs.
     """
+    if window_periods < 5:
+        raise ValueError("window_periods must be at least 5 to cover the side peaks")
+    # the narrowest window fixes how fine a bin may be; a wider window that
+    # then needs too many bins is refused by its own name
+    _bin_count(10.0 * stream.rep_period_ns, bin_width_ns)
     window = window_periods * stream.rep_period_ns
-    n_bins = _bin_count(2.0 * window, bin_width_ns)
+    n_bins = 2.0 * window / bin_width_ns
+    if n_bins > _MAX_BINS:
+        raise ValueError(
+            f"window_periods = {window_periods:g} needs {n_bins:.3g} bins, over {_MAX_BINS}"
+        )
+    n_bins = int(round(n_bins))
     t0 = stream.times_ns[stream.detectors == 0]
     t1 = stream.times_ns[stream.detectors == 1]
     if t0.size == 0 or t1.size == 0:

@@ -4,6 +4,12 @@ Three families are supported: sub-Poissonian emitters characterised by a
 measured second-order correlation g2(0) < 1, attenuated-laser (Poissonian)
 sources, and Poissonian sources driven at several intensity levels for
 decoy-state operation.
+
+Sampling is event-driven.  Faint sources leave most pulses empty, so
+``sample_events`` draws only the pulses whose outcome is not the null one:
+the gaps between them are geometric, and each one's outcome comes from the
+table conditioned on being non-null.  Its cost and memory grow with the
+events drawn, not with the pulse count.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ __all__ = [
     "PRESETS",
     "get_preset",
     "photon_number_distribution",
+    "PhotonEvents",
+    "sample_events",
     "sample_photon_numbers",
     "multiphoton_probability",
     "subpoissonian_multiphoton",
@@ -30,6 +38,13 @@ __all__ = [
 # both the normalisation and the mean identity good to well under 1e-12.
 _POISSON_TAIL = 1e-15
 _POISSON_MAX_TERMS = 512
+
+# pulses a caller hands the sampler at a time, so that what it keeps of each
+# block (clicks, tags) and not the whole run bounds its memory
+_CHUNK_PULSES = 1 << 22
+
+# most geometric gaps drawn at once
+_MAX_BATCH = 1 << 20
 
 
 class SourceKind(enum.Enum):
@@ -195,23 +210,71 @@ def poissonian_multiphoton(mu: float) -> float:
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
-def sample_photon_numbers(
-    spec: SourceSpec, n_pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw per-pulse photon counts for ``n_pulses`` consecutive pulses."""
+def sample_events(
+    probs: np.ndarray, n_pulses: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pulses out of ``n_pulses`` whose outcome class is not 0.
+
+    ``probs[c]`` is the probability of class ``c`` for every pulse, pulses
+    being independent.  Returns the ascending pulse indices and each one's
+    class in 1..len(probs)-1.  The gaps between event pulses are geometric
+    at p = sum(probs[1:]), drawn in batches until they pass the last pulse;
+    the classes then come from the table conditioned on class > 0.
+    """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
-    if spec.kind is SourceKind.SUB_POISSONIAN:
-        _, p1, p2 = photon_number_distribution(spec)
-        u = rng.random(n_pulses)
-        # 0/1/2 photons by stacked threshold comparison; cheap and exact.
-        return (u < p1 + p2).astype(np.int64) + (u < p2)
-    if spec.kind is SourceKind.POISSONIAN:
-        return rng.poisson(spec.mu, n_pulses)
-    mus = np.array([m for m, _ in spec.decoy_levels])
-    weights = np.array([w for _, w in spec.decoy_levels])
-    level = rng.choice(len(mus), size=n_pulses, p=weights)
-    return rng.poisson(mus[level])
+    probs = np.asarray(probs, dtype=np.float64)
+    p = min(1.0, float(probs[1:].sum()))
+    if n_pulses == 0 or p <= 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    expected = n_pulses * p
+    batch = int(min(expected + 6.0 * math.sqrt(expected) + 16.0, _MAX_BATCH))
+    parts = []
+    last = -1  # index of the latest event drawn
+    while True:
+        # a gap reaching past the last pulse ends the run, so clipping it there
+        # changes nothing and keeps the sums up to the end below 2 n_pulses
+        # (numpy returns 2^63 - 1 for the gaps of a vanishing p)
+        gaps = np.minimum(rng.geometric(p, batch), n_pulses - last)
+        index = last + np.cumsum(gaps)
+        past = index >= n_pulses
+        if past.any():
+            parts.append(index[: np.argmax(past)])
+            break
+        parts.append(index)
+        last = int(index[-1])
+    index = np.concatenate(parts)
+    cdf = np.cumsum(probs[1:]) / p
+    cdf[-1] = 1.0
+    classes = np.searchsorted(cdf, rng.random(index.size), side="right") + 1
+    return index, classes
+
+
+@dataclass(frozen=True)
+class PhotonEvents:
+    """The non-vacuum pulses of a run: ascending pulse index, photon count.
+
+    As an array it is its photon counts, so ``np.count_nonzero`` of it is
+    the number of non-vacuum pulses.
+    """
+
+    pulse_index: np.ndarray
+    photons: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.photons, dtype=dtype, copy=copy)
+
+
+def sample_photon_numbers(
+    spec: SourceSpec, n_pulses: int, rng: np.random.Generator
+) -> PhotonEvents:
+    """The pulses among ``n_pulses`` that carry photons, and how many each.
+
+    Decoy mixtures are drawn from the mixed photon-number table, which is
+    the distribution of a pulse whose intensity level is not recorded.
+    """
+    index, photons = sample_events(photon_number_distribution(spec), n_pulses, rng)
+    return PhotonEvents(index, photons)
 
 
 def _sub(mu: float, g2: float, lifetime: float, rep: float) -> SourceSpec:

@@ -41,8 +41,8 @@ def test_bob_measure_bright_mismatch_double_clicks():
     # 64 photons into a 50/50 split: odds of a single-sided outcome are 2^-63
     n = 200
     click0, click1 = _detector_clicks(np.full(n, 64), np.zeros(n, dtype=np.uint8),
-                                      np.zeros(n, dtype=bool), _perfect_link(),
-                                      np.random.default_rng(2))
+                                      np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint8),
+                                      _perfect_link(), np.random.default_rng(2))
     assert click0.all() and click1.all()
 
 
@@ -50,8 +50,8 @@ def test_bob_measure_mismatch_is_unbiased():
     n = 100_000
     click0, click1 = _detector_clicks(np.ones(n, dtype=np.int64),
                                       np.zeros(n, dtype=np.uint8),
-                                      np.zeros(n, dtype=bool), _perfect_link(),
-                                      np.random.default_rng(3))
+                                      np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint8),
+                                      _perfect_link(), np.random.default_rng(3))
     # a lone photon fires exactly one detector
     assert np.array_equal(click0, ~click1)
     assert abs(click0.mean() - 0.5) < 0.01

@@ -1,12 +1,19 @@
 """Config parsing, hash binding, and the four CLI subcommands."""
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spsqkd import cli
 from spsqkd.config import coerce_value, config_hash, load_config_file, parse_config_text
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_fields(path):
@@ -113,6 +120,15 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
         (["rates", "--step", "1e-12"], "step"),
         (["rates", "--dmax", "1e12"], "step"),
         (["cascade", "--n-bits", "-1"], "n_bits"),
+        (["session", "--pulses", "1000", "--seed", "-1"], "seed"),
+        (["rates", "--dmax", "2", "--seed", "-1"], "seed"),
+        (["cascade", "--n-bits", "1000", "--seed", "-1"], "seed"),
+        (["g2", "--pulses", "10000", "--seed", "-1"], "seed"),
+        (["g2", "--pulses", "10000", "--window-periods", "-1"], "window_periods"),
+        (["g2", "--pulses", "10000", "--window-periods", "1e12"], "window_periods"),
+        (["session", "--pulses", "2e10"], "pulses"),
+        (["g2", "--pulses", "1e12"], "pulses"),
+        (["cascade", "--n-bits", "1e12"], "n_bits"),
     ],
 )
 def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
@@ -122,8 +138,7 @@ def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypat
     assert err.startswith("error: ") and setting in err
 
 
-# every numeric flag alone on a small run; the run sizes themselves stay
-# small, since a session of 1e12 pulses is a real allocation, not a bad value
+# every numeric flag alone on a small run, the run sizes included
 _FUZZ_BASE = {
     "session": ["--preset", "wcp", "--pulses", "2000"],
     "rates": ["--dmax", "2", "--step", "0.5"],
@@ -131,14 +146,12 @@ _FUZZ_BASE = {
     "g2": ["--pulses", "20000"],
 }
 _FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-12", "1e12"]
-_SIZE_FLAGS = {"pulses", "n_bits"}
 _FUZZ_CASES = [
     (command, dest, value)
     for command, schema in cli._SCHEMAS.items()
     for dest, setting in schema.items()
     if setting.kind in (int, float)
     for value in _FUZZ_VALUES
-    if not (dest in _SIZE_FLAGS and value == "1e12")
 ]
 
 
@@ -190,6 +203,28 @@ def test_session_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert (tmp_path / "a.summary.txt").read_bytes() == (
         tmp_path / "b.summary.txt"
     ).read_bytes()
+
+
+def test_long_session_runs_in_bounded_memory(tmp_path):
+    # 3e8 pulses: a dense per-pulse simulation needs several GB, while the
+    # ~3e5 clicks of an event-driven one fit easily under a 1 GiB address space
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # one BLAS thread: per-thread buffers on a many-core host would count
+    # against the limit before the session starts
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spsqkd.cli", "session", "--preset", "nv",
+         "--distance-km", "25", "--pulses", "300000000", "--out", str(tmp_path / "long"),
+         "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fields = _read_fields(tmp_path / "long.summary.txt")
+    assert fields["n_pulses"] == "300000000"
 
 
 def test_flags_override_config_file(tmp_path, monkeypatch):

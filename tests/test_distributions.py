@@ -1,0 +1,158 @@
+"""Distribution checks of the event-driven samplers against closed forms.
+
+The samplers draw only the pulses where something happens, so a seed no
+longer pins per-pulse bytes worth freezing.  These tests pin the
+distributions instead: chi-square statistics of the sampled class counts
+against the photon-number table and the click model, and the ordering of
+the event indices.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spsqkd import sources
+from spsqkd.bb84 import run_session
+from spsqkd.channel import LinkSpec, exact_click_probability
+from spsqkd.sources import get_preset, photon_number_distribution, sample_events
+
+
+def _chi2_limit(dof: int) -> float:
+    """Chi-square value 4 sigma out (Wilson-Hilferty normal approximation)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + 4.0 * math.sqrt(c)) ** 3
+
+
+def _chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Statistic and degrees of freedom, after pooling bins below 5 expected.
+
+    Bins are pooled from the last one backwards, so a thin tail joins its
+    neighbour; the expected counts must already sum to the observed total.
+    """
+    obs, exp = [], []
+    o_acc = e_acc = 0.0
+    for o, e in zip(observed[::-1], expected[::-1]):
+        o_acc, e_acc = o_acc + o, e_acc + e
+        if e_acc >= 5.0:
+            obs.append(o_acc)
+            exp.append(e_acc)
+            o_acc = e_acc = 0.0
+    if obs:
+        obs[-1] += o_acc
+        exp[-1] += e_acc
+    obs_a, exp_a = np.array(obs), np.array(exp)
+    return float(np.sum((obs_a - exp_a) ** 2 / exp_a)), len(obs) - 1
+
+
+@pytest.mark.parametrize("preset", ["nv", "siv80", "wcp", "decoy"])
+def test_photon_number_counts_match_the_table(preset):
+    spec = get_preset(preset)
+    n = 20_000_000
+    seed = ["nv", "siv80", "wcp", "decoy"].index(preset)
+    events = sources.sample_photon_numbers(spec, n, np.random.default_rng([31, seed]))
+    dist = photon_number_distribution(spec)
+    counts = np.bincount(events.photons, minlength=dist.size).astype(np.float64)
+    assert counts.size == dist.size and counts[0] == 0
+    counts[0] = n - events.photons.size  # the vacuum pulses are the ones not drawn
+    stat, dof = _chi2(counts, n * dist)
+    assert dof >= 2
+    assert stat < _chi2_limit(dof), (preset, stat, dof)
+
+
+def _click_pattern_probs(spec, link: LinkSpec, misalignment: float) -> np.ndarray:
+    """P(no click, one detector, both detectors) for one basis relation.
+
+    A photon emitted reaches Bob's right detector with probability
+    eta (1 - e) and the wrong one with eta e; each detector also fires dark
+    at half the per-gate dark probability.  The no-click term is the one
+    ``exact_click_probability`` complements.
+    """
+    dist = photon_number_distribution(spec)
+    eta = link.total_efficiency
+    quiet = 1.0 - link.dark_count_prob / 2.0
+
+    def silent(p_photon):  # generating function of the photon number
+        return float(np.dot(dist, (1.0 - p_photon) ** np.arange(dist.size))) * quiet
+
+    none = silent(eta) * quiet
+    right = silent(eta * (1.0 - misalignment))
+    wrong = silent(eta * misalignment)
+    return np.array([none, right + wrong - 2.0 * none, 1.0 - right - wrong + none])
+
+
+# nv double clicks are rare (two-photon pulses and dark coincidences), so
+# its run is long enough to expect a few dozen of them; the siv case is dark
+# dominated, with dark coincidences as its double clicks
+_CLICK_CASES = [
+    ("wcp", 0.0, 2.4e-5, 2_000_000),
+    ("decoy", 5.0, 2.4e-5, 2_000_000),
+    ("nv", 0.0, 2.4e-5, 20_000_000),
+    ("siv", 50.0, 0.02, 2_000_000),
+]
+
+
+@pytest.mark.parametrize("preset, distance_km, dark_count_prob, n", _CLICK_CASES)
+def test_click_patterns_match_the_click_model(preset, distance_km, dark_count_prob, n):
+    spec = get_preset(preset)
+    link = LinkSpec(distance_km=distance_km, dark_count_prob=dark_count_prob)
+    seed = [case[0] for case in _CLICK_CASES].index(preset)
+    bit_rng = np.random.default_rng([37, seed])
+    stat, dof = 0.0, 0
+    for relation, e in (("matched", link.misalignment), ("mismatched", 0.5)):
+        bits = bit_rng.integers(0, 2, (n, 3), dtype=np.uint8)
+        bits[:, 2] = bits[:, 1] if relation == "matched" else 1 - bits[:, 1]
+        res = run_session(spec, link, n, np.random.default_rng([41, seed]),
+                          full_compare=True, protocol_bits=bits.ravel())
+        counts = np.array([n - res.detected_count,
+                           res.detected_count - res.double_click_count,
+                           res.double_click_count], dtype=np.float64)
+        probs = _click_pattern_probs(spec, link, e)
+        assert probs[0] == pytest.approx(1.0 - exact_click_probability(spec, link), rel=1e-12)
+        s, d = _chi2(counts, n * probs)
+        stat, dof = stat + s, dof + d
+    assert dof >= 3
+    assert stat < _chi2_limit(dof), (preset, stat, dof)
+
+
+@pytest.mark.parametrize(
+    "probs, n",
+    [
+        ([0.5, 0.5], 1_000),
+        ([0.0, 1.0], 1_000),
+        ([1.0 - 3e-5, 1e-5, 2e-5], 1_000_000),
+        ([0.7, 0.2, 0.1], 5_000_000),
+        ([1.0, 0.0], 1_000),
+        ([1.0, 1e-300], 10**12),
+    ],
+    ids=["half", "every-pulse", "rare", "multi-batch", "never", "vanishing"],
+)
+def test_event_indices_increase_within_the_run(probs, n):
+    rng = np.random.default_rng(43)
+    index, classes = sample_events(np.array(probs), n, rng)
+    assert index.size == classes.size
+    assert np.all(np.diff(index) > 0)
+    assert index.size == 0 or (index[0] >= 0 and index[-1] < n)
+    assert np.all((classes >= 1) & (classes < len(probs)))
+    p = 1.0 - probs[0]
+    if p == 1.0:
+        assert np.array_equal(index, np.arange(n))
+    else:
+        assert abs(index.size - n * p) <= 4 * math.sqrt(n * p * (1 - p))
+
+
+def test_small_batches_keep_the_gap_statistics(monkeypatch):
+    # many short batches must chain into one memoryless sequence: event count
+    # and class split as for one long batch, with no pulse lost at a seam
+    monkeypatch.setattr(sources, "_MAX_BATCH", 16)
+    n, probs = 200_000, np.array([0.5, 0.3, 0.2])
+    index, classes = sample_events(probs, n, np.random.default_rng(47))
+    assert np.all(np.diff(index) > 0) and index[-1] < n
+    counts = np.array([n - index.size, np.sum(classes == 1), np.sum(classes == 2)])
+    stat, dof = _chi2(counts.astype(np.float64), n * probs)
+    assert stat < _chi2_limit(dof)
+
+
+def test_negative_pulse_count_is_refused():
+    with pytest.raises(ValueError, match="n_pulses"):
+        sample_events(np.array([0.5, 0.5]), -1, np.random.default_rng(0))
