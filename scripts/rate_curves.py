@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from spsqkd.channel import LinkSpec
-from spsqkd.rates import crossover_distance, default_variants, format_rate_csv, sweep_variants
+from spsqkd.rates import (
+    crossover_distance,
+    default_variants,
+    distance_grid,
+    format_rate_csv,
+    sweep_variants,
+)
 
 
 def main() -> None:
@@ -23,20 +29,23 @@ def main() -> None:
     ap.add_argument("--rep-rate", type=float, default=1e6)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = ap.parse_args()
-    if args.step <= 0 or args.dmax <= 0:
-        raise SystemExit("dmax and step must be positive")
 
-    link = LinkSpec()
-    distances = np.arange(0.0, args.dmax + 1e-9, args.step)
     variants = default_variants()
-    curves = sweep_variants(variants, distances, link, rep_rate_hz=args.rep_rate)
+    try:
+        distances = distance_grid(args.dmax, args.step)
+        curves = sweep_variants(variants, distances, LinkSpec(), rep_rate_hz=args.rep_rate)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     csv_text = format_rate_csv(distances, {v.name: curves[v.name] for v in variants})
     if args.out is None:
         sys.stdout.write(csv_text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            ap.error(f"out: {exc}")
         print(f"wrote {distances.size} distances to {args.out}")
 
     for name in ("nv", "siv", "ideal10", "ideal95"):

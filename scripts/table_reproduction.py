@@ -24,6 +24,11 @@ def main() -> None:
     ap.add_argument("--pulses", type=int, default=1_000_000)
     ap.add_argument("--seed-base", type=int, default=1000)
     args = ap.parse_args()
+    for name in ("seeds", "pulses"):
+        if getattr(args, name) < 1:
+            ap.error(f"{name} must be at least 1, got {getattr(args, name)}")
+    if args.seed_base < 0:
+        ap.error(f"seed_base must be non-negative, got {args.seed_base}")
 
     link = LinkSpec()
     header = f"{'preset':<8}{'detected':>10}{'sifted':>10}{'QBER':>8}{'secured':>10}{'closed form':>13}"

@@ -147,8 +147,9 @@ def run_session(
     """Simulate ``n_pulses`` excitation gates end to end.
 
     Protocol randomness (Alice's bit and basis, Bob's basis) comes from
-    ``protocol_bits`` when given: a 0/1 array holding three bits per pulse
-    in that order, read at the pulses that click.  Physical randomness
+    ``protocol_bits`` when given: uint8 bytes holding three bits per pulse
+    in that order, packed most significant bit first as ``np.packbits``
+    writes them, and read only at the pulses that click.  Physical randomness
     (emission and loss, darks, routing, double-click resolution, disclosure
     choice) always comes from ``rng``, drawn in that fixed order, with the
     protocol bits drawn after the darks when not given, so a seed pins the
@@ -164,21 +165,24 @@ def run_session(
     if double_click_policy not in ("random", "discard"):
         raise ValueError("double_click_policy must be 'random' or 'discard'")
     if protocol_bits is not None:
-        bits = np.asarray(protocol_bits, dtype=np.uint8)
-        if bits.size < 3 * n_pulses:
+        packed = np.asarray(protocol_bits)
+        if packed.dtype != np.uint8 or packed.ndim != 1:
+            raise ValueError("protocol_bits must be a 1-D uint8 array of packed bits")
+        need = -(-3 * n_pulses // 8)
+        if packed.size < need:
             raise ValueError(
-                f"protocol_bits supplies {bits.size} bits, "
-                f"need {3 * n_pulses} (three per pulse)"
+                f"protocol_bits supplies {packed.size} bytes, need {need} "
+                f"for {3 * n_pulses} bits (three per pulse)"
             )
-        if np.any(bits > 1):
-            raise ValueError("protocol_bits must be 0/1 valued")
-        triplets = bits[: 3 * n_pulses].reshape(n_pulses, 3)
 
     pulse_index, n_arrived, dark = _clicking_pulses(source, link, n_pulses, rng)
     if protocol_bits is None:
         triplets = rng.integers(0, 2, (pulse_index.size, 3), dtype=np.uint8)
     else:
-        triplets = triplets[pulse_index]
+        # bit j of pulse i is bit 3i + j of the stream, most significant first
+        pos = 3 * pulse_index[:, None] + np.arange(3)
+        shift = (7 - (pos & 7)).astype(np.uint8)
+        triplets = (packed[pos >> 3] >> shift) & np.uint8(1)
     alice_bit, alice_basis, bob_basis = triplets.T
 
     matched = alice_basis == bob_basis

@@ -23,9 +23,11 @@ __all__ = [
 ]
 
 
-def fibre_transmission(distance_km: float, attenuation_db_per_km: float) -> float:
-    """Power transmission of ``distance_km`` of fibre."""
-    if distance_km < 0:
+def fibre_transmission(
+    distance_km: float | np.ndarray, attenuation_db_per_km: float
+) -> float | np.ndarray:
+    """Power transmission of ``distance_km`` of fibre, a float or an array."""
+    if np.any(np.less(distance_km, 0)):
         raise ValueError("distance_km must be non-negative")
     return 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
 

@@ -33,6 +33,7 @@ from .rates import (
     RateVariant,
     binary_entropy,
     crossover_distance,
+    distance_grid,
     format_rate_csv,
     sweep_variants,
 )
@@ -119,10 +120,6 @@ for _schema in _SCHEMAS.values():
 _KNOWN_KEYS = {s.key for schema in _SCHEMAS.values() for s in schema.values()}
 _KNOWN_KEYS |= {"out", "quiet"}
 
-
-# most distance points one rate sweep may hold; a finer grid is a mistyped
-# step, not a measurement
-_MAX_POINTS = 1 << 20
 
 # most events one run may keep: session detections, g2 tags or cascade key
 # bits.  At the cap an nv session takes about a minute and 1.8 GB, a cascade
@@ -213,16 +210,17 @@ def _emit(quiet: bool, message: str) -> None:
 
 
 def _load_protocol_bits(path: str, n_pulses: int) -> np.ndarray:
+    """The packed bytes holding three protocol bits per pulse, still packed."""
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"entropy file not found: {path}")
-    bits = np.unpackbits(np.frombuffer(p.read_bytes(), dtype=np.uint8))
-    need = 3 * n_pulses
-    if bits.size < need:
+    need = -(-3 * n_pulses // 8)
+    have = p.stat().st_size
+    if have < need:
         raise ValueError(
-            f"entropy file too short: need {need} bits, have {bits.size}"
+            f"entropy file too short: need {3 * n_pulses} bits, have {8 * have}"
         )
-    return bits[:need]
+    return np.fromfile(p, dtype=np.uint8, count=need)
 
 
 def _load_key_file(path: str) -> np.ndarray:
@@ -272,18 +270,8 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
 
 
 def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
-    step, dmax = settings["step"], settings["dmax"]
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    if not (math.isfinite(dmax) and dmax >= 0):
-        raise ValueError(f"dmax must be non-negative and finite, got {dmax}")
-    if dmax / step + 1 > _MAX_POINTS:
-        raise ValueError(
-            f"step = {step:g} over dmax = {dmax:g} needs {dmax / step + 1:.3g} points, "
-            f"over {_MAX_POINTS}"
-        )
+    distances = distance_grid(settings["dmax"], settings["step"])
     link = _link_from(settings)
-    distances = np.arange(0.0, dmax + step / 2, step)
 
     variants = [RateVariant(settings["preset"], "fixed", get_preset(settings["preset"]))]
     if settings["ideal10"] and settings["preset"] != "ideal10":

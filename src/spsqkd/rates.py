@@ -11,6 +11,11 @@ with delta the multiphoton fraction of detected pulses.  Attenuated-laser
 comparisons come in two flavours: the same bound applied to Poissonian
 statistics (all multiphoton pulses tagged), and the asymptotic decoy-state
 bound where the single-photon yield is known exactly.
+
+Each formula is evaluated as a numpy array over the link efficiencies of a
+whole distance sweep; the decoy optimum walks the intensity grid once with
+distance-length vectors.  The scalar entry points are one-point calls into
+the same kernels.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import LinkSpec, click_probability, error_rate_model
-from .sources import SourceSpec, multiphoton_probability, poissonian_multiphoton
+from .channel import LinkSpec, fibre_transmission
+from .sources import SourceSpec, multiphoton_probability
 
 __all__ = [
     "binary_entropy",
@@ -35,6 +40,7 @@ __all__ = [
     "decoy_optimal_rate",
     "RateVariant",
     "default_variants",
+    "distance_grid",
     "sweep_variants",
     "crossover_distance",
     "cutoff_distance",
@@ -45,6 +51,10 @@ __all__ = [
 # the endpoint lands exactly on mu = 1.
 _MU_GRID = np.linspace(0.005, 1.0, 200)
 
+# most distance points one rate sweep may hold; a finer grid is a mistyped
+# step, not a measurement
+_MAX_POINTS = 1 << 20
+
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit with bias ``x``, in bits."""
@@ -53,6 +63,35 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` over an array, read as 0 outside (0, 1).
+
+    numpy's log2 can differ from math.log2 in the last bit, so the scalar,
+    which key lengths are floored from, stays its own function.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+    return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, x)`` elementwise."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _check_clock(rep_rate_hz: float, f_ec: float, q: float) -> None:
+    """Refuse a clock, error-correction inefficiency or sifting factor out of range."""
+    for name, value in (("rep_rate_hz", rep_rate_hz), ("f_ec", f_ec)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if rep_rate_hz <= 0:
+        raise ValueError("rep_rate_hz must be positive")
+    if f_ec < 1.0:
+        raise ValueError("f_ec below 1 would beat the Shannon limit")
+    if not 0 < q <= 1:
+        raise ValueError("q must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -73,20 +112,13 @@ class RateInputs:
     q: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("mu", "rep_rate_hz", "f_ec"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
         if not 0 <= self.multiphoton <= 1:
             raise ValueError("multiphoton must be a probability")
-        if self.rep_rate_hz <= 0:
-            raise ValueError("rep_rate_hz must be positive")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec below 1 would beat the Shannon limit")
-        if not 0 < self.q <= 1:
-            raise ValueError("q must be in (0, 1]")
+        _check_clock(self.rep_rate_hz, self.f_ec, self.q)
 
     @classmethod
     def from_source(
@@ -122,6 +154,70 @@ class RateInputs:
         )
 
 
+def _click(mu, eta: np.ndarray, link: LinkSpec) -> np.ndarray:
+    """``click_probability`` over link efficiencies ``eta``."""
+    return np.minimum(1.0, mu * eta + link.dark_count_prob)
+
+
+def _signal_error(mu, eta: np.ndarray, p_click: np.ndarray, link: LinkSpec) -> np.ndarray:
+    """``error_rate_model`` over link efficiencies, given their click probability."""
+    num = link.misalignment * mu * eta + 0.5 * link.dark_count_prob
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.minimum(0.5, np.maximum(0.0, num / p_click))
+    return np.where(p_click == 0.0, 0.5, e)
+
+
+def _tagged_rate(p_click, multiphoton, e, rep_rate_hz: float, f_ec: float, q: float):
+    """Tagged-fraction bound, elementwise over aligned arrays or scalars."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.minimum(1.0, multiphoton / p_click)
+        e_phase = e / (1.0 - delta)
+    inner = -f_ec * _entropy(e) + (1.0 - delta) * (1.0 - _entropy(e_phase))
+    alive = (p_click > 0.0) & (delta < 1.0) & (e_phase < 1.0)
+    return np.where(alive, _positive(q * rep_rate_hz * p_click * inner), 0.0)
+
+
+def _wcp_rate(eta, link: LinkSpec, rep_rate_hz: float, f_ec: float, q: float):
+    """Attenuated laser at mu = eta with every multiphoton pulse tagged."""
+    mu = eta
+    multiphoton = -np.expm1(-mu) - mu * np.exp(-mu)  # poissonian_multiphoton
+    p_click = _click(mu, eta, link)
+    e_mu = _signal_error(mu, eta, p_click, link)
+    return _tagged_rate(p_click, multiphoton, e_mu, rep_rate_hz, f_ec, q)
+
+
+def _decoy_optimum(
+    eta: np.ndarray, link: LinkSpec, rep_rate_hz: float, f_ec: float, q: float,
+    grid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best decoy-state rate over ``grid`` at each efficiency, and its intensity.
+
+    The intensity is the first grid value reaching the strict maximum, and
+    ``grid[0]`` where every rate is 0.  The grid is walked one intensity at a
+    time with vectors over ``eta``, so memory stays linear in the sweep.
+    """
+    # asymptotic decoy analysis: the single-photon yield and error rate are
+    # pinned exactly, so only true single-photon detections feed the key
+    dark = link.dark_count_prob
+    y1 = 1.0 - (1.0 - eta) * (1.0 - dark)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = np.minimum(0.5, (link.misalignment * eta + 0.5 * dark) / y1)
+    secure1 = 1.0 - _entropy(e1)
+    best_rate = np.zeros(eta.shape)
+    best_mu = np.full(eta.shape, float(grid[0]))
+    for mu in map(float, grid):
+        p_click = _click(mu, eta, link)
+        e_mu = _signal_error(mu, eta, p_click, link)
+        q1 = mu * math.exp(-mu) * y1
+        # a link that cannot click has q1 = 0, so its rate floors at 0
+        inner = -p_click * f_ec * _entropy(e_mu) + q1 * secure1
+        rate = _positive(q * rep_rate_hz * inner)
+        better = rate > best_rate
+        best_rate[better] = rate[better]
+        best_mu[better] = mu
+    return best_rate, best_mu
+
+
 def gllp_rate(inputs: RateInputs, e_mu: float | None = None) -> float:
     """Secure rate (bit/s) from the tagged-fraction bound, floored at zero.
 
@@ -130,20 +226,13 @@ def gllp_rate(inputs: RateInputs, e_mu: float | None = None) -> float:
     ``error_rate_model(mu, link)`` to include them.
     """
     link = inputs.link
-    p_click = click_probability(inputs.mu, link)
-    if p_click <= 0.0:
-        return 0.0
     e = link.misalignment if e_mu is None else e_mu
-    delta = min(1.0, inputs.multiphoton / p_click)
-    if delta >= 1.0:
-        return 0.0
-    e_phase = e / (1.0 - delta)
-    if e_phase >= 1.0:
-        return 0.0
-    inner = -inputs.f_ec * binary_entropy(e) + (1.0 - delta) * (
-        1.0 - binary_entropy(e_phase)
+    if not e >= 0.0:
+        raise ValueError(f"e_mu must be a non-negative error rate, got {e}")
+    p_click = _click(inputs.mu, link.total_efficiency, link)
+    return float(
+        _tagged_rate(p_click, inputs.multiphoton, e, inputs.rep_rate_hz, inputs.f_ec, inputs.q)
     )
-    return max(0.0, inputs.q * inputs.rep_rate_hz * p_click * inner)
 
 
 def critical_efficiency(g2_zero: float, dark_count_prob: float) -> float:
@@ -179,38 +268,8 @@ def wcp_rate(
     in dark counts.  The signal error rate includes the dark contribution, so
     the rate dies at the dark-count cutoff as the channel closes.
     """
-    mu = link.total_efficiency
-    if mu <= 0.0:
-        return 0.0
-    inputs = RateInputs(
-        mu=mu,
-        multiphoton=poissonian_multiphoton(mu),
-        link=link,
-        rep_rate_hz=rep_rate_hz,
-        f_ec=f_ec,
-        q=q,
-    )
-    return gllp_rate(inputs, e_mu=error_rate_model(mu, link))
-
-
-def _decoy_rate_at(
-    mu: float, link: LinkSpec, rep_rate_hz: float, f_ec: float, q: float
-) -> float:
-    eta = link.total_efficiency
-    dark = link.dark_count_prob
-    p_click = click_probability(mu, link)
-    if p_click <= 0.0:
-        return 0.0
-    # asymptotic decoy analysis: the single-photon yield and error rate are
-    # pinned exactly, so only true single-photon detections feed the key
-    y1 = 1.0 - (1.0 - eta) * (1.0 - dark)
-    if y1 <= 0.0:
-        return 0.0
-    q1 = mu * math.exp(-mu) * y1
-    e1 = min(0.5, (link.misalignment * eta + 0.5 * dark) / y1)
-    e_mu = error_rate_model(mu, link)
-    inner = -p_click * f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1))
-    return max(0.0, q * rep_rate_hz * inner)
+    _check_clock(rep_rate_hz, f_ec, q)
+    return float(_wcp_rate(link.total_efficiency, link, rep_rate_hz, f_ec, q))
 
 
 def decoy_optimal_rate(
@@ -221,13 +280,11 @@ def decoy_optimal_rate(
     mu_grid: np.ndarray | None = None,
 ) -> OptimalRate:
     """Best asymptotic decoy-state rate over the intensity grid."""
+    _check_clock(rep_rate_hz, f_ec, q)
     grid = _MU_GRID if mu_grid is None else mu_grid
-    best = OptimalRate(0.0, float(grid[0]))
-    for mu in grid:
-        rate = _decoy_rate_at(float(mu), link, rep_rate_hz, f_ec, q)
-        if rate > best.rate_bps:
-            best = OptimalRate(rate, float(mu))
-    return best
+    eta = np.array([link.total_efficiency])
+    rate, mu = _decoy_optimum(eta, link, rep_rate_hz, f_ec, q, grid)
+    return OptimalRate(float(rate[0]), float(mu[0]))
 
 
 @dataclass(frozen=True)
@@ -258,6 +315,24 @@ def default_variants() -> tuple[RateVariant, ...]:
     )
 
 
+def distance_grid(dmax_km: float, step_km: float) -> np.ndarray:
+    """Sweep distances 0, step, 2 step, ... up to ``dmax_km``, its end included.
+
+    Refuses a step that is not positive and finite, an end that is negative
+    or not finite, and a grid of more than ``_MAX_POINTS`` points.
+    """
+    if not (math.isfinite(step_km) and step_km > 0):
+        raise ValueError(f"step must be positive and finite, got {step_km}")
+    if not (math.isfinite(dmax_km) and dmax_km >= 0):
+        raise ValueError(f"dmax must be non-negative and finite, got {dmax_km}")
+    if dmax_km / step_km + 1 > _MAX_POINTS:
+        raise ValueError(
+            f"step = {step_km:g} over dmax = {dmax_km:g} needs "
+            f"{dmax_km / step_km + 1:.3g} points, over {_MAX_POINTS}"
+        )
+    return np.arange(0.0, dmax_km + step_km / 2, step_km)
+
+
 def sweep_variants(
     variants: tuple[RateVariant, ...],
     distances: np.ndarray,
@@ -272,22 +347,28 @@ def sweep_variants(
     A single repetition rate is applied to every variant so the comparison
     isolates photon statistics from engineering clock speed.  By default the
     signal error rate includes the dark-count contribution at each distance;
-    ``flat_error`` pins it at the link misalignment instead.
+    ``flat_error`` pins it at the link misalignment instead.  ``link`` supplies
+    everything but the distance, and each curve is one array evaluation over
+    the efficiencies of all ``distances``.
     """
-    curves = {v.name: np.zeros(len(distances)) for v in variants}
-    for i, d in enumerate(distances):
-        link_d = link.at_distance(float(d))
-        for v in variants:
-            if v.mode == "wcp":
-                curves[v.name][i] = wcp_rate(link_d, rep_rate_hz, f_ec, q)
-            elif v.mode == "decoy":
-                curves[v.name][i] = decoy_optimal_rate(link_d, rep_rate_hz, f_ec, q).rate_bps
-            else:
-                inputs = RateInputs.from_source(
-                    v.source, link_d, rep_rate_hz=rep_rate_hz, f_ec=f_ec, q=q
-                )
-                e_mu = None if flat_error else error_rate_model(v.source.mu, link_d)
-                curves[v.name][i] = gllp_rate(inputs, e_mu=e_mu)
+    _check_clock(rep_rate_hz, f_ec, q)
+    distances = np.asarray(distances, dtype=np.float64)
+    if not np.all(np.isfinite(distances) & (distances >= 0.0)):
+        raise ValueError("distances must be finite and non-negative")
+    eta = link.setup_efficiency * fibre_transmission(distances, link.attenuation_db_per_km)
+    curves = {}
+    for v in variants:
+        if v.mode == "wcp":
+            curves[v.name] = _wcp_rate(eta, link, rep_rate_hz, f_ec, q)
+        elif v.mode == "decoy":
+            curves[v.name] = _decoy_optimum(eta, link, rep_rate_hz, f_ec, q, _MU_GRID)[0]
+        else:
+            mu = v.source.mu
+            p_click = _click(mu, eta, link)
+            e = link.misalignment if flat_error else _signal_error(mu, eta, p_click, link)
+            curves[v.name] = _tagged_rate(
+                p_click, multiphoton_probability(v.source), e, rep_rate_hz, f_ec, q
+            )
     return curves
 
 

@@ -19,8 +19,8 @@ def _perfect_link():
 
 
 def _pinned_bits(alice_bit, alice_basis, bob_basis, n):
-    """Protocol bits giving every pulse the same bit and bases."""
-    return np.tile(np.array([alice_bit, alice_basis, bob_basis], dtype=np.uint8), n)
+    """Packed protocol bits giving every pulse the same bit and bases."""
+    return np.packbits(np.tile(np.array([alice_bit, alice_basis, bob_basis], dtype=np.uint8), n))
 
 
 def test_bob_measure_matched_noiseless():
@@ -90,8 +90,9 @@ def test_run_session_validation():
     with pytest.raises(ValueError, match="policy"):
         run_session(src, link, 10, rng, double_click_policy="drop")
     with pytest.raises(ValueError, match="three per pulse"):
-        run_session(src, link, 10, rng, protocol_bits=np.zeros(29, dtype=np.uint8))
-    with pytest.raises(ValueError, match="0/1"):
+        run_session(src, link, 10, rng, protocol_bits=np.zeros(3, dtype=np.uint8))
+    # packed bytes are always valid bits, so the unpacked 0/1 form is refused
+    with pytest.raises(ValueError, match="uint8"):
         run_session(src, link, 1, rng, protocol_bits=np.array([0, 1, 2]))
 
 
@@ -195,7 +196,7 @@ def test_pulse_record_invariants():
     bits = np.random.default_rng(13).integers(0, 2, 3 * n, dtype=np.uint8)
     alice_bit, alice_basis, bob_basis = bits.reshape(n, 3).T
     res = run_session(src, link, n, np.random.default_rng(14),
-                      protocol_bits=bits, full_compare=True)
+                      protocol_bits=np.packbits(bits), full_compare=True)
     idx = res.sift_pulse_index
     assert res.sifted_count > 0
     assert np.array_equal(alice_basis[idx], bob_basis[idx])
@@ -211,7 +212,7 @@ def test_pulse_record_invariants():
 
 def test_external_protocol_bits():
     n = 200
-    bits = np.zeros(3 * n, dtype=np.uint8)
+    bits = np.packbits(np.zeros(3 * n, dtype=np.uint8))
     res = run_session(_perfect_source(), _perfect_link(), n,
                       np.random.default_rng(15), protocol_bits=bits,
                       full_compare=True)

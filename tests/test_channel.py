@@ -168,7 +168,7 @@ def test_transmit_photons_statistics():
     link = LinkSpec(distance_km=5.0, setup_efficiency=0.6, dark_count_prob=0.0)
     eta = link.total_efficiency
     n = 200_000
-    bits = np.zeros(3 * n, dtype=np.uint8)
+    bits = np.packbits(np.zeros(3 * n, dtype=np.uint8))
     res = run_session(SourceSpec(SourceKind.SUB_POISSONIAN, mu=1.0, g2_zero=0.0),
                       link, n, np.random.default_rng(19), protocol_bits=bits,
                       full_compare=True)

@@ -227,6 +227,32 @@ def test_long_session_runs_in_bounded_memory(tmp_path):
     assert fields["n_pulses"] == "300000000"
 
 
+def test_long_entropy_file_session_runs_in_bounded_memory(tmp_path):
+    # the 113 MB file stays packed: unpacking it to a byte per bit, plus a
+    # mask of the same size, would not fit under the 1 GiB address space
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    pulses = 300_000_000
+    ent = tmp_path / "ent.bin"
+    ent.touch()
+    os.truncate(ent, -(-3 * pulses // 8))  # sparse, all zero bits
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spsqkd.cli", "session", "--preset", "nv",
+         "--distance-km", "25", "--pulses", str(pulses), "--entropy-file", str(ent),
+         "--out", str(tmp_path / "long"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fields = _read_fields(tmp_path / "long.summary.txt")
+    assert fields["n_pulses"] == str(pulses)
+    # all-zero bits match every basis, so every detection is sifted
+    assert fields["sifted_count"] == fields["detected_count"]
+
+
 def test_flags_override_config_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -383,6 +409,27 @@ def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["cascade", *argv, "--quiet"]) == 0
     data = (tmp_path / "cascade.transcript.bin").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--preset", "nv", "--wcp", "--decoy", "--ideal10", "--ideal95",
+          "--dmax", "60", "--step", "0.05"],
+         "747590686f54a850dc5ddff4a704a8ae9b624e351b89940829393ef1c4d3849b"),
+        (["--preset", "siv", "--wcp", "--decoy", "--flat-error",
+          "--dmax", "200", "--step", "0.01"],
+         "c36e53141751201baf186ee82dbc4530e0b7ba61f8ce7fe083f928e3e49d904f"),
+    ],
+    ids=["nv-all-60km", "siv-flat-200km"],
+)
+def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
+    # digests of the CSVs written by the per-distance scalar sweep the array
+    # kernels replaced: every printed rate and crossover must survive
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["rates", *argv, "--quiet"]) == 0
+    data = (tmp_path / "rates.rates.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
 

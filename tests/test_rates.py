@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spsqkd.channel import LinkSpec, error_rate_model
@@ -28,7 +28,7 @@ from spsqkd.rates import (
     sweep_variants,
     wcp_rate,
 )
-from spsqkd.sources import get_preset, subpoissonian_multiphoton
+from spsqkd.sources import get_preset, multiphoton_probability, subpoissonian_multiphoton
 
 
 def _nv_inputs(link=None):
@@ -157,6 +157,107 @@ def test_sweep_flat_vs_shifted_error():
     shifted = sweep_variants(variants, dist, LinkSpec())
     assert flat["nv"][0] == pytest.approx(2543.9, abs=0.5)
     assert shifted["nv"][0] == pytest.approx(2481.5, abs=1.0)
+
+
+# ---- scalar oracle for the array kernels, one distance at a time, in math.*
+
+
+def _h2(x):
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+
+
+def _oracle_error(mu, eta, dark, mis):
+    p_click = min(1.0, mu * eta + dark)
+    if p_click == 0.0:
+        return 0.5
+    return min(0.5, max(0.0, (mis * mu * eta + 0.5 * dark) / p_click))
+
+
+def _oracle_tagged(mu, multiphoton, eta, dark, e, rep, f_ec, q):
+    p_click = min(1.0, mu * eta + dark)
+    if p_click <= 0.0:
+        return 0.0
+    delta = min(1.0, multiphoton / p_click)
+    if delta >= 1.0 or e / (1.0 - delta) >= 1.0:
+        return 0.0
+    inner = -f_ec * _h2(e) + (1.0 - delta) * (1.0 - _h2(e / (1.0 - delta)))
+    return max(0.0, q * rep * p_click * inner)
+
+
+def _oracle_decoy_rates(eta, dark, mis, rep, f_ec, q, grid):
+    y1 = 1.0 - (1.0 - eta) * (1.0 - dark)
+    rates = []
+    for mu in grid:
+        p_click = min(1.0, mu * eta + dark)
+        if p_click <= 0.0 or y1 <= 0.0:
+            rates.append(0.0)
+            continue
+        e1 = min(0.5, (mis * eta + 0.5 * dark) / y1)
+        q1 = mu * math.exp(-mu) * y1
+        inner = (-p_click * f_ec * _h2(_oracle_error(mu, eta, dark, mis))
+                 + q1 * (1.0 - _h2(e1)))
+        rates.append(max(0.0, q * rep * inner))
+    return rates
+
+
+_MU = [float(mu) for mu in np.linspace(0.005, 1.0, 200)]
+
+
+@given(
+    distances=st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=1, max_size=4),
+    attenuation=st.floats(min_value=0.0, max_value=1.0),
+    setup=st.floats(min_value=1e-3, max_value=1.0),
+    dark=st.floats(min_value=0.0, max_value=1e-3),
+    mis=st.floats(min_value=0.0, max_value=0.5),
+    f_ec=st.floats(min_value=1.0, max_value=2.0),
+    rep=st.floats(min_value=1e3, max_value=1e10),
+    preset=st.sampled_from(["nv", "siv", "ideal10", "ideal95"]),
+    flat_error=st.booleans(),
+)
+@example(distances=[0.0, 25.0, 80.0], attenuation=0.4, setup=0.31, dark=0.0, mis=0.0,
+         f_ec=1.22, rep=1e6, preset="nv", flat_error=False)
+@example(distances=[250.0, 300.0], attenuation=0.4, setup=0.31, dark=2.4e-5, mis=0.03,
+         f_ec=1.22, rep=1e6, preset="ideal95", flat_error=False)
+@example(distances=[12.5], attenuation=0.2, setup=0.5, dark=1e-4, mis=0.1,
+         f_ec=1.1, rep=8e7, preset="siv", flat_error=True)
+@settings(max_examples=60, deadline=None)
+def test_rate_kernels_match_scalar_oracle(distances, attenuation, setup, dark, mis, f_ec,
+                                          rep, preset, flat_error):
+    link = LinkSpec(attenuation_db_per_km=attenuation, setup_efficiency=setup,
+                    dark_count_prob=dark, misalignment=mis)
+    source = get_preset(preset)
+    variants = (RateVariant(preset, "fixed", source), RateVariant("wcp", "wcp"),
+                RateVariant("decoy", "decoy"))
+    curves = sweep_variants(variants, np.array(distances), link, rep_rate_hz=rep,
+                            f_ec=f_ec, flat_error=flat_error)
+    # the bracket cancels near each cutoff, so the tolerance scales with
+    # the largest possible rate, q * rep, not with the value
+    tol = 1e-9 * 0.5 * rep
+    for i, d in enumerate(distances):
+        link_d = link.at_distance(d)
+        eta = link_d.total_efficiency
+        e = mis if flat_error else _oracle_error(source.mu, eta, dark, mis)
+        fixed = _oracle_tagged(source.mu, multiphoton_probability(source), eta, dark, e,
+                               rep, f_ec, 0.5)
+        assert abs(curves[preset][i] - fixed) <= tol
+        wcp_mp = -math.expm1(-eta) - eta * math.exp(-eta)
+        wcp = _oracle_tagged(eta, wcp_mp, eta, dark, _oracle_error(eta, eta, dark, mis),
+                             rep, f_ec, 0.5)
+        assert abs(curves["wcp"][i] - wcp) <= tol
+        assert abs(wcp_rate(link_d, rep, f_ec) - wcp) <= tol
+        rates = _oracle_decoy_rates(eta, dark, mis, rep, f_ec, 0.5, _MU)
+        top = max(rates)
+        assert abs(curves["decoy"][i] - top) <= tol
+        best = decoy_optimal_rate(link_d, rep, f_ec)
+        assert abs(best.rate_bps - top) <= tol
+        runner_up = sorted(rates)[-2]
+        if top - runner_up > tol:
+            assert best.mu == _MU[rates.index(top)]
+        if best.rate_bps == 0.0:
+            # past every cutoff: nothing to choose, so the first intensity
+            assert top == 0.0 and best.mu == _MU[0]
 
 
 def test_crossover_semantics():

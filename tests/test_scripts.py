@@ -33,3 +33,29 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert " ".join(proc.stdout.splitlines()[0].split()) == header
+
+
+@pytest.mark.parametrize(
+    "script, args, setting",
+    [
+        ("rate_curves.py", ["--step", "nan"], "step"),
+        ("rate_curves.py", ["--step", "0"], "step"),
+        ("rate_curves.py", ["--dmax", "inf"], "dmax"),
+        ("rate_curves.py", ["--dmax", "-1"], "dmax"),
+        ("rate_curves.py", ["--step", "1e-12", "--dmax", "1"], "step"),
+        ("rate_curves.py", ["--rep-rate", "nan"], "rep_rate_hz"),
+        ("rate_curves.py", ["--dmax", "1", "--out", "no-such-dir/curves.csv"], "out"),
+        ("table_reproduction.py", ["--seeds", "0"], "seeds"),
+        ("table_reproduction.py", ["--pulses", "0"], "pulses"),
+        ("table_reproduction.py", ["--seed-base", "-1"], "seed_base"),
+    ],
+)
+def test_script_refuses_bad_settings(script, args, setting):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert setting in proc.stderr
