@@ -12,7 +12,8 @@ import argparse
 
 import numpy as np
 
-from spsqkd.channel import LinkSpec
+from spsqkd.channel import LinkSpec, exact_click_probability
+from spsqkd.config import check_events
 from spsqkd.pipeline import run_experiment_detailed
 from spsqkd.rates import RateInputs, gllp_rate
 from spsqkd.sources import PRESETS
@@ -31,10 +32,17 @@ def main() -> None:
         ap.error(f"seed_base must be non-negative, got {args.seed_base}")
 
     link = LinkSpec()
+    presets = ("nv", "siv")
+    for name in presets:
+        p_click = exact_click_probability(PRESETS[name], link)
+        try:
+            check_events("pulses", args.pulses, args.pulses * p_click, "detections")
+        except ValueError as exc:
+            ap.error(str(exc))
     header = f"{'preset':<8}{'detected':>10}{'sifted':>10}{'QBER':>8}{'secured':>10}{'closed form':>13}"
     print(header)
     print("-" * len(header))
-    for name in ("nv", "siv"):
+    for name in presets:
         source = PRESETS[name]
         rows = []
         for s in range(args.seeds):

@@ -8,12 +8,12 @@ misalignment probability; mismatched-basis photons split 50/50.  Dark counts
 fire each detector independently at half the per-gate dark probability, so
 the per-pulse accidental rate matches the scalar link model.
 
-Only pulses that click are simulated past the source.  The non-vacuum
-pulses are sampled block by block and thinned by the link; the dark clicks
-are sampled on their own as rare events; their union is the set of pulses
-with a click.  Protocol bits, routing and double-click resolution are drawn
-for those pulses alone, so a run costs in proportion to its photons and
-clicks, not its pulses.
+Only pulses that click are simulated.  One draw over the whole run picks
+them out of a table of classes (photons arrived after the link's loss, dark
+pattern of the two detectors), so lost photons and quiet pulses are never
+drawn.  Protocol bits, routing and double-click resolution are drawn for the
+clicking pulses alone, so a run costs in proportion to its clicks, not its
+pulses or its emitted photons.
 
 Sifting keeps pulses where the bases match and the click pattern resolved to
 a bit.  A disclosed subsample estimates the QBER and is struck from the keys.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkSpec
-from .sources import _CHUNK_PULSES, SourceSpec, sample_events, sample_photon_numbers
+from .sources import SourceSpec, sample_photon_numbers
 
 __all__ = [
     "SessionResult",
@@ -65,10 +65,6 @@ class SessionResult:
         return self.sift_bob_bits[~self.disclosed_mask]
 
     @property
-    def qber_defined(self) -> bool:
-        return not np.isnan(self.qber_measured)
-
-    @property
     def duration_s(self) -> float:
         return self.n_pulses / self.rep_rate_hz
 
@@ -105,35 +101,6 @@ def _detector_clicks(
     return click0, click1
 
 
-def _clicking_pulses(
-    source: SourceSpec, link: LinkSpec, n_pulses: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pulses with a click: ascending index, arrived photons, dark-click bits.
-
-    The dark bits are laid out as ``_detector_clicks`` reads them.
-    """
-    lit_index, lit_photons = [], []
-    for start in range(0, n_pulses, _CHUNK_PULSES):
-        emitted = sample_photon_numbers(source, min(_CHUNK_PULSES, n_pulses - start), rng)
-        arrived = rng.binomial(emitted.photons, link.total_efficiency)
-        lit = arrived > 0
-        lit_index.append(emitted.pulse_index[lit] + start)
-        lit_photons.append(arrived[lit])
-    photon_index = np.concatenate(lit_index)
-
-    # classes: no dark, detector 0 only, detector 1 only, both
-    h = link.dark_count_prob / 2.0
-    dark_table = [(1.0 - h) ** 2, h * (1.0 - h), h * (1.0 - h), h * h]
-    dark_index, dark_bits = sample_events(dark_table, n_pulses, rng)
-
-    index = np.union1d(photon_index, dark_index)
-    n_arrived = np.zeros(index.size, dtype=np.int64)
-    n_arrived[np.searchsorted(index, photon_index)] = np.concatenate(lit_photons)
-    dark = np.zeros(index.size, dtype=np.uint8)
-    dark[np.searchsorted(index, dark_index)] = dark_bits
-    return index, n_arrived, dark
-
-
 def run_session(
     source: SourceSpec,
     link: LinkSpec,
@@ -150,9 +117,10 @@ def run_session(
     ``protocol_bits`` when given: uint8 bytes holding three bits per pulse
     in that order, packed most significant bit first as ``np.packbits``
     writes them, and read only at the pulses that click.  Physical randomness
-    (emission and loss, darks, routing, double-click resolution, disclosure
-    choice) always comes from ``rng``, drawn in that fixed order, with the
-    protocol bits drawn after the darks when not given, so a seed pins the
+    (the clicking pulses with their arrived photons and dark clicks, in one
+    draw; then routing, double-click resolution, disclosure choice) always
+    comes from ``rng``, drawn in that fixed order, with the protocol bits
+    drawn right after the clicking pulses when not given, so a seed pins the
     whole run.
 
     ``full_compare`` computes the QBER over every sifted bit and discloses
@@ -175,7 +143,9 @@ def run_session(
                 f"for {3 * n_pulses} bits (three per pulse)"
             )
 
-    pulse_index, n_arrived, dark = _clicking_pulses(source, link, n_pulses, rng)
+    clicks = sample_photon_numbers(source, n_pulses, rng, link.total_efficiency,
+                                   link.dark_count_prob)
+    pulse_index = clicks.pulse_index
     if protocol_bits is None:
         triplets = rng.integers(0, 2, (pulse_index.size, 3), dtype=np.uint8)
     else:
@@ -186,7 +156,7 @@ def run_session(
     alice_bit, alice_basis, bob_basis = triplets.T
 
     matched = alice_basis == bob_basis
-    click0, click1 = _detector_clicks(n_arrived, alice_bit, matched, dark, link, rng)
+    click0, click1 = _detector_clicks(clicks.photons, alice_bit, matched, clicks.dark, link, rng)
 
     # every pulse here has an arrived photon or a dark click, so one detector fired
     single = click0 ^ click1
@@ -243,10 +213,7 @@ def format_session_csv(
     """One row per sifted bit: pulse index, basis, both bits, disclosed flag."""
     lines = [f"# {k}={v}" for k, v in (metadata or {}).items()]
     lines.append("pulse_index,basis,alice_bit,bob_bit,disclosed")
-    for i in range(result.sifted_count):
-        lines.append(
-            f"{result.sift_pulse_index[i]},{result.sift_basis[i]},"
-            f"{result.sift_alice_bits[i]},{result.sift_bob_bits[i]},"
-            f"{int(result.disclosed_mask[i])}"
-        )
+    columns = (result.sift_pulse_index, result.sift_basis, result.sift_alice_bits,
+               result.sift_bob_bits, result.disclosed_mask.astype(np.uint8))
+    lines += map("%d,%d,%d,%d,%d".__mod__, zip(*(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"

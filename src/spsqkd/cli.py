@@ -20,7 +20,7 @@ import numpy as np
 
 from .bb84 import format_session_csv
 from .channel import LinkSpec, exact_click_probability
-from .config import coerce_value, config_hash, format_value, load_config_file
+from .config import check_events, coerce_value, config_hash, format_value, load_config_file
 from .hbt import (
     InsufficientDataError,
     correlation_histogram,
@@ -119,20 +119,6 @@ for _schema in _SCHEMAS.values():
 # out and quiet are read by main and stay out of the hashed settings
 _KNOWN_KEYS = {s.key for schema in _SCHEMAS.values() for s in schema.values()}
 _KNOWN_KEYS |= {"out", "quiet"}
-
-
-# most events one run may keep: session detections, g2 tags or cascade key
-# bits.  At the cap an nv session takes about a minute and 1.8 GB, a cascade
-# 20 s and 1.5 GB (2-core VM), so a larger expected count is a mistyped size
-_MAX_EVENTS = 1 << 24
-
-
-def _check_events(name: str, value: float, expected: float, what: str) -> None:
-    """Refuse a size setting whose run expects more than _MAX_EVENTS events."""
-    if expected > _MAX_EVENTS:
-        raise ValueError(
-            f"{name} = {value:g} expects {expected:.3g} {what}, over {_MAX_EVENTS}"
-        )
 
 
 def _int_arg(text: str) -> int:
@@ -237,7 +223,7 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
     source = get_preset(settings["preset"])
     link = _link_from(settings, distance=settings["distance_km"])
     pulses = settings["pulses"]
-    _check_events("pulses", pulses, pulses * exact_click_probability(source, link),
+    check_events("pulses", pulses, pulses * exact_click_probability(source, link),
                   "detections")
     protocol_bits = None
     if settings["entropy_file"]:
@@ -318,7 +304,7 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
     else:
         if settings["n_bits"] < 8:
             raise ValueError(f"n_bits must be at least 8, got {settings['n_bits']}")
-        _check_events("n_bits", settings["n_bits"], settings["n_bits"], "key bits")
+        check_events("n_bits", settings["n_bits"], settings["n_bits"], "key bits")
         rng_a = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
         rng_b = np.random.default_rng(np.random.SeedSequence([settings["seed"], 1]))
         alice = rng_a.integers(0, 2, settings["n_bits"], dtype=np.uint8)
@@ -374,7 +360,7 @@ def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
     source = dataclasses.replace(get_preset(settings["preset"]), **overrides)
     pulses, eff = settings["pulses"], settings["detection_eff"]
     if 0.0 <= eff <= 1.0:  # simulate_hbt refuses any other efficiency by name
-        _check_events("pulses", pulses, pulses * source.mu * eff, "tags")
+        check_events("pulses", pulses, pulses * source.mu * eff, "tags")
 
     rng = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
     stream = simulate_hbt(

@@ -22,7 +22,14 @@ __all__ = [
     "config_hash",
     "coerce_value",
     "format_value",
+    "MAX_EVENTS",
+    "check_events",
 ]
+
+# most events one run may keep: session detections, g2 tags or cascade key
+# bits.  At the cap an nv session takes about a minute and 1.8 GB, a cascade
+# 20 s and 1.5 GB (2-core VM), so a larger expected count is a mistyped size
+MAX_EVENTS = 1 << 24
 
 _BOOL_WORDS = {
     "true": True,
@@ -94,3 +101,11 @@ def config_hash(effective: dict) -> str:
     """12 hex chars binding an output file to its effective settings."""
     blob = "\n".join(f"{k}={format_value(v)}" for k, v in sorted(effective.items()))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def check_events(name: str, value: float, expected: float, what: str) -> None:
+    """Refuse a size setting whose run expects more than MAX_EVENTS events."""
+    if expected > MAX_EVENTS:
+        raise ValueError(
+            f"{name} = {value:g} expects {expected:.3g} {what}, over {MAX_EVENTS}"
+        )

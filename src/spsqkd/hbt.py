@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import _CHUNK_PULSES, SourceSpec, sample_photon_numbers
+from .sources import SourceSpec, sample_photon_numbers
 
 __all__ = [
     "InsufficientDataError",
@@ -129,13 +129,12 @@ def simulate_hbt(
 ) -> TimeTagStream:
     """Time tags from ``n_pulses`` excitation gates into the splitter.
 
-    The source is sampled as events: only the non-vacuum pulses are drawn,
-    block by block so that memory follows the tags kept.  For each block:
-    the non-vacuum pulses and their photon counts, then each one's binomial
-    count detected at ``detection_eff``, then per detected photon one
-    exponential emission delay and the routing to detector 0 with
-    ``splitter_ratio``.  Random draws happen in that order, so a seed pins
-    the stream.
+    One draw over the whole run gives the pulses with a detected photon,
+    loss at ``detection_eff`` inside the photon-number table, and how many
+    each has.  Then one exponential emission delay per photon; after the
+    tags are sorted, each goes to detector 0 with ``splitter_ratio`` (the
+    routing does not depend on the time, so drawing it last spares a
+    permutation).  A seed pins the stream.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
@@ -146,26 +145,16 @@ def simulate_hbt(
 
     period = source.rep_period_ns
     duration = n_pulses * period
-    times_parts: list[np.ndarray] = []
-    det_parts: list[np.ndarray] = []
-    for start in range(0, n_pulses, _CHUNK_PULSES):
-        emitted = sample_photon_numbers(source, min(_CHUNK_PULSES, n_pulses - start), rng)
-        detected = rng.binomial(emitted.photons, detection_eff)
-        pulse_idx = np.repeat(emitted.pulse_index + start, detected)
-        k = pulse_idx.size
-        delays = rng.exponential(source.lifetime_ns, k)
-        to_det1 = rng.random(k) >= splitter_ratio
-        times_parts.append(pulse_idx * period + delays)
-        det_parts.append(to_det1.astype(np.uint8))
-
-    times = np.concatenate(times_parts)
-    dets = np.concatenate(det_parts)
+    detected = sample_photon_numbers(source, n_pulses, rng, detection_eff)
+    # built in place once the events are gone: a few arrays of tags at most
+    times = np.repeat(detected.pulse_index, detected.photons) * period
+    del detected
+    times += rng.exponential(source.lifetime_ns, times.size)
+    times.sort()
     # a delay can spill past the end of the measurement window
-    inside = times < duration
-    times = times[inside]
-    dets = dets[inside]
-    order = np.argsort(times, kind="stable")
-    return TimeTagStream(times[order], dets[order], duration, period)
+    times = times[: np.searchsorted(times, duration)]
+    dets = (rng.random(times.size) >= splitter_ratio).view(np.uint8)
+    return TimeTagStream(times, dets, duration, period)
 
 
 @dataclass(frozen=True)
@@ -227,8 +216,8 @@ def correlation_histogram(
         raise InsufficientDataError("need tags on both detectors")
 
     lo = np.searchsorted(t1, t0 - window, side="left")
-    hi = np.searchsorted(t1, t0 + window, side="right")
-    per_tag = hi - lo
+    per_tag = np.searchsorted(t1, t0 + window, side="right")
+    per_tag -= lo
     total = int(per_tag.sum())
     # indices of the paired detector-1 tags, flattened without a Python loop
     base = np.repeat(lo, per_tag)

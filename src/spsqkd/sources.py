@@ -9,7 +9,8 @@ Sampling is event-driven.  Faint sources leave most pulses empty, so
 ``sample_events`` draws only the pulses whose outcome is not the null one:
 the gaps between them are geometric, and each one's outcome comes from the
 table conditioned on being non-null.  Its cost and memory grow with the
-events drawn, not with the pulse count.
+events drawn, not with the pulse count.  Loss and dark clicks go into the
+table too, so a run draws only the pulses that click.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "get_preset",
     "photon_number_distribution",
     "PhotonEvents",
+    "thinned_distribution",
     "sample_events",
     "sample_photon_numbers",
     "multiphoton_probability",
@@ -38,10 +40,6 @@ __all__ = [
 # both the normalisation and the mean identity good to well under 1e-12.
 _POISSON_TAIL = 1e-15
 _POISSON_MAX_TERMS = 512
-
-# pulses a caller hands the sampler at a time, so that what it keeps of each
-# block (clicks, tags) and not the whole run bounds its memory
-_CHUNK_PULSES = 1 << 22
 
 # most geometric gaps drawn at once
 _MAX_BATCH = 1 << 20
@@ -210,6 +208,23 @@ def poissonian_multiphoton(mu: float) -> float:
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
+def thinned_distribution(probs: np.ndarray, efficiency: float) -> np.ndarray:
+    """q_k = sum_n p_n C(n, k) eta^k (1 - eta)^(n - k), eta = ``efficiency``.
+
+    The binomial rows follow Pascal's rule, B_n = (1 - eta) [B_(n-1), 0] +
+    eta [0, B_(n-1)], so every term stays a probability up to 512 terms.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    row = np.zeros(probs.size)  # row[k]: k of n photons survive
+    row[0] = 1.0
+    thinned = probs[0] * row
+    for n in range(1, probs.size):
+        row[1 : n + 1] = (1.0 - efficiency) * row[1 : n + 1] + efficiency * row[:n]
+        row[0] *= 1.0 - efficiency
+        thinned += probs[n] * row
+    return thinned
+
+
 def sample_events(
     probs: np.ndarray, n_pulses: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +232,10 @@ def sample_events(
 
     ``probs[c]`` is the probability of class ``c`` for every pulse, pulses
     being independent.  Returns the ascending pulse indices and each one's
-    class in 1..len(probs)-1.  The gaps between event pulses are geometric
-    at p = sum(probs[1:]), drawn in batches until they pass the last pulse;
-    the classes then come from the table conditioned on class > 0.
+    class in 1..len(probs)-1, never one of probability 0.  The gaps between
+    event pulses are geometric at p = sum(probs[1:]), drawn in batches until
+    they pass the last pulse; the classes then come from the table
+    conditioned on class > 0.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
@@ -244,37 +260,63 @@ def sample_events(
         parts.append(index)
         last = int(index[-1])
     index = np.concatenate(parts)
-    cdf = np.cumsum(probs[1:]) / p
-    cdf[-1] = 1.0
-    classes = np.searchsorted(cdf, rng.random(index.size), side="right") + 1
+    del parts
+    cdf = np.cumsum(probs[1:])
+    u = rng.random(index.size)
+    u *= cdf[-1]  # below cdf[-1], so past every class of nonzero probability
+    classes = np.searchsorted(cdf, u, side="right")
+    classes += 1
     return index, classes
 
 
 @dataclass(frozen=True)
 class PhotonEvents:
-    """The non-vacuum pulses of a run: ascending pulse index, photon count.
+    """The clicking pulses of a run: ascending index, arrived photons, darks.
 
-    As an array it is its photon counts, so ``np.count_nonzero`` of it is
-    the number of non-vacuum pulses.
+    ``dark`` has bit 0 set for a dark click in detector 0, bit 1 for one in
+    detector 1.  As an array it is its photon counts, so ``np.count_nonzero``
+    of it is the number of pulses with an arrived photon.
     """
 
     pulse_index: np.ndarray
     photons: np.ndarray
+    dark: np.ndarray
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.photons, dtype=dtype, copy=copy)
 
 
-def sample_photon_numbers(
-    spec: SourceSpec, n_pulses: int, rng: np.random.Generator
-) -> PhotonEvents:
-    """The pulses among ``n_pulses`` that carry photons, and how many each.
+def _click_table(spec: SourceSpec, efficiency: float, dark_count_prob: float) -> np.ndarray:
+    """P(k photons arrive, dark pattern d) of one pulse, indexed [k, d]."""
+    if not 0.0 <= efficiency <= 1.0:
+        raise ValueError("efficiency must be in [0, 1]")
+    if not 0.0 <= dark_count_prob < 1.0:
+        raise ValueError("dark_count_prob must be in [0, 1)")
+    h = dark_count_prob / 2.0
+    dark = np.array([(1.0 - h) ** 2, h * (1.0 - h), h * (1.0 - h), h * h])
+    return np.outer(thinned_distribution(photon_number_distribution(spec), efficiency), dark)
 
-    Decoy mixtures are drawn from the mixed photon-number table, which is
-    the distribution of a pulse whose intensity level is not recorded.
+
+def sample_photon_numbers(
+    spec: SourceSpec,
+    n_pulses: int,
+    rng: np.random.Generator,
+    efficiency: float = 1.0,
+    dark_count_prob: float = 0.0,
+) -> PhotonEvents:
+    """The pulses among ``n_pulses`` with a photon arrived or a dark click.
+
+    One ``sample_events`` call over the classes (k photons arrived after
+    loss at ``efficiency``, dark pattern d of two detectors that each fire
+    at ``dark_count_prob / 2``).  The defaults give the emitted photons of
+    every non-vacuum pulse; decoy mixtures use the mixed table.
     """
-    index, photons = sample_events(photon_number_distribution(spec), n_pulses, rng)
-    return PhotonEvents(index, photons)
+    # class 4 k + d, so class 0 is the pulse where nothing happens
+    table = _click_table(spec, efficiency, dark_count_prob).ravel()
+    index, classes = sample_events(table, n_pulses, rng)
+    dark_bits = (classes & 3).astype(np.uint8)
+    classes >>= 2
+    return PhotonEvents(index, classes, dark_bits)
 
 
 def _sub(mu: float, g2: float, lifetime: float, rep: float) -> SourceSpec:

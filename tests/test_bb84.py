@@ -157,7 +157,7 @@ def test_disclosure_bookkeeping():
                       disclose_fraction=0.1)
     assert res.disclosed_count == int(0.1 * res.sifted_count)
     assert len(res.sifted_alice) == res.sifted_count - res.disclosed_count
-    assert res.qber_defined
+    assert not np.isnan(res.qber_measured)
     assert 0.0 <= res.qber_measured <= 1.0
 
 
@@ -166,7 +166,6 @@ def test_zero_disclosure_flags_undefined_qber():
     res = run_session(_perfect_source(), _perfect_link(), 100, rng,
                       disclose_fraction=0.001)
     assert res.disclosed_count == 0
-    assert not res.qber_defined
     assert math.isnan(res.qber_measured)
 
 
@@ -234,3 +233,25 @@ def test_session_csv_shape():
     assert len(lines) == 2 + res.sifted_count
     disclosed = sum(int(line.split(",")[4]) for line in lines[2:])
     assert disclosed == res.disclosed_count
+
+
+def _session_csv_by_rows(result, metadata):
+    """The per-row writer the column writer replaced, kept as its reference."""
+    lines = [f"# {k}={v}" for k, v in metadata.items()]
+    lines.append("pulse_index,basis,alice_bit,bob_bit,disclosed")
+    for i in range(result.sifted_count):
+        lines.append(
+            f"{result.sift_pulse_index[i]},{result.sift_basis[i]},"
+            f"{result.sift_alice_bits[i]},{result.sift_bob_bits[i]},"
+            f"{int(result.disclosed_mask[i])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, disclose", [(1, 0.1), (300_000, 0.25), (2_000_000, 0.0)])
+def test_session_csv_matches_the_row_writer(n, disclose):
+    # large pulse indices, both bases and bits, disclosed rows, and an empty key
+    res = run_session(get_preset("wcp"), LinkSpec(), n, np.random.default_rng(17),
+                      disclose_fraction=disclose)
+    meta = {"config_hash": "cafe", "source.preset": "wcp"}
+    assert format_session_csv(res, meta) == _session_csv_by_rows(res, meta)

@@ -227,6 +227,27 @@ def test_long_session_runs_in_bounded_memory(tmp_path):
     assert fields["n_pulses"] == "300000000"
 
 
+def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
+    # 5.7e8 nv pulses expect 1.65e7 tags, just under the events cap.  The
+    # run samples every tag in one draw; built in place, its tags need about
+    # 640 MiB of address space, where sampling block by block and then
+    # concatenating needed about 830 MiB
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spsqkd.cli", "g2", "--preset", "nv", "--pulses", "570000000",
+         "--out", str(tmp_path / "cap"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fields = _read_fields(tmp_path / "cap.g2.txt")
+    assert int(fields["n_tags"]) > 16_000_000
+
+
 def test_long_entropy_file_session_runs_in_bounded_memory(tmp_path):
     # the 113 MB file stays packed: unpacking it to a byte per bit, plus a
     # mask of the same size, would not fit under the 1 GiB address space

@@ -60,6 +60,27 @@ def test_photon_number_counts_match_the_table(preset):
     assert stat < _chi2_limit(dof), (preset, stat, dof)
 
 
+@pytest.mark.parametrize("preset", ["wcp", "decoy"])
+def test_arrived_photons_and_dark_patterns_match_the_joint_table(preset):
+    # every class (k arrived, dark pattern d) of a lossy, noisy link, with
+    # the expected counts from the loss-thinned table times the dark pattern
+    # of two detectors each firing at half the dark probability
+    spec, n, eta, dark = get_preset(preset), 2_000_000, 0.4, 0.02
+    seed = ["wcp", "decoy"].index(preset)
+    events = sources.sample_photon_numbers(spec, n, np.random.default_rng([53, seed]),
+                                           efficiency=eta, dark_count_prob=dark)
+    q = sources.thinned_distribution(photon_number_distribution(spec), eta)
+    h = dark / 2.0
+    expected = n * np.outer(q, [(1 - h) ** 2, h * (1 - h), h * (1 - h), h * h]).ravel()
+    counts = np.bincount(4 * events.photons + events.dark, minlength=expected.size)
+    counts = counts.astype(np.float64)
+    assert counts.size == expected.size and counts[0] == 0
+    counts[0] = n - events.pulse_index.size
+    stat, dof = _chi2(counts, expected)
+    assert dof >= 8
+    assert stat < _chi2_limit(dof), (preset, stat, dof)
+
+
 def _click_pattern_probs(spec, link: LinkSpec, misalignment: float) -> np.ndarray:
     """P(no click, one detector, both detectors) for one basis relation.
 

@@ -1,5 +1,6 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
+import math
 import struct
 
 import numpy as np
@@ -15,7 +16,7 @@ from spsqkd.hbt import (
     g2_at_zero,
     simulate_hbt,
 )
-from spsqkd.sources import SourceKind, SourceSpec, get_preset
+from spsqkd.sources import SourceKind, SourceSpec, get_preset, photon_number_distribution
 
 
 def _rng(*words):
@@ -38,6 +39,17 @@ def test_tag_count_matches_source_throughput():
         get_preset("nv"), 1_000_000, _rng(101, 0), detection_eff=0.31
     )
     assert abs(len(stream) - 8990) <= 300
+
+
+def test_tag_count_follows_the_thinned_photon_number():
+    # each photon is kept with the detection efficiency: mean n mu eta, and
+    # per-pulse variance eta (1 - eta) mu + eta^2 Var(photon number)
+    spec, n, eta = get_preset("nv"), 3_000_000, 0.3
+    stream = simulate_hbt(spec, n, _rng(101, 2), detection_eff=eta)
+    dist = photon_number_distribution(spec)
+    var_n = float(np.arange(dist.size) ** 2 @ dist) - spec.mu**2
+    sigma = math.sqrt(n * (eta * (1 - eta) * spec.mu + eta**2 * var_n))
+    assert abs(len(stream) - n * spec.mu * eta) < 4 * sigma
 
 
 def test_zero_efficiency_gives_empty_stream():

@@ -48,6 +48,7 @@ def test_script_runs(script, args, header):
         ("table_reproduction.py", ["--seeds", "0"], "seeds"),
         ("table_reproduction.py", ["--pulses", "0"], "pulses"),
         ("table_reproduction.py", ["--seed-base", "-1"], "seed_base"),
+        ("table_reproduction.py", ["--seeds", "1", "--pulses", "100000000000"], "pulses"),
     ],
 )
 def test_script_refuses_bad_settings(script, args, setting):

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spsqkd.channel import LinkSpec, exact_click_probability
 from spsqkd.hbt import simulate_hbt
 from spsqkd.sources import (
     PRESETS,
@@ -23,6 +24,8 @@ from spsqkd.sources import (
     poissonian_multiphoton,
     sample_photon_numbers,
     subpoissonian_multiphoton,
+    thinned_distribution,
+    _click_table,
 )
 
 
@@ -227,3 +230,50 @@ def test_preset_lookup():
         get_preset("nb")
     assert get_preset("siv80").rep_rate_hz == 80e6
     assert get_preset("nv").rep_period_ns == pytest.approx(1000.0)
+
+
+@pytest.mark.parametrize("dark_count_prob", [0.0, 2.4e-5])
+@pytest.mark.parametrize("distance_km", [0.0, 25.0, 100.0])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_click_table_quiet_class_is_the_no_click_probability(preset, distance_km,
+                                                            dark_count_prob):
+    spec = get_preset(preset)
+    link = LinkSpec(distance_km=distance_km, dark_count_prob=dark_count_prob)
+    table = _click_table(spec, link.total_efficiency, link.dark_count_prob)
+    assert table.shape == (photon_number_distribution(spec).size, 4)
+    assert table[0, 0] == pytest.approx(1.0 - exact_click_probability(spec, link), rel=1e-12)
+    assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _thinned_oracle(probs, eta):
+    """sum_n p_n C(n, k) eta^k (1 - eta)^(n - k), term by term."""
+    n_max = len(probs) - 1
+    return [
+        math.fsum(
+            probs[n] * math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
+            for n in range(k, n_max + 1)
+        )
+        for k in range(n_max + 1)
+    ]
+
+
+@given(
+    weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    eta=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(weights=[0.2, 0.5, 0.3], eta=0.0)
+@example(weights=[0.2, 0.5, 0.3], eta=1.0)
+@example(weights=[0.0] * 39 + [1.0], eta=0.5)
+@example(weights=photon_number_distribution(SourceSpec(SourceKind.POISSONIAN, mu=300.0)).tolist(),
+         eta=0.3)
+@settings(max_examples=200, deadline=None)
+def test_thinned_distribution_matches_binomial_oracle(weights, eta):
+    assume(sum(weights) > 0.0)
+    probs = np.array(weights) / sum(weights)
+    thinned = thinned_distribution(probs, eta)
+    assert thinned.shape == probs.shape
+    assert np.allclose(thinned, _thinned_oracle(probs.tolist(), eta), rtol=1e-12, atol=1e-15)
+    if eta == 1.0:
+        assert np.array_equal(thinned, probs)
+    if eta == 0.0:
+        assert thinned[0] == pytest.approx(1.0, abs=1e-15) and not thinned[1:].any()
