@@ -388,9 +388,7 @@ def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(f"# rep_period_ns={source.rep_period_ns:.6g}")
     lines.append("tau_ns,counts")
-    centers = hist.tau_centers_ns
-    for i in range(centers.size):
-        lines.append(f"{centers[i]:.6g},{int(hist.counts[i])}")
+    lines += map("%.6g,%d".__mod__, zip(hist.tau_centers_ns.tolist(), hist.counts.tolist()))
     Path(f"{out}.hist.csv").write_text("\n".join(lines) + "\n")
 
     rate_cps = len(stream) / (stream.duration_ns * 1e-9)

@@ -10,12 +10,12 @@ lifetime by a log-linear fit to the decaying flank of the phase histogram.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_events
 from .sources import SourceSpec, sample_photon_numbers
 
 __all__ = [
@@ -35,10 +35,6 @@ _FIT_FLOOR_COUNTS = 5
 # most bins one histogram may hold (32 MiB of counts); a finer binning is a
 # mistyped width, not a measurement
 _MAX_BINS = 1 << 22
-
-# one raw tag record: u64 LE picoseconds, u8 detector, packed to 9 bytes
-_TAG_RECORD = np.dtype([("t", "<u8"), ("d", "u1")])
-
 
 class InsufficientDataError(RuntimeError):
     """Raised when a stream holds too little data for the requested estimate."""
@@ -68,56 +64,6 @@ class TimeTagStream:
 
     def __len__(self) -> int:
         return int(self.times_ns.size)
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# duration_ns={self.duration_ns:.3f}\n")
-        buf.write(f"# rep_period_ns={self.rep_period_ns:.6f}\n")
-        buf.write("time_ns,detector\n")
-        for t, d in zip(self.times_ns, self.detectors):
-            buf.write(f"{t:.3f},{d}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "TimeTagStream":
-        meta = {}
-        times, dets = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if line.startswith("time_ns"):
-                continue
-            t, _, d = line.partition(",")
-            times.append(float(t))
-            dets.append(int(d))
-        return cls(
-            times_ns=np.asarray(times, dtype=np.float64),
-            detectors=np.asarray(dets, dtype=np.uint8),
-            duration_ns=float(meta["duration_ns"]),
-            rep_period_ns=float(meta["rep_period_ns"]),
-        )
-
-    def to_bytes(self) -> bytes:
-        """Raw record stream: u64 LE picoseconds, u8 detector, per tag."""
-        records = np.empty(len(self), dtype=_TAG_RECORD)
-        records["t"] = np.round(self.times_ns * 1000.0).astype(np.uint64)
-        records["d"] = self.detectors
-        return records.tobytes()
-
-    @classmethod
-    def from_bytes(
-        cls, data: bytes, duration_ns: float, rep_period_ns: float
-    ) -> "TimeTagStream":
-        if len(data) % _TAG_RECORD.itemsize:
-            raise ValueError("tag record stream length must be a multiple of 9")
-        records = np.frombuffer(data, dtype=_TAG_RECORD)
-        times = records["t"] / 1000.0
-        return cls(times, records["d"].astype(np.uint8), duration_ns, rep_period_ns)
 
 
 def simulate_hbt(
@@ -196,7 +142,8 @@ def correlation_histogram(
     """Histogram of t(detector 1) - t(detector 0) pair delays.
 
     Every cross-detector pair within +-window_periods repetition periods is
-    counted once.  Total counts therefore equal the number of such pairs.
+    counted once.  Total counts therefore equal the number of such pairs,
+    which may not exceed ``MAX_EVENTS``.
     """
     if window_periods < 5:
         raise ValueError("window_periods must be at least 5 to cover the side peaks")
@@ -219,6 +166,9 @@ def correlation_histogram(
     per_tag = np.searchsorted(t1, t0 + window, side="right")
     per_tag -= lo
     total = int(per_tag.sum())
+    # a wide window over a bright stream pairs each tag with thousands;
+    # refuse by count before any pair array exists
+    check_events("window_periods", window_periods, total, "tag pairs")
     # indices of the paired detector-1 tags, flattened without a Python loop
     base = np.repeat(lo, per_tag)
     offsets = np.arange(total) - np.repeat(np.cumsum(per_tag) - per_tag, per_tag)
@@ -267,9 +217,8 @@ class LifetimeFit:
 def fit_lifetime(
     stream: TimeTagStream,
     bin_width_ns: float = 1.0,
-    detector: int = 0,
 ) -> LifetimeFit:
-    """Exponential lifetime from the pulse-phase histogram of one detector.
+    """Exponential lifetime from the pulse-phase histogram of detector 0.
 
     Log-linear least squares on the decaying flank, starting one bin past
     the peak and stopping at the first sparse bin.  Flagged unreliable when
@@ -278,7 +227,7 @@ def fit_lifetime(
     """
     period = stream.rep_period_ns
     n_bins = max(4, _bin_count(period, bin_width_ns))
-    phases = stream.times_ns[stream.detectors == detector] % period
+    phases = stream.times_ns[stream.detectors == 0] % period
     counts, edges = np.histogram(phases, bins=n_bins, range=(0.0, period))
     centers = 0.5 * (edges[:-1] + edges[1:])
 

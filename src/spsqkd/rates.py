@@ -7,10 +7,12 @@ fixed inefficiency above the Shannon limit,
 
     R = q * rep * p_click * [ -f h2(E) + (1 - delta) (1 - h2(E / (1 - delta))) ]
 
-with delta the multiphoton fraction of detected pulses.  Attenuated-laser
-comparisons come in two flavours: the same bound applied to Poissonian
-statistics (all multiphoton pulses tagged), and the asymptotic decoy-state
-bound where the single-photon yield is known exactly.
+with delta the multiphoton fraction of detected pulses.  The sifting factor
+q is fixed at 1/2, since both parties pick each basis with probability 1/2.
+Attenuated-laser comparisons come in two flavours: the same bound applied
+to Poissonian statistics (all multiphoton pulses tagged), and the
+asymptotic decoy-state bound where the single-photon yield is known
+exactly.
 
 Each formula is evaluated as a numpy array over the link efficiencies of a
 whole distance sweep; the decoy optimum walks the intensity grid once with
@@ -20,10 +22,9 @@ the same kernels.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +44,11 @@ __all__ = [
     "distance_grid",
     "sweep_variants",
     "crossover_distance",
-    "cutoff_distance",
     "format_rate_csv",
 ]
+
+# sifting factor: symmetric basis choice keeps half of the clicks
+_Q = 0.5
 
 # Intensity search grid for attenuated-laser optimisation: 0.005 steps, and
 # the endpoint lands exactly on mu = 1.
@@ -81,8 +84,8 @@ def _positive(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _check_clock(rep_rate_hz: float, f_ec: float, q: float) -> None:
-    """Refuse a clock, error-correction inefficiency or sifting factor out of range."""
+def _check_clock(rep_rate_hz: float, f_ec: float) -> None:
+    """Refuse a clock or error-correction inefficiency out of range."""
     for name, value in (("rep_rate_hz", rep_rate_hz), ("f_ec", f_ec)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -90,8 +93,6 @@ def _check_clock(rep_rate_hz: float, f_ec: float, q: float) -> None:
         raise ValueError("rep_rate_hz must be positive")
     if f_ec < 1.0:
         raise ValueError("f_ec below 1 would beat the Shannon limit")
-    if not 0 < q <= 1:
-        raise ValueError("q must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ class RateInputs:
 
     ``multiphoton`` is the per-pulse probability of emitting two or more
     photons; for sub-Poissonian sources this is the saturated bound
-    mu^2 g2(0) / 2.  ``q`` is the sifting factor (1/2 for symmetric basis
-    choice) and ``f_ec`` the error-correction inefficiency.
+    mu^2 g2(0) / 2.  ``f_ec`` is the error-correction inefficiency.
     """
 
     mu: float
@@ -109,7 +109,6 @@ class RateInputs:
     link: LinkSpec
     rep_rate_hz: float = 1e6
     f_ec: float = 1.22
-    q: float = 0.5
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
@@ -118,7 +117,7 @@ class RateInputs:
             raise ValueError("mu must be non-negative")
         if not 0 <= self.multiphoton <= 1:
             raise ValueError("multiphoton must be a probability")
-        _check_clock(self.rep_rate_hz, self.f_ec, self.q)
+        _check_clock(self.rep_rate_hz, self.f_ec)
 
     @classmethod
     def from_source(
@@ -127,7 +126,6 @@ class RateInputs:
         link: LinkSpec,
         rep_rate_hz: float | None = None,
         f_ec: float = 1.22,
-        q: float = 0.5,
     ) -> "RateInputs":
         return cls(
             mu=source.mu,
@@ -135,22 +133,6 @@ class RateInputs:
             link=link,
             rep_rate_hz=source.rep_rate_hz if rep_rate_hz is None else rep_rate_hz,
             f_ec=f_ec,
-            q=q,
-        )
-
-    def at_distance(self, distance_km: float) -> "RateInputs":
-        return dataclasses.replace(self, link=self.link.at_distance(distance_km))
-
-    def attenuated(self, factor: float) -> "RateInputs":
-        """Insert loss ``factor`` at the source output.
-
-        Each photon survives independently, so the mean scales linearly and
-        the pair probability quadratically; g2(0) is loss-invariant.
-        """
-        if not 0 < factor <= 1:
-            raise ValueError("attenuation factor must be in (0, 1]")
-        return dataclasses.replace(
-            self, mu=factor * self.mu, multiphoton=factor**2 * self.multiphoton
         )
 
 
@@ -167,34 +149,33 @@ def _signal_error(mu, eta: np.ndarray, p_click: np.ndarray, link: LinkSpec) -> n
     return np.where(p_click == 0.0, 0.5, e)
 
 
-def _tagged_rate(p_click, multiphoton, e, rep_rate_hz: float, f_ec: float, q: float):
+def _tagged_rate(p_click, multiphoton, e, rep_rate_hz: float, f_ec: float):
     """Tagged-fraction bound, elementwise over aligned arrays or scalars."""
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.minimum(1.0, multiphoton / p_click)
         e_phase = e / (1.0 - delta)
     inner = -f_ec * _entropy(e) + (1.0 - delta) * (1.0 - _entropy(e_phase))
     alive = (p_click > 0.0) & (delta < 1.0) & (e_phase < 1.0)
-    return np.where(alive, _positive(q * rep_rate_hz * p_click * inner), 0.0)
+    return np.where(alive, _positive(_Q * rep_rate_hz * p_click * inner), 0.0)
 
 
-def _wcp_rate(eta, link: LinkSpec, rep_rate_hz: float, f_ec: float, q: float):
+def _wcp_rate(eta, link: LinkSpec, rep_rate_hz: float, f_ec: float):
     """Attenuated laser at mu = eta with every multiphoton pulse tagged."""
     mu = eta
     multiphoton = -np.expm1(-mu) - mu * np.exp(-mu)  # poissonian_multiphoton
     p_click = _click(mu, eta, link)
     e_mu = _signal_error(mu, eta, p_click, link)
-    return _tagged_rate(p_click, multiphoton, e_mu, rep_rate_hz, f_ec, q)
+    return _tagged_rate(p_click, multiphoton, e_mu, rep_rate_hz, f_ec)
 
 
 def _decoy_optimum(
-    eta: np.ndarray, link: LinkSpec, rep_rate_hz: float, f_ec: float, q: float,
-    grid: np.ndarray,
+    eta: np.ndarray, link: LinkSpec, rep_rate_hz: float, f_ec: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best decoy-state rate over ``grid`` at each efficiency, and its intensity.
+    """Best decoy-state rate over ``_MU_GRID`` at each efficiency, and its intensity.
 
     The intensity is the first grid value reaching the strict maximum, and
-    ``grid[0]`` where every rate is 0.  The grid is walked one intensity at a
-    time with vectors over ``eta``, so memory stays linear in the sweep.
+    ``_MU_GRID[0]`` where every rate is 0.  The grid is walked one intensity
+    at a time with vectors over ``eta``, so memory stays linear in the sweep.
     """
     # asymptotic decoy analysis: the single-photon yield and error rate are
     # pinned exactly, so only true single-photon detections feed the key
@@ -204,14 +185,14 @@ def _decoy_optimum(
         e1 = np.minimum(0.5, (link.misalignment * eta + 0.5 * dark) / y1)
     secure1 = 1.0 - _entropy(e1)
     best_rate = np.zeros(eta.shape)
-    best_mu = np.full(eta.shape, float(grid[0]))
-    for mu in map(float, grid):
+    best_mu = np.full(eta.shape, float(_MU_GRID[0]))
+    for mu in map(float, _MU_GRID):
         p_click = _click(mu, eta, link)
         e_mu = _signal_error(mu, eta, p_click, link)
         q1 = mu * math.exp(-mu) * y1
         # a link that cannot click has q1 = 0, so its rate floors at 0
         inner = -p_click * f_ec * _entropy(e_mu) + q1 * secure1
-        rate = _positive(q * rep_rate_hz * inner)
+        rate = _positive(_Q * rep_rate_hz * inner)
         better = rate > best_rate
         best_rate[better] = rate[better]
         best_mu[better] = mu
@@ -231,7 +212,7 @@ def gllp_rate(inputs: RateInputs, e_mu: float | None = None) -> float:
         raise ValueError(f"e_mu must be a non-negative error rate, got {e}")
     p_click = _click(inputs.mu, link.total_efficiency, link)
     return float(
-        _tagged_rate(p_click, inputs.multiphoton, e, inputs.rep_rate_hz, inputs.f_ec, inputs.q)
+        _tagged_rate(p_click, inputs.multiphoton, e, inputs.rep_rate_hz, inputs.f_ec)
     )
 
 
@@ -259,7 +240,6 @@ def wcp_rate(
     link: LinkSpec,
     rep_rate_hz: float = 1e6,
     f_ec: float = 1.22,
-    q: float = 0.5,
 ) -> float:
     """Attenuated-laser rate with every multiphoton pulse tagged.
 
@@ -268,22 +248,19 @@ def wcp_rate(
     in dark counts.  The signal error rate includes the dark contribution, so
     the rate dies at the dark-count cutoff as the channel closes.
     """
-    _check_clock(rep_rate_hz, f_ec, q)
-    return float(_wcp_rate(link.total_efficiency, link, rep_rate_hz, f_ec, q))
+    _check_clock(rep_rate_hz, f_ec)
+    return float(_wcp_rate(link.total_efficiency, link, rep_rate_hz, f_ec))
 
 
 def decoy_optimal_rate(
     link: LinkSpec,
     rep_rate_hz: float = 1e6,
     f_ec: float = 1.22,
-    q: float = 0.5,
-    mu_grid: np.ndarray | None = None,
 ) -> OptimalRate:
     """Best asymptotic decoy-state rate over the intensity grid."""
-    _check_clock(rep_rate_hz, f_ec, q)
-    grid = _MU_GRID if mu_grid is None else mu_grid
+    _check_clock(rep_rate_hz, f_ec)
     eta = np.array([link.total_efficiency])
-    rate, mu = _decoy_optimum(eta, link, rep_rate_hz, f_ec, q, grid)
+    rate, mu = _decoy_optimum(eta, link, rep_rate_hz, f_ec)
     return OptimalRate(float(rate[0]), float(mu[0]))
 
 
@@ -339,7 +316,6 @@ def sweep_variants(
     link: LinkSpec,
     rep_rate_hz: float = 1e6,
     f_ec: float = 1.22,
-    q: float = 0.5,
     flat_error: bool = False,
 ) -> dict[str, np.ndarray]:
     """Rate-vs-distance curves for each variant at a common clock.
@@ -351,7 +327,7 @@ def sweep_variants(
     everything but the distance, and each curve is one array evaluation over
     the efficiencies of all ``distances``.
     """
-    _check_clock(rep_rate_hz, f_ec, q)
+    _check_clock(rep_rate_hz, f_ec)
     distances = np.asarray(distances, dtype=np.float64)
     if not np.all(np.isfinite(distances) & (distances >= 0.0)):
         raise ValueError("distances must be finite and non-negative")
@@ -359,15 +335,15 @@ def sweep_variants(
     curves = {}
     for v in variants:
         if v.mode == "wcp":
-            curves[v.name] = _wcp_rate(eta, link, rep_rate_hz, f_ec, q)
+            curves[v.name] = _wcp_rate(eta, link, rep_rate_hz, f_ec)
         elif v.mode == "decoy":
-            curves[v.name] = _decoy_optimum(eta, link, rep_rate_hz, f_ec, q, _MU_GRID)[0]
+            curves[v.name] = _decoy_optimum(eta, link, rep_rate_hz, f_ec)[0]
         else:
             mu = v.source.mu
             p_click = _click(mu, eta, link)
             e = link.misalignment if flat_error else _signal_error(mu, eta, p_click, link)
             curves[v.name] = _tagged_rate(
-                p_click, multiphoton_probability(v.source), e, rep_rate_hz, f_ec, q
+                p_click, multiphoton_probability(v.source), e, rep_rate_hz, f_ec
             )
     return curves
 
@@ -383,49 +359,15 @@ def crossover_distance(
     return float(distances[idx[0]])
 
 
-def cutoff_distance(
-    inputs: RateInputs,
-    max_km: float = 500.0,
-    tol_km: float = 1e-3,
-    e_mu_fn: Callable[[float, LinkSpec], float] | None = None,
-) -> float:
-    """Largest distance with a positive rate, by bisection up to ``max_km``.
-
-    ``e_mu_fn(mu, link)`` supplies a distance-dependent error rate when the
-    flat-misalignment default is not wanted.
-    """
-
-    def rate_at(d: float) -> float:
-        at_d = inputs.at_distance(d)
-        e = None if e_mu_fn is None else e_mu_fn(at_d.mu, at_d.link)
-        return gllp_rate(at_d, e_mu=e)
-
-    if rate_at(0.0) <= 0.0:
-        return 0.0
-    if rate_at(max_km) > 0.0:
-        return max_km
-    lo, hi = 0.0, max_km
-    while hi - lo > tol_km:
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def format_rate_csv(
     distances: np.ndarray,
     curves: dict[str, np.ndarray],
     metadata: dict[str, str] | None = None,
 ) -> str:
     """Comment-headed CSV: `# key=value` lines, then one column per curve."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    names = list(curves)
-    lines.append(",".join(["distance_km"] + names))
-    for i, d in enumerate(distances):
-        row = [f"{float(d):.6g}"] + [f"{curves[n][i]:.6g}" for n in names]
-        lines.append(",".join(row))
+    lines = [f"# {k}={v}" for k, v in (metadata or {}).items()]
+    lines.append(",".join(["distance_km", *curves]))
+    row = ",".join(["%.6g"] * (1 + len(curves)))
+    columns = (distances, *curves.values())
+    lines += map(row.__mod__, zip(*(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"

@@ -32,7 +32,6 @@ __all__ = [
     "ReconciliationOutcome",
     "SecretKey",
     "cascade",
-    "binary_bisect",
     "privacy_amplify",
     "iter_transcript",
 ]
@@ -78,7 +77,7 @@ _QUERIES = np.dtype(
 class ReconciliationConfig:
     """CASCADE knobs.
 
-    ``k1`` defaults to the canonical ceil(0.73 / est_qber); block sizes
+    Pass 1 uses the canonical block size ceil(0.73 / est_qber); block sizes
     double each pass and are clamped at the key length.  The passes are
     followed by a confirmation stage: random-subset parities are compared
     one at a time, a mismatching subset is bisected to a correction (with
@@ -89,7 +88,6 @@ class ReconciliationConfig:
 
     est_qber: float
     n_passes: int = 4
-    k1: int | None = None
     shuffle_seed: int = 0
     verify_bits: int = 50
 
@@ -100,8 +98,6 @@ class ReconciliationConfig:
             raise ValueError(
                 f"n_passes must be in [2, {_MAX_PASSES}], got {self.n_passes}"
             )
-        if self.k1 is not None and self.k1 < 1:
-            raise ValueError("k1 must be at least 1")
         if self.shuffle_seed < 0:
             raise ValueError("shuffle_seed must be non-negative")
         if self.verify_bits < 0:
@@ -109,8 +105,6 @@ class ReconciliationConfig:
 
     @property
     def initial_block(self) -> int:
-        if self.k1 is not None:
-            return self.k1
         return math.ceil(0.73 / self.est_qber)
 
 
@@ -196,29 +190,6 @@ def _bisect(lo: int, hi: int, parity_differs) -> tuple[int, int]:
         else:
             lo = mid + 1
     return lo, queries
-
-
-def binary_bisect(alice_block, bob_block) -> tuple[int, int]:
-    """Locate one differing bit in a block pair with odd parity difference.
-
-    Returns (position, parities disclosed).  The disclosure count is
-    ceil(log2 n) for power-of-two blocks and never exceeds it otherwise.
-    """
-    a = _as_bits(alice_block, "alice_block")
-    b = _as_bits(bob_block, "bob_block")
-    if a.size != b.size:
-        raise ValueError("blocks must have equal length")
-    if a.size == 0:
-        raise ValueError("blocks must be non-empty")
-    if int(np.bitwise_xor.reduce(a ^ b)) != 1:
-        raise ValueError("blocks must differ in an odd number of positions")
-
-    def differs(lo: int, mid: int) -> bool:
-        pa = int(np.bitwise_xor.reduce(a[lo : mid + 1]))
-        pb = int(np.bitwise_xor.reduce(b[lo : mid + 1]))
-        return pa != pb
-
-    return _bisect(0, a.size - 1, differs)
 
 
 def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutcome:

@@ -129,6 +129,9 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
         (["session", "--pulses", "2e10"], "pulses"),
         (["g2", "--pulses", "1e12"], "pulses"),
         (["cascade", "--n-bits", "1e12"], "n_bits"),
+        # within the bin cap, but 2.3e9 tag pairs to histogram
+        (["g2", "--preset", "ideal95", "--pulses", "100000", "--window-periods", "100000"],
+         "window_periods"),
     ],
 )
 def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
@@ -451,6 +454,25 @@ def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["rates", *argv, "--quiet"]) == 0
     data = (tmp_path / "rates.rates.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--preset", "nv", "--pulses", "3000000"],
+         "01a6518b23c9164b1a4eaefcb33e38f40a290555c5cdf74a25dab1d68c3753c6"),
+        (["--preset", "siv", "--bin-width-ns", "0.5"],
+         "23631489690d161e382c2e9de01e000dfad49cbfd24a863b449238d3cdd10a29"),
+    ],
+    ids=["nv-3e6", "siv-half-ns"],
+)
+def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
+    # digests of the histograms written one formatted row at a time: every
+    # bin centre and count must survive a change of writer
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["g2", *argv, "--quiet"]) == 0
+    data = (tmp_path / "g2.hist.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
 

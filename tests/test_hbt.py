@@ -1,7 +1,6 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -128,6 +127,17 @@ def test_histogram_bins_are_capped():
             fit_lifetime(stream, bin_width_ns=width)
 
 
+def test_histogram_pairs_are_capped():
+    # 4097 tags per detector inside one nanosecond: every tag pairs with
+    # every other, 4097^2 > 2^24 pairs, refused before any pair array exists
+    n = 4097
+    times = np.arange(2 * n) / (2.0 * n)
+    dets = np.tile(np.array([0, 1], dtype=np.uint8), n)
+    stream = TimeTagStream(times, dets, 10_000.0, 1000.0)
+    with pytest.raises(ValueError, match="window_periods = 5 expects 1.68e[+]07 tag pairs"):
+        correlation_histogram(stream)
+
+
 def test_histogram_counts_every_cross_pair_once():
     stream = simulate_hbt(get_preset("nv"), 200_000, _rng(202, 3))
     hist = correlation_histogram(stream)
@@ -212,31 +222,3 @@ def test_lifetime_needs_counts():
     stream = simulate_hbt(get_preset("nv"), 2_000, _rng(9), detection_eff=0.05)
     with pytest.raises(InsufficientDataError):
         fit_lifetime(stream)
-
-
-def test_csv_round_trip():
-    stream = simulate_hbt(get_preset("nv"), 50_000, _rng(404, 0))
-    back = TimeTagStream.from_csv_text(stream.to_csv_text())
-    assert np.allclose(back.times_ns, stream.times_ns, atol=5e-4)
-    assert np.array_equal(back.detectors, stream.detectors)
-    assert back.duration_ns == stream.duration_ns
-    assert back.rep_period_ns == stream.rep_period_ns
-
-
-def test_binary_round_trip():
-    stream = simulate_hbt(get_preset("nv"), 50_000, _rng(404, 1))
-    blob = stream.to_bytes()
-    # the record layout, packed tag by tag as the reference
-    ps = np.round(stream.times_ns * 1000.0).astype(np.uint64)
-    records = zip(ps.tolist(), stream.detectors.tolist())
-    assert blob == b"".join(struct.pack("<QB", t, d) for t, d in records)
-    back = TimeTagStream.from_bytes(blob, stream.duration_ns, stream.rep_period_ns)
-    assert np.allclose(back.times_ns, stream.times_ns, atol=5e-4)
-    assert np.array_equal(back.detectors, stream.detectors)
-    # picosecond quantization is idempotent
-    assert back.to_bytes() == blob
-
-
-def test_binary_rejects_ragged_payload():
-    with pytest.raises(ValueError):
-        TimeTagStream.from_bytes(b"\x00" * 10, 100.0, 1.0)

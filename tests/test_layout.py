@@ -1,0 +1,95 @@
+"""The package carries no public API that only the tests use.
+
+Every public function, method and property defined in ``src/spsqkd`` must
+be referenced by the package itself, the scripts or the benchmark harness,
+somewhere other than its own definition: by name, by attribute, or as a
+string naming it (the harness patches functions by name).  Listing a name
+in ``__all__`` is not a use.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names kept although no program calls them, each for a stated reason
+ALLOWED = {
+    # the closed-form threshold acceptance criterion 3 is anchored on
+    "critical_efficiency",
+    # the g2 variance reference that test_sources checks the sampler against
+    "SourceSpec.g2_effective",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name) of module-level functions and class members."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references(tree):
+    """Names a module uses, outside ``__all__`` and outside their own def."""
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return used
+
+
+def _program_files():
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path
+
+
+def _scan():
+    """Public definitions in the package, and every name the programs use."""
+    used = set()
+    defined = {}
+    for path in _program_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used |= _references(tree)
+        if (ROOT / "src" / "spsqkd") in path.parents:
+            for qualified, bare in _public_definitions(tree):
+                if not bare.startswith("_"):
+                    defined[qualified] = bare
+    return defined, used
+
+
+def test_every_public_definition_has_a_caller():
+    defined, used = _scan()
+    assert defined
+    unused = sorted(q for q, bare in defined.items() if bare not in used and q not in ALLOWED)
+    assert unused == [], f"public but only tests call: {unused}"
+
+
+def test_allowlist_holds_only_uncalled_definitions():
+    defined, used = _scan()
+    for qualified in ALLOWED:
+        assert qualified in defined
+        assert defined[qualified] not in used, f"{qualified} has a caller now"
