@@ -13,13 +13,8 @@ import sys
 import numpy as np
 
 from spsqkd.channel import LinkSpec
-from spsqkd.rates import (
-    crossover_distance,
-    default_variants,
-    distance_grid,
-    format_rate_csv,
-    sweep_variants,
-)
+from spsqkd.config import format_csv
+from spsqkd.rates import crossover_distance, default_variants, distance_grid, sweep_variants
 
 
 def main() -> None:
@@ -37,7 +32,8 @@ def main() -> None:
     except ValueError as exc:
         ap.error(str(exc))
 
-    csv_text = format_rate_csv(distances, {v.name: curves[v.name] for v in variants})
+    columns = {"distance_km": distances, **{v.name: curves[v.name] for v in variants}}
+    csv_text = format_csv({}, columns, ",".join(["%.6g"] * len(columns)))
     if args.out is None:
         sys.stdout.write(csv_text)
     else:

@@ -17,6 +17,7 @@ pulses or its emitted photons.
 
 Sifting keeps pulses where the bases match and the click pattern resolved to
 a bit.  A disclosed subsample estimates the QBER and is struck from the keys.
+The module only computes; the command line writes the sifted bits out.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .sources import SourceSpec, sample_photon_numbers
 __all__ = [
     "SessionResult",
     "run_session",
-    "format_session_csv",
 ]
 
 
@@ -106,9 +106,8 @@ def run_session(
     link: LinkSpec,
     n_pulses: int,
     rng: np.random.Generator,
-    disclose_fraction: float = 0.1,
+    disclose_fraction: float = 0.0,
     double_click_policy: str = "random",
-    full_compare: bool = False,
     protocol_bits: np.ndarray | None = None,
 ) -> SessionResult:
     """Simulate ``n_pulses`` excitation gates end to end.
@@ -123,8 +122,8 @@ def run_session(
     drawn right after the clicking pulses when not given, so a seed pins the
     whole run.
 
-    ``full_compare`` computes the QBER over every sifted bit and discloses
-    nothing, for test benches that want the exact error count.
+    A ``disclose_fraction`` of zero discloses nothing and reads the QBER off
+    every sifted bit, standing in for an authenticated sample.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
@@ -177,19 +176,13 @@ def run_session(
     n_sifted = sift_idx.size
 
     disclosed_mask = np.zeros(n_sifted, dtype=bool)
-    if full_compare:
-        disclosed_count = 0
-        qber = float(np.mean(sift_alice != sift_bob)) if n_sifted else float("nan")
-    else:
-        disclosed_count = int(disclose_fraction * n_sifted)
-        if disclosed_count > 0:
-            chosen = rng.permutation(n_sifted)[:disclosed_count]
-            disclosed_mask[chosen] = True
-            qber = float(
-                np.mean(sift_alice[disclosed_mask] != sift_bob[disclosed_mask])
-            )
-        else:
-            qber = float("nan")
+    disclosed_count = int(disclose_fraction * n_sifted)
+    if disclosed_count > 0:
+        disclosed_mask[rng.permutation(n_sifted)[:disclosed_count]] = True
+    compared = disclosed_mask if disclose_fraction > 0.0 else ~disclosed_mask
+    qber = float("nan")
+    if compared.any():
+        qber = float(np.mean(sift_alice[compared] != sift_bob[compared]))
 
     return SessionResult(
         n_pulses=n_pulses,
@@ -205,15 +198,3 @@ def run_session(
         sift_bob_bits=sift_bob,
         disclosed_mask=disclosed_mask,
     )
-
-
-def format_session_csv(
-    result: SessionResult, metadata: dict[str, str] | None = None
-) -> str:
-    """One row per sifted bit: pulse index, basis, both bits, disclosed flag."""
-    lines = [f"# {k}={v}" for k, v in (metadata or {}).items()]
-    lines.append("pulse_index,basis,alice_bit,bob_bit,disclosed")
-    columns = (result.sift_pulse_index, result.sift_basis, result.sift_alice_bits,
-               result.sift_bob_bits, result.disclosed_mask.astype(np.uint8))
-    lines += map("%d,%d,%d,%d,%d".__mod__, zip(*(c.tolist() for c in columns)))
-    return "\n".join(lines) + "\n"

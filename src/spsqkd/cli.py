@@ -2,9 +2,10 @@
 
 Settings resolve in three layers: built-in defaults, then a `--config`
 key = value file, then explicit flags.  Exit codes: 0 success, 2 bad
-configuration or arguments, 3 insufficient data or protocol abort.  Output
-files carry a `# config_hash=` header binding them to the effective
-settings, and a fixed seed makes reruns byte-identical.
+configuration, arguments or an unwritable output file, 3 insufficient data
+or protocol abort.  Output files are laid out by the `config` writers, under
+a `# config_hash=` header binding them to the effective settings, and a
+fixed seed makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -18,9 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bb84 import format_session_csv
 from .channel import LinkSpec, exact_click_probability
-from .config import check_events, coerce_value, config_hash, format_value, load_config_file
+from .config import (
+    check_events,
+    coerce_value,
+    config_hash,
+    format_csv,
+    format_report,
+    format_value,
+    load_config_file,
+)
 from .hbt import (
     InsufficientDataError,
     correlation_histogram,
@@ -28,13 +36,12 @@ from .hbt import (
     g2_at_zero,
     simulate_hbt,
 )
-from .pipeline import derive_seed, format_summary_text, run_experiment_detailed
+from .pipeline import derive_seed, run_experiment_detailed
 from .rates import (
     RateVariant,
     binary_entropy,
     crossover_distance,
     distance_grid,
-    format_rate_csv,
     sweep_variants,
 )
 from .reconciliation import ReconciliationConfig, cascade
@@ -52,20 +59,27 @@ class Setting(NamedTuple):
     help: str | None = None
 
 
+# settings shared by two commands, declared once with the library's defaults
+_LINK = {
+    dest: Setting(f"link.{dest}", float, getattr(LinkSpec, dest))
+    for dest in ("attenuation_db_per_km", "setup_efficiency", "dark_count_prob",
+                 "misalignment")
+}
+_RECON = {
+    dest: Setting(f"recon.{dest}", int, getattr(ReconciliationConfig, dest))
+    for dest in ("n_passes", "verify_bits")
+}
+
 # command -> dest -> setting; each dest is also the flag `--dest-with-dashes`
 _SCHEMAS = {
     "session": {
         "preset": Setting("source.preset", str, "nv"),
         "pulses": Setting("session.pulses", int, 1_000_000),
-        "distance_km": Setting("link.distance_km", float, 0.0),
-        "attenuation_db_per_km": Setting("link.attenuation_db_per_km", float, 0.4),
-        "setup_efficiency": Setting("link.setup_efficiency", float, 0.31),
-        "dark_count_prob": Setting("link.dark_count_prob", float, 2.4e-5),
-        "misalignment": Setting("link.misalignment", float, 0.03),
+        "distance_km": Setting("link.distance_km", float, LinkSpec.distance_km),
+        **_LINK,
         "disclose_fraction": Setting("session.disclose_fraction", float, 0.0),
         "double_click_policy": Setting("session.double_click_policy", str, "random"),
-        "n_passes": Setting("recon.n_passes", int, 4),
-        "verify_bits": Setting("recon.verify_bits", int, 50),
+        **_RECON,
         "safety_margin": Setting("recon.safety_margin", int, 30),
         "entropy_file": Setting(
             "session.entropy_file", str, "", "raw bytes supplying protocol bits"
@@ -85,17 +99,13 @@ _SCHEMAS = {
         "decoy": Setting("rates.decoy", bool, False),
         "ideal10": Setting("rates.ideal10", bool, False),
         "ideal95": Setting("rates.ideal95", bool, False),
-        "attenuation_db_per_km": Setting("link.attenuation_db_per_km", float, 0.4),
-        "setup_efficiency": Setting("link.setup_efficiency", float, 0.31),
-        "dark_count_prob": Setting("link.dark_count_prob", float, 2.4e-5),
-        "misalignment": Setting("link.misalignment", float, 0.03),
+        **_LINK,
     },
     "cascade": {
         "n_bits": Setting("cascade.n_bits", int, 10_000),
         "qber": Setting("cascade.qber", float, 0.03),
         "est_qber": Setting("cascade.est_qber", float, None),
-        "n_passes": Setting("recon.n_passes", int, 4),
-        "verify_bits": Setting("recon.verify_bits", int, 50),
+        **_RECON,
         "alice_file": Setting("cascade.alice_file", str, "", "text file of 0/1 characters"),
         "bob_file": Setting("cascade.bob_file", str, "", "text file of 0/1 characters"),
     },
@@ -241,9 +251,16 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
         protocol_bits=protocol_bits,
     )
     meta = _metadata(_effective("session", settings))
-    Path(f"{out}.summary.txt").write_text(format_summary_text(summary, meta))
+    Path(f"{out}.summary.txt").write_text(format_report(meta, dataclasses.asdict(summary)))
     if settings["bits_csv"]:
-        Path(f"{out}.bits.csv").write_text(format_session_csv(session, meta))
+        columns = {
+            "pulse_index": session.sift_pulse_index,
+            "basis": session.sift_basis,
+            "alice_bit": session.sift_alice_bits,
+            "bob_bit": session.sift_bob_bits,
+            "disclosed": session.disclosed_mask.astype(np.uint8),
+        }
+        Path(f"{out}.bits.csv").write_text(format_csv(meta, columns, "%d,%d,%d,%d,%d"))
     _emit(
         quiet,
         f"sifted {summary.sifted_rate_bps:.6g} bit/s  qber {summary.qber:.4f}  "
@@ -285,7 +302,9 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
             if rival in curves:
                 d = crossover_distance(distances, curves[variant.name], curves[rival])
                 meta[f"crossover_{variant.name}_{rival}_km"] = f"{d:.6g}"
-    Path(f"{out}.rates.csv").write_text(format_rate_csv(distances, curves, meta))
+    row_format = ",".join(["%.6g"] * (1 + len(curves)))
+    csv_text = format_csv(meta, {"distance_km": distances, **curves}, row_format)
+    Path(f"{out}.rates.csv").write_text(csv_text)
     fields = [f"{k}={v}" for k, v in meta.items() if k.startswith("crossover_")]
     _emit(quiet, f"wrote {out}.rates.csv  " + "  ".join(fields))
     return 0
@@ -327,19 +346,18 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
     shannon = n * binary_entropy(qber_true) if qber_true > 0 else float("nan")
     ratio = outcome.leaked_bits / shannon if shannon > 0 else float("nan")
 
+    report = {
+        "n_bits": n,
+        "true_qber": qber_true,
+        "est_qber": est,
+        "corrections_made": outcome.corrections_made,
+        "leaked_bits": outcome.leaked_bits,
+        "shannon_ratio": ratio,
+        "verified": outcome.verified_equal,
+        "residual_error_rate": residual,
+    }
     meta = _metadata(_effective("cascade", settings))
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines += [
-        f"n_bits = {n}",
-        f"true_qber = {qber_true:.6g}",
-        f"est_qber = {est:.6g}",
-        f"corrections_made = {outcome.corrections_made}",
-        f"leaked_bits = {outcome.leaked_bits}",
-        f"shannon_ratio = {ratio:.6g}",
-        f"verified = {outcome.verified_equal}",
-        f"residual_error_rate = {residual:.6g}",
-    ]
-    Path(f"{out}.cascade.txt").write_text("\n".join(lines) + "\n")
+    Path(f"{out}.cascade.txt").write_text(format_report(meta, report))
     Path(f"{out}.transcript.bin").write_bytes(outcome.transcript)
     _emit(
         quiet,
@@ -385,24 +403,21 @@ def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
         tau, sigma, reliable = float("nan"), float("nan"), False
 
     meta = _metadata(_effective("g2", settings))
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(f"# rep_period_ns={source.rep_period_ns:.6g}")
-    lines.append("tau_ns,counts")
-    lines += map("%.6g,%d".__mod__, zip(hist.tau_centers_ns.tolist(), hist.counts.tolist()))
-    Path(f"{out}.hist.csv").write_text("\n".join(lines) + "\n")
+    hist_meta = {**meta, "rep_period_ns": f"{source.rep_period_ns:.6g}"}
+    columns = {"tau_ns": hist.tau_centers_ns, "counts": hist.counts}
+    Path(f"{out}.hist.csv").write_text(format_csv(hist_meta, columns, "%.6g,%d"))
 
     rate_cps = len(stream) / (stream.duration_ns * 1e-9)
-    report = [f"# {k}={v}" for k, v in meta.items()]
-    report += [
-        f"n_tags = {len(stream)}",
-        f"duration_s = {stream.duration_ns * 1e-9:.6g}",
-        f"count_rate_cps = {rate_cps:.6g}",
-        f"g2_zero = {g2:.6g}",
-        f"lifetime_ns = {tau:.6g}",
-        f"lifetime_sigma_ns = {sigma:.6g}",
-        f"lifetime_reliable = {reliable}",
-    ]
-    Path(f"{out}.g2.txt").write_text("\n".join(report) + "\n")
+    report = {
+        "n_tags": len(stream),
+        "duration_s": stream.duration_ns * 1e-9,
+        "count_rate_cps": rate_cps,
+        "g2_zero": g2,
+        "lifetime_ns": tau,
+        "lifetime_sigma_ns": sigma,
+        "lifetime_reliable": reliable,
+    }
+    Path(f"{out}.g2.txt").write_text(format_report(meta, report))
     _emit(
         quiet,
         f"g2(0) = {g2:.4f}  lifetime = {tau:.4g} ns  "
@@ -439,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Flat dotted key = value run configuration, plus output hash binding.
+"""Flat dotted key = value run configuration, and the output file format.
 
 The file format is one assignment per line, dotted section keys, `#`
 comments, e.g.::
@@ -7,8 +7,10 @@ comments, e.g.::
     session.pulses = 1000000
 
 Command-line flags override file values, which override built-in defaults.
-Every output file starts with a short hash of the effective settings so a
-CSV can always be traced back to the run that produced it.
+Every output file starts with `# key=value` lines led by a short hash of the
+effective settings, so a file can always be traced back to the run that
+produced it.  The two writers here are the only code that lays out an output
+file: `format_report` for `name = value` reports, `format_csv` for tables.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ __all__ = [
     "config_hash",
     "coerce_value",
     "format_value",
+    "format_report",
+    "format_csv",
     "MAX_EVENTS",
     "check_events",
 ]
@@ -101,6 +105,27 @@ def config_hash(effective: dict) -> str:
     """12 hex chars binding an output file to its effective settings."""
     blob = "\n".join(f"{k}={format_value(v)}" for k, v in sorted(effective.items()))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _header(metadata: dict) -> list[str]:
+    return [f"# {k}={v}" for k, v in metadata.items()]
+
+
+def format_report(metadata: dict, fields: dict) -> str:
+    """`# key=value` header, then `name = value` lines; floats print as %.6g."""
+    lines = _header(metadata)
+    for name, value in fields.items():
+        text = "%.6g" % value if isinstance(value, float) else str(value)
+        lines.append(f"{name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def format_csv(metadata: dict, columns: dict, row_format: str) -> str:
+    """`# key=value` header, a row of column names, one `row_format` line per row."""
+    lines = _header(metadata)
+    lines.append(",".join(columns))
+    lines += map(row_format.__mod__, zip(*(c.tolist() for c in columns.values())))
+    return "\n".join(lines) + "\n"
 
 
 def check_events(name: str, value: float, expected: float, what: str) -> None:

@@ -3,7 +3,8 @@
 Chains a simulated exchange into a secured key the way the bench run is
 reported: raw detections, sifting, error estimate over the full sifted key,
 CASCADE with its actual parity leakage, then hashing down with the
-multiphoton tag fraction taken from the closed-form click model.
+multiphoton tag fraction taken from the closed-form click model.  It only
+computes: the command line writes the summary out, one line per field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .sources import SourceSpec, multiphoton_probability
 __all__ = [
     "ExperimentSummary",
     "run_experiment_detailed",
-    "format_summary_text",
     "derive_seed",
 ]
 
@@ -83,7 +83,6 @@ def run_experiment_detailed(
         rng,
         disclose_fraction=disclose_fraction,
         double_click_policy=double_click_policy,
-        full_compare=disclose_fraction == 0.0,
         protocol_bits=protocol_bits,
     )
     qber = session.qber_measured
@@ -137,15 +136,3 @@ def run_experiment_detailed(
         aborted=aborted,
     )
     return summary, session
-
-
-def format_summary_text(summary: ExperimentSummary, metadata: dict) -> str:
-    """Key = value report; metadata comments lead so hashes bind the file."""
-    lines = [f"# {k}={v}" for k, v in metadata.items()]
-    for name in ExperimentSummary.__dataclass_fields__:
-        value = getattr(summary, name)
-        if isinstance(value, float):
-            lines.append(f"{name} = {value:.6g}")
-        else:
-            lines.append(f"{name} = {value}")
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ exactly.
 Each formula is evaluated as a numpy array over the link efficiencies of a
 whole distance sweep; the decoy optimum walks the intensity grid once with
 distance-length vectors.  The scalar entry points are one-point calls into
-the same kernels.
+the same kernels.  The module only computes; its callers write the curves.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "distance_grid",
     "sweep_variants",
     "crossover_distance",
-    "format_rate_csv",
 ]
 
 # sifting factor: symmetric basis choice keeps half of the clicks
@@ -357,17 +356,3 @@ def crossover_distance(
     if idx.size == 0:
         return math.nan
     return float(distances[idx[0]])
-
-
-def format_rate_csv(
-    distances: np.ndarray,
-    curves: dict[str, np.ndarray],
-    metadata: dict[str, str] | None = None,
-) -> str:
-    """Comment-headed CSV: `# key=value` lines, then one column per curve."""
-    lines = [f"# {k}={v}" for k, v in (metadata or {}).items()]
-    lines.append(",".join(["distance_km", *curves]))
-    row = ",".join(["%.6g"] * (1 + len(curves)))
-    columns = (distances, *curves.values())
-    lines += map(row.__mod__, zip(*(c.tolist() for c in columns)))
-    return "\n".join(lines) + "\n"

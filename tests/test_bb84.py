@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spsqkd.bb84 import _detector_clicks, format_session_csv, run_session
+from spsqkd import cli
+from spsqkd.bb84 import _detector_clicks, run_session
 from spsqkd.channel import LinkSpec
 from spsqkd.sources import SourceKind, SourceSpec, get_preset
 
@@ -30,8 +31,7 @@ def test_bob_measure_matched_noiseless():
         for basis in (0, 1):
             res = run_session(_perfect_source(), _perfect_link(), 50,
                               np.random.default_rng(1),
-                              protocol_bits=_pinned_bits(bit, basis, basis, 50),
-                              full_compare=True)
+                              protocol_bits=_pinned_bits(bit, basis, basis, 50))
             assert res.sifted_count == 50
             assert np.all(res.sift_basis == basis)
             assert np.all(res.sift_bob_bits == bit)
@@ -61,7 +61,7 @@ def test_bob_measure_misalignment_rate():
     link = LinkSpec(setup_efficiency=1.0, dark_count_prob=0.0, misalignment=0.1)
     n = 50_000
     res = run_session(_perfect_source(), link, n, np.random.default_rng(4),
-                      protocol_bits=_pinned_bits(0, 0, 0, n), full_compare=True)
+                      protocol_bits=_pinned_bits(0, 0, 0, n))
     assert res.sifted_count == n
     assert abs(res.qber_measured - 0.1) < 4 * math.sqrt(0.1 * 0.9 / n)
 
@@ -71,7 +71,7 @@ def test_bob_measure_dark_counts_only():
     link = LinkSpec(distance_km=10_000.0, dark_count_prob=0.2)
     n = 50_000
     res = run_session(_perfect_source(), link, n, np.random.default_rng(5),
-                      protocol_bits=_pinned_bits(0, 0, 0, n), full_compare=True)
+                      protocol_bits=_pinned_bits(0, 0, 0, n))
     # each detector fires at half the per-gate dark probability
     p_click = 1.0 - 0.9**2
     assert abs(res.detected_count / n - p_click) < 4 * math.sqrt(p_click * (1 - p_click) / n)
@@ -98,7 +98,7 @@ def test_run_session_validation():
 
 def test_noiseless_limit():
     rng = np.random.default_rng(11)
-    res = run_session(_perfect_source(), _perfect_link(), 50_000, rng, full_compare=True)
+    res = run_session(_perfect_source(), _perfect_link(), 50_000, rng)
     assert res.qber_measured == 0.0
     assert res.detected_count == 50_000
     assert abs(res.sifted_count / res.n_pulses - 0.5) < 0.01
@@ -108,7 +108,7 @@ def test_noiseless_limit():
 
 def test_nv_session_rates():
     rng = np.random.default_rng(42)
-    res = run_session(get_preset("nv"), LinkSpec(), 1_000_000, rng, full_compare=True)
+    res = run_session(get_preset("nv"), LinkSpec(), 1_000_000, rng)
     assert res.sifted_rate_bps == pytest.approx(4500, rel=0.15)
     assert res.qber_measured == pytest.approx(0.03, abs=0.005)
     assert res.detected_rate_cps == pytest.approx(8900, rel=0.10)
@@ -116,13 +116,13 @@ def test_nv_session_rates():
 
 def test_siv_detected_rate():
     rng = np.random.default_rng(43)
-    res = run_session(get_preset("siv"), LinkSpec(), 1_000_000, rng, full_compare=True)
+    res = run_session(get_preset("siv"), LinkSpec(), 1_000_000, rng)
     assert res.detected_rate_cps == pytest.approx(3700, rel=0.10)
 
 
 def test_sift_fraction_of_detected():
     rng = np.random.default_rng(44)
-    res = run_session(get_preset("nv"), LinkSpec(), 1_000_000, rng, full_compare=True)
+    res = run_session(get_preset("nv"), LinkSpec(), 1_000_000, rng)
     frac = res.sifted_count / res.detected_count
     sigma = 0.5 / math.sqrt(res.detected_count)
     assert abs(frac - 0.5) < 4 * sigma
@@ -134,18 +134,19 @@ def test_matched_errors_vanish_without_noise():
     src = get_preset("nv")
     link = LinkSpec(distance_km=15.0, dark_count_prob=0.0, misalignment=0.0)
     rng = np.random.default_rng(45)
-    res = run_session(src, link, 500_000, rng, full_compare=True)
+    res = run_session(src, link, 500_000, rng)
     assert res.sifted_count > 0
     assert res.qber_measured == 0.0
 
 
 def test_determinism_and_seed_sensitivity():
     src, link = get_preset("nv"), LinkSpec()
-    a = run_session(src, link, 20_000, np.random.default_rng(7))
-    b = run_session(src, link, 20_000, np.random.default_rng(7))
-    c = run_session(src, link, 20_000, np.random.default_rng(8))
+    a, b, c = (run_session(src, link, 20_000, np.random.default_rng(seed),
+                           disclose_fraction=0.1) for seed in (7, 7, 8))
     assert np.array_equal(a.sift_alice_bits, b.sift_alice_bits)
     assert np.array_equal(a.sift_bob_bits, b.sift_bob_bits)
+    # the disclosed sample is drawn from the seed too
+    assert a.disclosed_mask.any()
     assert np.array_equal(a.disclosed_mask, b.disclosed_mask)
     assert a.qber_measured == b.qber_measured
     assert not np.array_equal(a.sift_alice_bits, c.sift_alice_bits)
@@ -175,11 +176,9 @@ def test_double_click_policies():
     src = SourceSpec(SourceKind.POISSONIAN, mu=8.0)
     link = LinkSpec(setup_efficiency=1.0, dark_count_prob=0.0, misalignment=0.2)
     bits = _pinned_bits(0, 0, 0, n)
-    kept = run_session(src, link, n, np.random.default_rng(12),
-                       full_compare=True, protocol_bits=bits)
+    kept = run_session(src, link, n, np.random.default_rng(12), protocol_bits=bits)
     dropped = run_session(src, link, n, np.random.default_rng(12),
-                          full_compare=True, double_click_policy="discard",
-                          protocol_bits=bits)
+                          double_click_policy="discard", protocol_bits=bits)
     # "random" resolves every click to a bit; "discard" keeps single clicks only
     assert kept.sifted_count == kept.detected_count
     assert dropped.detected_count == kept.detected_count
@@ -195,7 +194,7 @@ def test_pulse_record_invariants():
     bits = np.random.default_rng(13).integers(0, 2, 3 * n, dtype=np.uint8)
     alice_bit, alice_basis, bob_basis = bits.reshape(n, 3).T
     res = run_session(src, link, n, np.random.default_rng(14),
-                      protocol_bits=np.packbits(bits), full_compare=True)
+                      protocol_bits=np.packbits(bits))
     idx = res.sift_pulse_index
     assert res.sifted_count > 0
     assert np.array_equal(alice_basis[idx], bob_basis[idx])
@@ -204,7 +203,7 @@ def test_pulse_record_invariants():
     # all bases matched: every detection is sifted; none matched: none is
     for bob, expect_all in ((1, True), (0, False)):
         res = run_session(src, link, n, np.random.default_rng(15),
-                          protocol_bits=_pinned_bits(0, 1, bob, n), full_compare=True)
+                          protocol_bits=_pinned_bits(0, 1, bob, n))
         assert res.detected_count > 0
         assert res.sifted_count == (res.detected_count if expect_all else 0)
 
@@ -213,8 +212,7 @@ def test_external_protocol_bits():
     n = 200
     bits = np.packbits(np.zeros(3 * n, dtype=np.uint8))
     res = run_session(_perfect_source(), _perfect_link(), n,
-                      np.random.default_rng(15), protocol_bits=bits,
-                      full_compare=True)
+                      np.random.default_rng(15), protocol_bits=bits)
     # all-zero stream: bit 0, both bases linear, every pulse matched
     assert res.sifted_count == n
     assert not res.sift_alice_bits.any()
@@ -222,17 +220,28 @@ def test_external_protocol_bits():
     assert res.qber_measured == 0.0
 
 
-def test_session_csv_shape():
-    rng = np.random.default_rng(16)
-    res = run_session(_perfect_source(), _perfect_link(), 40, rng,
-                      disclose_fraction=0.25)
-    text = format_session_csv(res, metadata={"config_hash": "cafe"})
-    lines = text.strip().split("\n")
-    assert lines[0] == "# config_hash=cafe"
-    assert lines[1] == "pulse_index,basis,alice_bit,bob_bit,disclosed"
-    assert len(lines) == 2 + res.sifted_count
-    disclosed = sum(int(line.split(",")[4]) for line in lines[2:])
-    assert disclosed == res.disclosed_count
+def _bits_csv(tmp_path, monkeypatch, n, disclose, seed):
+    """The bits.csv and summary.txt lines of a wcp session run by the CLI."""
+    monkeypatch.chdir(tmp_path)
+    cli.main(["session", "--preset", "wcp", "--pulses", str(n), "--seed", str(seed),
+              "--disclose-fraction", str(disclose), "--bits-csv", "--quiet"])
+    return ((tmp_path / "session.bits.csv").read_text(),
+            (tmp_path / "session.summary.txt").read_text().splitlines())
+
+
+def test_session_csv_shape(tmp_path, monkeypatch):
+    text, summary = _bits_csv(tmp_path, monkeypatch, 4000, 0.25, 16)
+    header = [line for line in summary if line.startswith("# ")]
+    fields = dict(line.split(" = ") for line in summary if not line.startswith("# "))
+    # the summary's settings header, the column names, one row per sifted bit
+    lines = text.splitlines()
+    assert lines[0].startswith("# config_hash=") and lines[:len(header)] == header
+    assert lines[len(header)] == "pulse_index,basis,alice_bit,bob_bit,disclosed"
+    rows = lines[len(header) + 1:]
+    sifted = int(fields["sifted_count"])
+    assert len(rows) == sifted > 0
+    disclosed = sum(int(line.split(",")[4]) for line in rows)
+    assert disclosed == int(0.25 * sifted)
 
 
 def _session_csv_by_rows(result, metadata):
@@ -249,9 +258,11 @@ def _session_csv_by_rows(result, metadata):
 
 
 @pytest.mark.parametrize("n, disclose", [(1, 0.1), (300_000, 0.25), (2_000_000, 0.0)])
-def test_session_csv_matches_the_row_writer(n, disclose):
+def test_session_csv_matches_the_row_writer(n, disclose, tmp_path, monkeypatch):
     # large pulse indices, both bases and bits, disclosed rows, and an empty key
-    res = run_session(get_preset("wcp"), LinkSpec(), n, np.random.default_rng(17),
-                      disclose_fraction=disclose)
-    meta = {"config_hash": "cafe", "source.preset": "wcp"}
-    assert format_session_csv(res, meta) == _session_csv_by_rows(res, meta)
+    text, _ = _bits_csv(tmp_path, monkeypatch, n, disclose, 17)
+    # the CLI draws its session from seed word 0 of the master seed
+    rng = np.random.default_rng(np.random.SeedSequence([17, 0]))
+    res = run_session(get_preset("wcp"), LinkSpec(), n, rng, disclose_fraction=disclose)
+    meta = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+    assert text == _session_csv_by_rows(res, meta)

@@ -132,6 +132,11 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
         # within the bin cap, but 2.3e9 tag pairs to histogram
         (["g2", "--preset", "ideal95", "--pulses", "100000", "--window-periods", "100000"],
          "window_periods"),
+        # an output file that cannot be opened is named, not a traceback
+        (["session", "--pulses", "1000", "--out", "/dev/null/x"], "/dev/null/x.summary.txt"),
+        (["rates", "--dmax", "2", "--out", "/dev/null/x"], "/dev/null/x.rates.csv"),
+        (["cascade", "--n-bits", "1000", "--out", "/dev/null/x"], "/dev/null/x.cascade.txt"),
+        (["g2", "--pulses", "10000", "--out", "/dev/null/x"], "/dev/null/x.hist.csv"),
     ],
 )
 def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
@@ -474,6 +479,43 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     assert cli.main(["g2", *argv, "--quiet"]) == 0
     data = (tmp_path / "g2.hist.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (["session", "--preset", "wcp", "--pulses", "1000000", "--seed", "7",
+          "--disclose-fraction", "0.1", "--bits-csv"],
+         {"session.summary.txt":
+          "785f768b352603a0e2f38a7320c379455a48ad2695717dcc5d8c48730ccafddd",
+          "session.bits.csv":
+          "42d14469373cdb3095c6ddcaa869ca12cffbddaf40af4b732d698dcb808205fe"}),
+        (["session", "--preset", "nv", "--pulses", "1000000", "--seed", "7", "--bits-csv"],
+         {"session.summary.txt":
+          "9f40bd14f532be6151bb909c409e239d3f99d9e591a14b489c4e9d0fcef88733",
+          "session.bits.csv":
+          "4329034d45f26a69964520bfd17947744cee42f2f1a06f1e507bc48a015d6afb"}),
+        (["cascade", "--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
+         {"cascade.cascade.txt":
+          "cbb9a9d52cec295610a7a5e4e19b1db0741d64073b685829b1213884dbc600d5"}),
+        (["g2", "--preset", "nv", "--pulses", "3000000"],
+         {"g2.g2.txt":
+          "2ec768bedbe0d9b73d31e27479880d3aee06745866ab46046add8484eed16e37"}),
+        (["g2", "--preset", "siv", "--bin-width-ns", "0.5"],
+         {"g2.g2.txt":
+          "5b1ef8cba261a10a73b18005ae9b30501c7304dacb780a9f33f87f5182e60342"}),
+    ],
+    ids=["session-wcp-disclose", "session-nv", "cascade-n10000", "g2-nv-3e6",
+         "g2-siv-half-ns"],
+)
+def test_report_files_are_pinned(argv, digests, tmp_path, monkeypatch):
+    # every header line, report field and bit row is fixed: a change to the
+    # shared writers must leave these bytes as they are
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--quiet"]) == 0
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_cascade_key_files_round_trip(tmp_path, monkeypatch):

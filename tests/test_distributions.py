@@ -124,7 +124,7 @@ def test_click_patterns_match_the_click_model(preset, distance_km, dark_count_pr
         bits = bit_rng.integers(0, 2, (n, 3), dtype=np.uint8)
         bits[:, 2] = bits[:, 1] if relation == "matched" else 1 - bits[:, 1]
         res = run_session(spec, link, n, np.random.default_rng([41, seed]),
-                          full_compare=True, protocol_bits=np.packbits(bits.ravel()))
+                          protocol_bits=np.packbits(bits.ravel()))
         counts = np.array([n - res.detected_count,
                            res.detected_count - res.double_click_count,
                            res.double_click_count], dtype=np.float64)

@@ -1,4 +1,4 @@
-"""The package carries no public API that only the tests use.
+"""The package carries no public API that only the tests use, and one output format.
 
 Every public function, method and property defined in ``src/spsqkd`` must
 be referenced by the package itself, the scripts or the benchmark harness,
@@ -93,3 +93,28 @@ def test_allowlist_holds_only_uncalled_definitions():
     for qualified in ALLOWED:
         assert qualified in defined
         assert defined[qualified] not in used, f"{qualified} has a caller now"
+
+
+def _header_line_sites(path):
+    """Line numbers of f-strings that open with "# ", an output header line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and node.values
+        and isinstance(node.values[0], ast.Constant)
+        and node.values[0].value.startswith("# ")
+    ]
+
+
+def test_only_config_lays_out_output_headers():
+    # config.format_report and config.format_csv own the `# key=value` header
+    package = ROOT / "src" / "spsqkd"
+    sites = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _header_line_sites(path))
+    }
+    assert sites.keys() <= {"config.py"}, f"header lines built outside config: {sites}"
+    assert "config.py" in sites

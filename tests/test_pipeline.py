@@ -1,16 +1,14 @@
 """End-to-end experiment runner semantics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spsqkd.channel import LinkSpec
-from spsqkd.pipeline import (
-    derive_seed,
-    format_summary_text,
-    run_experiment_detailed,
-)
+from spsqkd.config import format_report
+from spsqkd.pipeline import derive_seed, run_experiment_detailed
 from spsqkd.sources import get_preset
 
 
@@ -64,7 +62,7 @@ def test_sampled_disclosure_mode_still_distills():
 
 def test_summary_text_round_trips_fields():
     summary, _ = run_experiment_detailed(get_preset("siv"), LinkSpec(), 300_000, master_seed=4)
-    text = format_summary_text(summary, {"config_hash": "deadbeef0123"})
+    text = format_report({"config_hash": "deadbeef0123"}, dataclasses.asdict(summary))
     assert text.startswith("# config_hash=deadbeef0123\n")
     parsed = {}
     for line in text.splitlines():

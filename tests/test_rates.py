@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spsqkd.channel import LinkSpec, error_rate_model
+from spsqkd.config import format_csv
 from spsqkd.rates import (
     RateInputs,
     RateVariant,
@@ -23,7 +24,6 @@ from spsqkd.rates import (
     crossover_distance,
     decoy_optimal_rate,
     default_variants,
-    format_rate_csv,
     gllp_rate,
     sweep_variants,
     wcp_rate,
@@ -289,10 +289,11 @@ def test_default_variants_roster():
 
 
 def test_format_rate_csv_golden():
-    text = format_rate_csv(
-        np.array([0.0, 0.5]),
-        {"a": np.array([1.0, 2.25]), "b": np.array([3.0, 0.000123456789])},
-        metadata={"config_hash": "deadbeef"},
+    text = format_csv(
+        {"config_hash": "deadbeef"},
+        {"distance_km": np.array([0.0, 0.5]), "a": np.array([1.0, 2.25]),
+         "b": np.array([3.0, 0.000123456789])},
+        "%.6g,%.6g,%.6g",
     )
     assert text == (
         "# config_hash=deadbeef\n"
