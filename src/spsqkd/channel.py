@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sources import photon_number_distribution
+
 __all__ = [
     "LinkSpec",
     "fibre_transmission",
@@ -92,8 +94,6 @@ def exact_click_probability(source, link: LinkSpec) -> float:
     grows to a few percent for attenuated-laser intensities, which matters
     when binding Monte-Carlo counts at high statistics.
     """
-    from .sources import photon_number_distribution
-
     probs = photon_number_distribution(source)
     eta = link.total_efficiency
     survive_none = float(np.dot(probs, (1.0 - eta) ** np.arange(probs.size)))

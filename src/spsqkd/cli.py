@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -36,14 +37,8 @@ from .hbt import (
     g2_at_zero,
     simulate_hbt,
 )
-from .pipeline import derive_seed, run_experiment_detailed
-from .rates import (
-    RateVariant,
-    binary_entropy,
-    crossover_distance,
-    distance_grid,
-    sweep_variants,
-)
+from .pipeline import EST_QBER_FLOOR, derive_seed, run_experiment_detailed
+from .rates import RIVALS, binary_entropy, crossover_distance, distance_grid, sweep_variants
 from .reconciliation import ReconciliationConfig, cascade
 from .sources import get_preset
 
@@ -276,18 +271,13 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
     distances = distance_grid(settings["dmax"], settings["step"])
     link = _link_from(settings)
 
-    variants = [RateVariant(settings["preset"], "fixed", get_preset(settings["preset"]))]
-    if settings["ideal10"] and settings["preset"] != "ideal10":
-        variants.append(RateVariant("ideal10", "fixed", get_preset("ideal10")))
-    if settings["ideal95"] and settings["preset"] != "ideal95":
-        variants.append(RateVariant("ideal95", "fixed", get_preset("ideal95")))
-    if settings["wcp"]:
-        variants.append(RateVariant("wcp", "wcp"))
-    if settings["decoy"]:
-        variants.append(RateVariant("decoy", "decoy"))
-
+    # a preset that is also set by its ideal flag is one curve
+    names = [settings["preset"]] + [n for n in ("ideal10", "ideal95") if settings[n]]
+    sources = {name: get_preset(name) for name in names}
+    rivals = tuple(rival for rival in RIVALS if settings[rival])
     curves = sweep_variants(
-        variants,
+        sources,
+        rivals,
         distances,
         link,
         rep_rate_hz=settings["rep_rate"],
@@ -295,13 +285,10 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
         flat_error=settings["flat_error"],
     )
     meta = _metadata(_effective("rates", settings))
-    for variant in variants:
-        if variant.mode != "fixed":
-            continue
-        for rival in ("wcp", "decoy"):
-            if rival in curves:
-                d = crossover_distance(distances, curves[variant.name], curves[rival])
-                meta[f"crossover_{variant.name}_{rival}_km"] = f"{d:.6g}"
+    for name in sources:
+        for rival in rivals:
+            d = crossover_distance(distances, curves[name], curves[rival])
+            meta[f"crossover_{name}_{rival}_km"] = f"{d:.6g}"
     row_format = ",".join(["%.6g"] * (1 + len(curves)))
     csv_text = format_csv(meta, {"distance_km": distances, **curves}, row_format)
     Path(f"{out}.rates.csv").write_text(csv_text)
@@ -333,7 +320,7 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
 
     est = settings["est_qber"]
     if est is None:
-        est = max(qber, 0.005)
+        est = max(qber, EST_QBER_FLOOR)
     cfg = ReconciliationConfig(
         est_qber=est,
         n_passes=settings["n_passes"],
@@ -426,12 +413,12 @@ def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-# command -> (runner, help line)
+# command -> (runner, help line, suffix of the first file it writes)
 _COMMANDS = {
-    "session": (cmd_session, "one BB84 run to secured key"),
-    "rates": (cmd_rates, "secure rate vs distance sweep"),
-    "cascade": (cmd_cascade, "error correction on a key pair"),
-    "g2": (cmd_g2, "HBT run with g2 and lifetime fits"),
+    "session": (cmd_session, "one BB84 run to secured key", "summary.txt"),
+    "rates": (cmd_rates, "secure rate vs distance sweep", "rates.csv"),
+    "cascade": (cmd_cascade, "error correction on a key pair", "cascade.txt"),
+    "g2": (cmd_g2, "HBT run with g2 and lifetime fits", "hist.csv"),
 }
 
 
@@ -449,7 +436,10 @@ def main(argv: list[str] | None = None) -> int:
         quiet = args.quiet
         if quiet is None:
             quiet = coerce_value("quiet", file_cfg.get("quiet", "false"), bool)
-        run, _ = _COMMANDS[args.command]
+        run, _, first = _COMMANDS[args.command]
+        folder = Path(f"{out}.{first}").parent  # every output file lands here
+        if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+            raise ValueError(f"cannot write {out}.{first}: {folder} is not a writable directory")
         return run(settings, out, quiet)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ computes: the command line writes the summary out, one line per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,10 +23,11 @@ __all__ = [
     "ExperimentSummary",
     "run_experiment_detailed",
     "derive_seed",
+    "EST_QBER_FLOOR",
 ]
 
 # reconciliation needs a usable working estimate even for error-free runs
-_EST_QBER_FLOOR = 0.005
+EST_QBER_FLOOR = 0.005
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -60,8 +61,8 @@ def run_experiment_detailed(
     master_seed: int,
     disclose_fraction: float = 0.0,
     double_click_policy: str = "random",
-    n_passes: int = 4,
-    verify_bits: int = 50,
+    n_passes: int = ReconciliationConfig.n_passes,
+    verify_bits: int = ReconciliationConfig.verify_bits,
     safety_margin: int = 30,
     protocol_bits: np.ndarray | None = None,
 ) -> tuple[ExperimentSummary, SessionResult]:
@@ -75,6 +76,15 @@ def run_experiment_detailed(
     zero secret bits with ``aborted`` set; stages it never reached read
     nan or 0.
     """
+    # settings are refused before any pulse; est_qber is a stand-in until measured
+    if safety_margin < 0:
+        raise ValueError(f"safety_margin must be non-negative, got {safety_margin}")
+    cfg = ReconciliationConfig(
+        est_qber=EST_QBER_FLOOR,
+        n_passes=n_passes,
+        shuffle_seed=derive_seed(master_seed, 1),
+        verify_bits=verify_bits,
+    )
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
     session = run_session(
         source,
@@ -92,14 +102,8 @@ def run_experiment_detailed(
     corrections_made = leaked_bits = secret_bits = 0
     verified, aborted = False, True
     if alice.size >= 8 and not math.isnan(qber):
-        est_qber = min(0.49, max(qber, _EST_QBER_FLOOR))
-        cfg = ReconciliationConfig(
-            est_qber=est_qber,
-            n_passes=n_passes,
-            shuffle_seed=derive_seed(master_seed, 1),
-            verify_bits=verify_bits,
-        )
-        outcome = cascade(alice, bob, cfg)
+        est_qber = min(0.49, max(qber, EST_QBER_FLOOR))
+        outcome = cascade(alice, bob, replace(cfg, est_qber=est_qber))
         corrections_made = outcome.corrections_made
         leaked_bits = outcome.leaked_bits
 

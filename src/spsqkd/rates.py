@@ -9,10 +9,10 @@ fixed inefficiency above the Shannon limit,
 
 with delta the multiphoton fraction of detected pulses.  The sifting factor
 q is fixed at 1/2, since both parties pick each basis with probability 1/2.
-Attenuated-laser comparisons come in two flavours: the same bound applied
-to Poissonian statistics (all multiphoton pulses tagged), and the
-asymptotic decoy-state bound where the single-photon yield is known
-exactly.
+The attenuated-laser rivals in ``RIVALS`` come in two flavours: ``"wcp"``
+applies the same bound to Poissonian statistics (all multiphoton pulses
+tagged), and ``"decoy"`` is the asymptotic decoy-state bound where the
+single-photon yield is known exactly.
 
 Each formula is evaluated as a numpy array over the link efficiencies of a
 whole distance sweep; the decoy optimum walks the intensity grid once with
@@ -39,8 +39,7 @@ __all__ = [
     "OptimalRate",
     "wcp_rate",
     "decoy_optimal_rate",
-    "RateVariant",
-    "default_variants",
+    "RIVALS",
     "distance_grid",
     "sweep_variants",
     "crossover_distance",
@@ -52,6 +51,9 @@ _Q = 0.5
 # Intensity search grid for attenuated-laser optimisation: 0.005 steps, and
 # the endpoint lands exactly on mu = 1.
 _MU_GRID = np.linspace(0.005, 1.0, 200)
+
+# the laser curves a sweep can set against its sources, as the module docstring names them
+RIVALS = ("wcp", "decoy")
 
 # most distance points one rate sweep may hold; a finer grid is a mistyped
 # step, not a measurement
@@ -263,34 +265,6 @@ def decoy_optimal_rate(
     return OptimalRate(float(rate[0]), float(mu[0]))
 
 
-@dataclass(frozen=True)
-class RateVariant:
-    """One curve in a rate-vs-distance comparison."""
-
-    name: str
-    mode: str  # "fixed" | "wcp" | "decoy"
-    source: SourceSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "wcp", "decoy"):
-            raise ValueError("mode must be one of fixed, wcp, decoy")
-        if self.mode == "fixed" and self.source is None:
-            raise ValueError("fixed variants need a source")
-
-
-def default_variants() -> tuple[RateVariant, ...]:
-    from .sources import PRESETS
-
-    return (
-        RateVariant("nv", "fixed", PRESETS["nv"]),
-        RateVariant("siv", "fixed", PRESETS["siv"]),
-        RateVariant("ideal10", "fixed", PRESETS["ideal10"]),
-        RateVariant("ideal95", "fixed", PRESETS["ideal95"]),
-        RateVariant("wcp", "wcp"),
-        RateVariant("decoy", "decoy"),
-    )
-
-
 def distance_grid(dmax_km: float, step_km: float) -> np.ndarray:
     """Sweep distances 0, step, 2 step, ... up to ``dmax_km``, its end included.
 
@@ -310,40 +284,48 @@ def distance_grid(dmax_km: float, step_km: float) -> np.ndarray:
 
 
 def sweep_variants(
-    variants: tuple[RateVariant, ...],
+    sources: dict[str, SourceSpec],
+    rivals: tuple[str, ...],
     distances: np.ndarray,
     link: LinkSpec,
     rep_rate_hz: float = 1e6,
     f_ec: float = 1.22,
     flat_error: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Rate-vs-distance curves for each variant at a common clock.
+    """Rate-vs-distance curves for each named source, then each rival in ``RIVALS``.
 
-    A single repetition rate is applied to every variant so the comparison
+    A single repetition rate is applied to every curve so the comparison
     isolates photon statistics from engineering clock speed.  By default the
     signal error rate includes the dark-count contribution at each distance;
     ``flat_error`` pins it at the link misalignment instead.  ``link`` supplies
     everything but the distance, and each curve is one array evaluation over
-    the efficiencies of all ``distances``.
+    the efficiencies of all ``distances``.  Curves come back by name, sources
+    first, then rivals as asked; an unknown, repeated or source-named rival is refused.
     """
+    for i, name in enumerate(rivals):
+        if name not in RIVALS:
+            raise ValueError(f"unknown rival {name!r}; available: {', '.join(RIVALS)}")
+        if name in rivals[:i]:
+            raise ValueError(f"rival {name!r} asked for twice")
+        if name in sources:
+            raise ValueError(f"curve {name!r} is both a source and a rival")
     _check_clock(rep_rate_hz, f_ec)
     distances = np.asarray(distances, dtype=np.float64)
     if not np.all(np.isfinite(distances) & (distances >= 0.0)):
         raise ValueError("distances must be finite and non-negative")
     eta = link.setup_efficiency * fibre_transmission(distances, link.attenuation_db_per_km)
     curves = {}
-    for v in variants:
-        if v.mode == "wcp":
-            curves[v.name] = _wcp_rate(eta, link, rep_rate_hz, f_ec)
-        elif v.mode == "decoy":
-            curves[v.name] = _decoy_optimum(eta, link, rep_rate_hz, f_ec)[0]
+    for name, source in sources.items():
+        p_click = _click(source.mu, eta, link)
+        e = link.misalignment if flat_error else _signal_error(source.mu, eta, p_click, link)
+        curves[name] = _tagged_rate(
+            p_click, multiphoton_probability(source), e, rep_rate_hz, f_ec
+        )
+    for name in rivals:
+        if name == "wcp":
+            curves[name] = _wcp_rate(eta, link, rep_rate_hz, f_ec)
         else:
-            mu = v.source.mu
-            p_click = _click(mu, eta, link)
-            e = link.misalignment if flat_error else _signal_error(mu, eta, p_click, link)
-            curves[v.name] = _tagged_rate(
-                p_click, multiphoton_probability(v.source), e, rep_rate_hz, f_ec
-            )
+            curves[name] = _decoy_optimum(eta, link, rep_rate_hz, f_ec)[0]
     return curves
 
 

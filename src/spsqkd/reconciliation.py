@@ -357,7 +357,9 @@ def privacy_amplify(
 
     Output length: floor(n (1 - delta) (1 - h2(qber / (1 - delta)))) minus
     the reconciliation leakage and a finite-size safety margin, floored at
-    zero.  A zero-length result flags the insecure regime.
+    zero.  A zero-length result flags the insecure regime.  A phase error
+    qber / (1 - delta) of 1/2 or more is refused: past it h2 falls again,
+    and a noisier key would be paid out longer.
 
     The matrix-vector product is an integer convolution, computed with a
     real FFT at the first power-of-two length of at least 2n + m - 2 in
@@ -379,8 +381,8 @@ def privacy_amplify(
     if safety_margin < 0:
         raise ValueError("safety_margin must be non-negative")
     e_phase = qber / (1.0 - delta)
-    if e_phase >= 1.0:
-        raise ValueError("qber / (1 - delta) must stay below 1")
+    if e_phase >= 0.5:
+        raise ValueError("qber / (1 - delta) must stay below 1/2")
 
     inputs = (n, delta, qber, leaked_bits, safety_margin)
     secure = n * (1.0 - delta) * (1.0 - binary_entropy(e_phase))

@@ -27,11 +27,11 @@ from spsqkd.channel import (
 from spsqkd.hbt import correlation_histogram, fit_lifetime, g2_at_zero, simulate_hbt
 from spsqkd.pipeline import run_experiment_detailed
 from spsqkd.rates import (
+    RIVALS,
     RateInputs,
     binary_entropy,
     critical_efficiency,
     crossover_distance,
-    default_variants,
     gllp_rate,
     sweep_variants,
 )
@@ -98,9 +98,13 @@ def test_criterion_3_closed_form_anchors():
     )
 
 
+# the four single-photon presets the rate comparisons set against the rivals
+ROSTER = {name: PRESETS[name] for name in ("nv", "siv", "ideal10", "ideal95")}
+
+
 def test_criterion_4_crossover_distances():
     distances = np.arange(0.0, 30.0 + 1e-9, 0.1)
-    curves = sweep_variants(default_variants(), distances, TABLE_LINK)
+    curves = sweep_variants(ROSTER, RIVALS, distances, TABLE_LINK)
     nv_x = crossover_distance(distances, curves["nv"], curves["wcp"])
     siv_x = crossover_distance(distances, curves["siv"], curves["wcp"])
     assert 5.0 <= nv_x <= 11.0
@@ -113,7 +117,7 @@ def test_criterion_4_crossover_distances():
 
 def test_criterion_5_curve_orderings():
     distances = np.arange(0.0, 60.0 + 1e-9, 0.2)
-    curves = sweep_variants(default_variants(), distances, TABLE_LINK)
+    curves = sweep_variants(ROSTER, RIVALS, distances, TABLE_LINK)
     assert np.all(curves["decoy"] >= curves["wcp"] - 1e-9)
     alive95 = curves["ideal95"] > 0.0
     assert np.all(curves["ideal95"][alive95] > curves["decoy"][alive95])

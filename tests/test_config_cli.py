@@ -1,6 +1,7 @@
 """Config parsing, hash binding, and the four CLI subcommands."""
 
 import hashlib
+import inspect
 import os
 import resource
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spsqkd import cli
+from spsqkd import cli, hbt, pipeline, rates
 from spsqkd.config import coerce_value, config_hash, load_config_file, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +138,14 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
         (["rates", "--dmax", "2", "--out", "/dev/null/x"], "/dev/null/x.rates.csv"),
         (["cascade", "--n-bits", "1000", "--out", "/dev/null/x"], "/dev/null/x.cascade.txt"),
         (["g2", "--pulses", "10000", "--out", "/dev/null/x"], "/dev/null/x.hist.csv"),
+        # reconciliation settings are refused even when the run would not reach them
+        (["session", "--pulses", "10", "--n-passes", "1"], "n_passes"),
+        (["session", "--pulses", "10", "--verify-bits", "-1"], "verify_bits"),
+        (["session", "--pulses", "10", "--safety-margin", "-1"], "safety_margin"),
+        (["session", "--distance-km", "1000", "--safety-margin", "-5"], "safety_margin"),
+        # a preset that is also a rival would be one curve under two roles
+        (["rates", "--preset", "wcp", "--wcp", "--dmax", "2"], "'wcp'"),
+        (["rates", "--preset", "decoy", "--decoy", "--dmax", "2"], "'decoy'"),
     ],
 )
 def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
@@ -144,6 +153,49 @@ def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypat
     assert cli.main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err
+
+
+@pytest.mark.parametrize(
+    "argv, compute, first",
+    [
+        (["session", "--pulses", "1000"], "run_experiment_detailed", "summary.txt"),
+        (["rates", "--dmax", "2"], "sweep_variants", "rates.csv"),
+        (["cascade", "--n-bits", "1000"], "cascade", "cascade.txt"),
+        (["g2", "--pulses", "10000"], "simulate_hbt", "hist.csv"),
+    ],
+)
+def test_unwritable_out_is_refused_before_the_run(argv, compute, first, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before --out was checked")
+
+    monkeypatch.setattr(cli, compute, must_not_run)
+    assert cli.main(argv + ["--out", "/dev/null/x", "--quiet"]) == 2
+    assert f"/dev/null/x.{first}" in capsys.readouterr().err
+
+
+# (command, dest) -> (library function, parameter) each literal default feeds
+_LIBRARY_DEFAULTS = {
+    ("session", "disclose_fraction"): (pipeline.run_experiment_detailed, "disclose_fraction"),
+    ("session", "double_click_policy"): (pipeline.run_experiment_detailed,
+                                         "double_click_policy"),
+    ("session", "safety_margin"): (pipeline.run_experiment_detailed, "safety_margin"),
+    ("rates", "rep_rate"): (rates.sweep_variants, "rep_rate_hz"),
+    ("rates", "f_ec"): (rates.sweep_variants, "f_ec"),
+    ("rates", "flat_error"): (rates.sweep_variants, "flat_error"),
+    ("g2", "splitter_ratio"): (hbt.simulate_hbt, "splitter_ratio"),
+    ("g2", "detection_eff"): (hbt.simulate_hbt, "detection_eff"),
+    ("g2", "bin_width_ns"): (hbt.correlation_histogram, "bin_width_ns"),
+    ("g2", "window_periods"): (hbt.correlation_histogram, "window_periods"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, dest", _LIBRARY_DEFAULTS, ids=[f"{c}-{d}" for c, d in _LIBRARY_DEFAULTS]
+)
+def test_literal_defaults_match_the_library(command, dest):
+    function, parameter = _LIBRARY_DEFAULTS[command, dest]
+    expected = inspect.signature(function).parameters[parameter].default
+    assert cli._SCHEMAS[command][dest].default == expected
 
 
 # every numeric flag alone on a small run, the run sizes included
@@ -382,6 +434,17 @@ def test_rates_csv_and_crossover_metadata(tmp_path, monkeypatch):
     assert len(lines) - header_at - 1 == 5  # 0, 0.5, 1.0, 1.5, 2.0
 
 
+@pytest.mark.parametrize("preset, rival", [("wcp", "decoy"), ("decoy", "wcp")])
+def test_rates_laser_preset_is_crossed_with_the_other_rival_only(
+    preset, rival, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["rates", "--preset", preset, f"--{rival}", "--dmax", "2", "--quiet"]) == 0
+    lines = (tmp_path / "rates.rates.csv").read_text().splitlines()
+    crossovers = [l.partition("=")[0] for l in lines if l.startswith("# crossover_")]
+    assert crossovers == [f"# crossover_{preset}_{rival}_km"]
+
+
 def test_rates_step_must_be_positive(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["rates", "--preset", "nv", "--step", "-1"]) == 2
@@ -450,8 +513,12 @@ def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["--preset", "siv", "--wcp", "--decoy", "--flat-error",
           "--dmax", "200", "--step", "0.01"],
          "c36e53141751201baf186ee82dbc4530e0b7ba61f8ce7fe083f928e3e49d904f"),
+        # the preset is also one of the ideal flags, and is swept once
+        (["--preset", "ideal95", "--ideal10", "--ideal95", "--wcp",
+          "--dmax", "20", "--step", "0.1"],
+         "e119ba380cbf49c4cd1cad9f2e6420fd594b53255716e8d8cff696af4846e5c7"),
     ],
-    ids=["nv-all-60km", "siv-flat-200km"],
+    ids=["nv-all-60km", "siv-flat-200km", "ideal95-twice-20km"],
 )
 def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     # digests of the CSVs written by the per-distance scalar sweep the array

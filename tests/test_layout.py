@@ -1,4 +1,5 @@
-"""The package carries no public API that only the tests use, and one output format.
+"""The package carries no public API that only the tests use, one output format,
+and no import inside a function.
 
 Every public function, method and property defined in ``src/spsqkd`` must
 be referenced by the package itself, the scripts or the benchmark harness,
@@ -118,3 +119,20 @@ def test_only_config_lays_out_output_headers():
     }
     assert sites.keys() <= {"config.py"}, f"header lines built outside config: {sites}"
     assert "config.py" in sites
+
+
+def test_no_imports_inside_functions():
+    # every module imports at its top, so the package's import graph is the
+    # one its module headers show
+    package = ROOT / "src" / "spsqkd"
+    sites = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites |= {
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert not sites, f"imports inside functions: {sorted(sites)}"

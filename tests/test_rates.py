@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from spsqkd.channel import LinkSpec, error_rate_model
 from spsqkd.config import format_csv
 from spsqkd.rates import (
+    RIVALS,
     RateInputs,
-    RateVariant,
     binary_entropy,
     critical_efficiency,
     crossover_distance,
     decoy_optimal_rate,
-    default_variants,
     gllp_rate,
     sweep_variants,
     wcp_rate,
@@ -152,9 +151,9 @@ def test_decoy_outlives_wcp():
 
 def test_sweep_flat_vs_shifted_error():
     dist = np.array([0.0])
-    variants = (RateVariant("nv", "fixed", get_preset("nv")),)
-    flat = sweep_variants(variants, dist, LinkSpec(), flat_error=True)
-    shifted = sweep_variants(variants, dist, LinkSpec())
+    sources = {"nv": get_preset("nv")}
+    flat = sweep_variants(sources, (), dist, LinkSpec(), flat_error=True)
+    shifted = sweep_variants(sources, (), dist, LinkSpec())
     assert flat["nv"][0] == pytest.approx(2543.9, abs=0.5)
     assert shifted["nv"][0] == pytest.approx(2481.5, abs=1.0)
 
@@ -228,10 +227,8 @@ def test_rate_kernels_match_scalar_oracle(distances, attenuation, setup, dark, m
     link = LinkSpec(attenuation_db_per_km=attenuation, setup_efficiency=setup,
                     dark_count_prob=dark, misalignment=mis)
     source = get_preset(preset)
-    variants = (RateVariant(preset, "fixed", source), RateVariant("wcp", "wcp"),
-                RateVariant("decoy", "decoy"))
-    curves = sweep_variants(variants, np.array(distances), link, rep_rate_hz=rep,
-                            f_ec=f_ec, flat_error=flat_error)
+    curves = sweep_variants({preset: source}, RIVALS, np.array(distances), link,
+                            rep_rate_hz=rep, f_ec=f_ec, flat_error=flat_error)
     # the bracket cancels near each cutoff, so the tolerance scales with
     # the largest possible rate, q * rep, not with the value
     tol = 1e-9 * 0.5 * rep
@@ -277,15 +274,26 @@ def test_rate_inputs_validation():
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RateInputs(**{"mu": 0.1, "multiphoton": 0.0, "link": LinkSpec(),
                           name: float("nan")})
-    with pytest.raises(ValueError, match="mode"):
-        RateVariant("x", "laser")
-    with pytest.raises(ValueError, match="source"):
-        RateVariant("x", "fixed")
 
 
-def test_default_variants_roster():
-    names = [v.name for v in default_variants()]
-    assert names == ["nv", "siv", "ideal10", "ideal95", "wcp", "decoy"]
+def test_sweep_orders_sources_then_rivals_as_asked():
+    sources = {"siv": get_preset("siv"), "nv": get_preset("nv")}
+    curves = sweep_variants(sources, ("decoy", "wcp"), np.array([0.0]), LinkSpec())
+    assert list(curves) == ["siv", "nv", "decoy", "wcp"]
+
+
+@pytest.mark.parametrize(
+    "sources, rivals, match",
+    [
+        ({}, ("laser",), "unknown rival 'laser'"),
+        ({}, ("wcp", "wcp"), "rival 'wcp' asked for twice"),
+        ({"wcp": get_preset("wcp")}, ("wcp",), "'wcp' is both a source and a rival"),
+        ({"decoy": get_preset("decoy")}, ("decoy",), "'decoy' is both"),
+    ],
+)
+def test_sweep_refuses_bad_rivals(sources, rivals, match):
+    with pytest.raises(ValueError, match=match):
+        sweep_variants(sources, rivals, np.array([0.0]), LinkSpec())
 
 
 def test_format_rate_csv_golden():

@@ -297,7 +297,33 @@ def test_privacy_amplify_validation():
         privacy_amplify(key, 0, 0.0, 0.5)
     with pytest.raises(ValueError, match="below 1"):
         privacy_amplify(key, 0, 0.94, 0.45)
+    # phase error 0.4 / 0.5 = 0.8: h2 is falling again, so this must not pay out
+    with pytest.raises(ValueError, match="below 1/2"):
+        privacy_amplify(np.zeros(10000, dtype=np.uint8), 0, 0.5, 0.4)
     with pytest.raises(ValueError, match="at least 1"):
         privacy_amplify(np.zeros(0, dtype=np.uint8), 0, 0.0, 0.03)
     with pytest.raises(ValueError, match="leaked"):
         privacy_amplify(key, -1, 0.0, 0.03)
+
+
+def _key_length(n, delta, qber, leaked):
+    """Secret bits from an n-bit key, or None where the phase error is refused."""
+    try:
+        return len(privacy_amplify(np.zeros(n, dtype=np.uint8), leaked, delta, qber))
+    except ValueError:
+        return None
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4000),
+    delta=st.floats(min_value=0.0, max_value=0.9),
+    qbers=st.lists(st.floats(min_value=0.0, max_value=0.499), min_size=2, max_size=2),
+    leaked=st.integers(min_value=0, max_value=500),
+)
+@example(n=10000, delta=0.5, qbers=[0.26, 0.4], leaked=0)
+@settings(max_examples=80, deadline=None)
+def test_privacy_amplify_key_length_never_grows_with_qber(n, delta, qbers, leaked):
+    lo, hi = sorted(qbers)
+    short = _key_length(n, delta, hi, leaked)
+    if short is not None:
+        assert _key_length(n, delta, lo, leaked) >= short
