@@ -305,6 +305,7 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         raise ValueError("provide both --alice-file and --bob-file, or neither")
     if settings["alice_file"]:
         alice = _load_key_file(settings["alice_file"])
+        check_events("alice_file", alice.size, alice.size, "key bits")
         bob = _load_key_file(settings["bob_file"])
         qber_true = float("nan")
     else:

@@ -192,6 +192,30 @@ def _bisect(lo: int, hi: int, parity_differs) -> tuple[int, int]:
     return lo, queries
 
 
+def _bisect_all(
+    lo: np.ndarray, hi: np.ndarray, diff_prefix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # _bisect over many ranges at once, one level per step; diff_prefix[i]
+    # is the parity of the first i bit differences, and each inclusive
+    # range [lo, hi] holds an odd number of them.  Returns every query
+    # (lo, mid) in (range, level) order and the bit each range ends on
+    levels = int((hi - lo).max()).bit_length() if lo.size else 0
+    q_lo = np.empty((lo.size, levels), dtype=np.int64)
+    q_mid = np.empty_like(q_lo)
+    asked = np.empty(q_lo.shape, dtype=bool)
+    for level in range(levels):
+        active = lo < hi
+        mid = (lo + hi) // 2
+        q_lo[:, level] = lo
+        q_mid[:, level] = mid
+        asked[:, level] = active
+        # a converged range stays put: its one bit differs, so goes left
+        left = diff_prefix[mid + 1] != diff_prefix[lo]
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid + 1)
+    return q_lo[asked], q_mid[asked], lo
+
+
 def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutcome:
     """Run CASCADE, returning Bob's corrected key and the exact leakage.
 
@@ -199,11 +223,18 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     seeded shuffle with doubled block size.  Every odd-parity block is
     bisected to a correction, and each correction re-exposes the earlier
     blocks containing that position, which are queued and fixed until no
-    known parity mismatch remains.  A confirmation stage then compares
-    random-subset parities one at a time; a mismatch is bisected to its
-    bit (doubled blocks can hide an even number of errors from every
-    pass, so this is what makes small hard patterns correctable), and
-    ``verify_bits`` consecutive agreements end the protocol.
+    known parity mismatch remains.  A pass-1 correction toggles only its
+    own block, so no backtracking runs between two pass-1 bisections: the
+    odd pass-1 blocks are all bisected at once, level by level with numpy,
+    and their queries are written in the order a block-by-block bisection
+    asks them.  A confirmation stage then compares random-subset parities
+    one at a time; a mismatch is bisected to its bit (doubled blocks can
+    hide an even number of errors from every pass, so this is what makes
+    small hard patterns correctable), and ``verify_bits`` consecutive
+    agreements end the protocol.
+
+    The shuffles are held as int32 indices, so keys may hold at most
+    2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
     """
     alice = _as_bits(alice_key, "alice_key")
     bob = _as_bits(bob_key, "bob_key").copy()
@@ -220,14 +251,16 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     inv_perms: list[np.ndarray] = []
     alice_prefix: list[bytes] = []
     block_size: list[int] = []
+    natural = np.arange(n, dtype=np.int32)
     for p in range(cfg.n_passes):
         if p == 0:
-            perm = np.arange(n)
+            perm = inv = natural
         else:
+            # shuffling an int32 arange gives the same order, but slower
             rng = np.random.default_rng(np.random.SeedSequence([cfg.shuffle_seed, p]))
-            perm = rng.permutation(n)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
+            perm = rng.permutation(n).astype(np.int32)
+            inv = np.empty(n, dtype=np.int32)
+            inv[perm] = natural
         perms.append(perm)
         inv_perms.append(inv)
         alice_prefix.append(_prefix_parities(alice[perm]))
@@ -295,9 +328,20 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         ends = np.minimum(starts + block_size[p], n)
         a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
         a_par = a_prefix[ends] ^ a_prefix[starts]
-        b_par = np.bitwise_xor.reduceat(bob[perms[p]], starts)
         transcript += _query_frames(p, starts, ends - 1, a_par)
         parity_replies += starts.size
+        if p == 0:
+            # pass 1 runs in natural order, so one prefix of the differences
+            # answers every half Bob compares, in every block
+            diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
+            odd = diff[ends] != diff[starts]
+            q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
+            transcript += _query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo])
+            parity_replies += q_lo.size
+            bob[final] ^= 1
+            corrections += final.size
+            continue
+        b_par = np.bitwise_xor.reduceat(bob[perms[p]], starts)
         # ascending, so already a heap
         heap.extend((p, block_id) for block_id in np.flatnonzero(a_par != b_par).tolist())
         pending.update(heap)
@@ -362,11 +406,13 @@ def privacy_amplify(
     and a noisier key would be paid out longer.
 
     The matrix-vector product is an integer convolution, computed with a
-    real FFT at the first power-of-two length of at least 2n + m - 2 in
-    O((n + m) log(n + m)).  Every exact sum is an integer of at most n, so
-    rounding recovers it bit for bit while the float error stays below
-    1/2; the hash raises ``ArithmeticError`` if the largest rounding error
-    reaches 0.25 instead of returning bits it cannot vouch for.
+    real FFT at the first power-of-two length of at least n + m - 1 in
+    O((n + m) log(n + m)): the circular wrap folds the lags past that
+    length onto lags below n - 1, which the hash does not read.  Every
+    exact sum is an integer of at most n, so rounding recovers it bit for
+    bit while the float error stays below 1/2; the hash raises
+    ``ArithmeticError`` if the largest rounding error reaches 0.25 instead
+    of returning bits it cannot vouch for.
     """
     bits = _as_bits(key, "key")
     n = bits.size
@@ -394,7 +440,7 @@ def privacy_amplify(
     diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64)
     # Toeplitz matrix T[i, j] = diagonals[i - j + n - 1]; row i of T @ key is
     # the full convolution at lag i + n - 1
-    size = 1 << (2 * n + m - 3).bit_length()
+    size = 1 << (n + m - 2).bit_length()
     spectrum = np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size)
     sums = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
     rounded = np.rint(sums)

@@ -308,6 +308,26 @@ def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
     assert int(fields["n_tags"]) > 16_000_000
 
 
+def test_cascade_runs_in_bounded_memory(tmp_path):
+    # a cascade over 2^22 bits holds a shuffle and its inverse for each of
+    # its 4 passes.  With int32 indices it runs in 332 MiB of address space,
+    # with int64 indices in 473 MiB
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spsqkd.cli", "cascade", "--n-bits", "4194304", "--qber", "0.03",
+         "--out", str(tmp_path / "big"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fields = _read_fields(tmp_path / "big.cascade.txt")
+    assert fields["verified"] == "True"
+
+
 def test_long_entropy_file_session_runs_in_bounded_memory(tmp_path):
     # the 113 MB file stays packed: unpacking it to a byte per bit, plus a
     # mask of the same size, would not fit under the 1 GiB address space
@@ -492,12 +512,23 @@ def test_cascade_seeded_run_corrects_everything(tmp_path, monkeypatch):
          "ee30c49641ea0d91a2ea23c711b8d4ae06f15657f6c29c02e444fdf54a055d0e"),
         (["--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
          "7ceeaf02c66520deb85a8aad5f9ae0659213a029280fe6d86d23cf5bf896b0ed"),
+        # 2-bit pass-1 blocks
+        (["--n-bits", "1000", "--qber", "0.3", "--est-qber", "0.49", "--seed", "4"],
+         "b552f5b15561ca7d6ae2262eba190aa8e97677910b3079f1e642ad6243b75772"),
+        # no odd pass-1 block, so no bisection runs in pass 1
+        (["--n-bits", "4096", "--qber", "0", "--seed", "11"],
+         "d7742a2b39d4d706b495fa8451297ac8b74e34d2c6a4deaf2850686bef023f14"),
+        (["--n-bits", "20000", "--qber", "0.05", "--n-passes", "2", "--verify-bits", "0",
+          "--seed", "6"],
+         "bbcc244b5d3a155396f0fe252b2e77ae9764200f7f9ba01a1d6ed374189fed3f"),
     ],
-    ids=["n100000-qber0.1", "n10000-qber0.03"],
+    ids=["n100000-qber0.1", "n10000-qber0.03", "n1000-block2", "n4096-qber0",
+         "n20000-2passes-unverified"],
 )
 def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
-    # digests of transcripts written by the one-frame-at-a-time CASCADE this
-    # implementation replaced: every query, reply and its order must survive
+    # digests of transcripts written by earlier implementations (one frame
+    # at a time, then one pass-1 bisection per block): every query, reply
+    # and its order must survive
     monkeypatch.chdir(tmp_path)
     assert cli.main(["cascade", *argv, "--quiet"]) == 0
     data = (tmp_path / "cascade.transcript.bin").read_bytes()
@@ -602,6 +633,28 @@ def test_cascade_key_files_round_trip(tmp_path, monkeypatch):
     assert fields["residual_error_rate"] == "0"
 
 
+def test_cascade_key_files_transcript_is_pinned(tmp_path, monkeypatch):
+    # 10,001 bits in blocks of 25: the last pass-1 block is one bit, and
+    # it holds an error
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(8)
+    alice = rng.integers(0, 2, 10_001)
+    bob = alice ^ (rng.random(alice.size) < 0.03)
+    bob[-1] = 1 - alice[-1]
+    (tmp_path / "a.key").write_text("".join(map(str, alice)))
+    (tmp_path / "b.key").write_text("".join(map(str, bob)))
+    assert cli.main(
+        ["cascade", "--alice-file", str(tmp_path / "a.key"),
+         "--bob-file", str(tmp_path / "b.key"), "--est-qber", "0.03", "--quiet"]
+    ) == 0
+    fields = _read_fields(tmp_path / "cascade.cascade.txt")
+    assert fields["corrections_made"] == str(int((alice != bob).sum()))
+    data = (tmp_path / "cascade.transcript.bin").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "39fcdac7f1edca89e36942f58313d39d671fe850bc1c1cdd1762da6ed23fc59f"
+    )
+
+
 def test_cascade_mismatched_key_files_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.key").write_text("0" * 64)
@@ -611,6 +664,18 @@ def test_cascade_mismatched_key_files_exit_2(tmp_path, monkeypatch, capsys):
          "--bob-file", str(tmp_path / "b.key")]
     ) == 2
     assert "equal length" in capsys.readouterr().err
+
+
+def test_cascade_key_files_over_the_events_cap_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.key", "b.key"):
+        (tmp_path / name).write_text("0" * ((1 << 24) + 1))
+    assert cli.main(
+        ["cascade", "--alice-file", str(tmp_path / "a.key"),
+         "--bob-file", str(tmp_path / "b.key")]
+    ) == 2
+    assert "alice_file" in capsys.readouterr().err
+    assert not (tmp_path / "cascade.transcript.bin").exists()
 
 
 # ---------------------------------------------------------------- g2

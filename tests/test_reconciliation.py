@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spsqkd import reconciliation
+from spsqkd.pipeline import EST_QBER_FLOOR
 from spsqkd.rates import binary_entropy
 from spsqkd.reconciliation import (
     MSG_PARITY_REPLY,
@@ -76,6 +78,69 @@ def test_binary_bisect_power_of_two_discloses_log2():
         bob = alice.copy()
         bob[n - 1] ^= 1
         assert _bisect_blocks(alice, bob) == (n - 1, exp)
+
+
+def _replay_pass1(alice, bob, block):
+    # pass 1 one block at a time: every block parity, then each odd block
+    # bisected through _bisect in ascending order.  A pass-1 flip toggles
+    # only its own block, so the replay need not apply its flips
+    a = np.concatenate(([0], np.bitwise_xor.accumulate(alice)))
+    d = np.concatenate(([0], np.bitwise_xor.accumulate(alice ^ bob)))
+    ranges = [(lo, min(lo + block, alice.size) - 1) for lo in range(0, alice.size, block)]
+    frames = [(lo, hi, int(a[hi + 1] ^ a[lo])) for lo, hi in ranges]
+
+    def differs(lo, mid):
+        frames.append((lo, mid, int(a[mid + 1] ^ a[lo])))
+        return d[mid + 1] != d[lo]
+
+    fixed = [_bisect(lo, hi, differs)[0] for lo, hi in ranges if d[hi + 1] != d[lo]]
+    return frames, fixed
+
+
+def _pass1_frames(transcript):
+    # (lo, hi, parity) of the leading run of pass-byte-0 queries
+    frames = []
+    for msg_type, payload in iter_transcript(transcript):
+        if msg_type == MSG_PARITY_REQUEST:
+            pass_byte, lo, hi = struct.unpack("<BII", payload)
+            if pass_byte != 0:
+                break
+        elif msg_type == MSG_PARITY_REPLY:
+            frames.append((lo, hi, payload[0]))
+    return frames
+
+
+@given(
+    n=st.integers(min_value=8, max_value=5000),
+    qber=st.floats(min_value=0.0, max_value=0.3),
+    est=st.sampled_from([None, 0.02, 0.1, 0.49]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5001, qber=0.3, est=0.1, seed=3)
+@example(n=4096, qber=0.0, est=None, seed=0)
+@settings(max_examples=100, deadline=None)
+def test_pass1_matches_a_block_by_block_replay(n, qber, est, seed):
+    # the examples: blocks of 8 whose last block is one bit holding an
+    # error, and a key with no odd block
+    alice, bob = _keys_with_errors(n, qber, seed)
+    cfg = ReconciliationConfig(
+        est_qber=max(qber, EST_QBER_FLOOR) if est is None else est, shuffle_seed=seed
+    )
+    calls = []
+
+    def spy(*args):
+        result = bisect_all(*args)
+        calls.append(result[2].tolist())
+        return result
+
+    bisect_all = reconciliation._bisect_all
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconciliation, "_bisect_all", spy)
+        out = cascade(alice, bob, cfg)
+    frames, fixed = _replay_pass1(alice, bob, cfg.initial_block)
+    assert _pass1_frames(out.transcript) == frames
+    assert calls == [fixed]
+    assert np.array_equal(out.corrected_bob_key[fixed], alice[fixed])
 
 
 def test_identical_keys_leak_top_level_parities_only():
@@ -275,10 +340,14 @@ def test_privacy_amplify_avalanche():
 @example(n=1, m=1, seed=0)
 @example(n=2000, m=1, seed=1)
 @example(n=2000, m=2000, seed=2)
+@example(n=1000, m=25, seed=3)
+@example(n=1000, m=26, seed=4)
 @settings(max_examples=150, deadline=None)
 def test_privacy_amplify_matches_direct_convolution(n, m, seed):
     # with delta = qber = margin = 0 the output length is n - leaked_bits,
-    # so every m from 1 to n is reachable; np.convolve is the O(n m) oracle
+    # so every m from 1 to n is reachable; np.convolve is the O(n m) oracle.
+    # The FFT length is the first power of two of at least n + m - 1: the
+    # examples put n + m - 1 at exactly 1024 and one past it
     m = min(m, n)
     key = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
     sk = privacy_amplify(key, n - m, 0.0, 0.0, safety_margin=0, hash_seed=seed)
