@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -64,6 +65,8 @@ _RECON = {
     dest: Setting(f"recon.{dest}", int, getattr(ReconciliationConfig, dest))
     for dest in ("n_passes", "verify_bits")
 }
+# the session's own defaults, read where the library declares them
+_SESSION = inspect.signature(run_experiment_detailed).parameters
 
 # command -> dest -> setting; each dest is also the flag `--dest-with-dashes`
 _SCHEMAS = {
@@ -72,10 +75,16 @@ _SCHEMAS = {
         "pulses": Setting("session.pulses", int, 1_000_000),
         "distance_km": Setting("link.distance_km", float, LinkSpec.distance_km),
         **_LINK,
-        "disclose_fraction": Setting("session.disclose_fraction", float, 0.0),
-        "double_click_policy": Setting("session.double_click_policy", str, "random"),
+        "disclose_fraction": Setting(
+            "session.disclose_fraction", float, _SESSION["disclose_fraction"].default
+        ),
+        "double_click_policy": Setting(
+            "session.double_click_policy", str, _SESSION["double_click_policy"].default
+        ),
         **_RECON,
-        "safety_margin": Setting("recon.safety_margin", int, 30),
+        "safety_margin": Setting(
+            "recon.safety_margin", int, _SESSION["safety_margin"].default
+        ),
         "entropy_file": Setting(
             "session.entropy_file", str, "", "raw bytes supplying protocol bits"
         ),
@@ -303,6 +312,16 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         raise ValueError(f"qber must be finite and in [0, 0.5), got {qber}")
     if bool(settings["alice_file"]) != bool(settings["bob_file"]):
         raise ValueError("provide both --alice-file and --bob-file, or neither")
+    # the reconciliation settings are refused before any key is drawn
+    est = settings["est_qber"]
+    if est is None:
+        est = max(qber, EST_QBER_FLOOR)
+    cfg = ReconciliationConfig(
+        est_qber=est,
+        n_passes=settings["n_passes"],
+        shuffle_seed=derive_seed(settings["seed"], 2),
+        verify_bits=settings["verify_bits"],
+    )
     if settings["alice_file"]:
         alice = _load_key_file(settings["alice_file"])
         check_events("alice_file", alice.size, alice.size, "key bits")
@@ -319,15 +338,6 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         bob = alice ^ flips
         qber_true = float(flips.mean())
 
-    est = settings["est_qber"]
-    if est is None:
-        est = max(qber, EST_QBER_FLOOR)
-    cfg = ReconciliationConfig(
-        est_qber=est,
-        n_passes=settings["n_passes"],
-        shuffle_seed=derive_seed(settings["seed"], 2),
-        verify_bits=settings["verify_bits"],
-    )
     outcome = cascade(alice, bob, cfg)
     residual = float(np.mean(alice != outcome.corrected_bob_key))
     n = alice.size

@@ -9,6 +9,7 @@ computes: the command line writes the summary out, one line per field.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -54,16 +55,21 @@ class ExperimentSummary:
     aborted: bool
 
 
+# the session and hashing defaults are the library's own, declared once
+_SESSION = inspect.signature(run_session).parameters
+_HASH = inspect.signature(privacy_amplify).parameters
+
+
 def run_experiment_detailed(
     source: SourceSpec,
     link: LinkSpec,
     n_pulses: int,
     master_seed: int,
-    disclose_fraction: float = 0.0,
-    double_click_policy: str = "random",
+    disclose_fraction: float = _SESSION["disclose_fraction"].default,
+    double_click_policy: str = _SESSION["double_click_policy"].default,
     n_passes: int = ReconciliationConfig.n_passes,
     verify_bits: int = ReconciliationConfig.verify_bits,
-    safety_margin: int = 30,
+    safety_margin: int = _HASH["safety_margin"].default,
     protocol_bits: np.ndarray | None = None,
 ) -> tuple[ExperimentSummary, SessionResult]:
     """One full run from pulses to secured key length, and the raw session.

@@ -13,6 +13,13 @@ summary (u64 subset seed, u16 round count, packed parity bits).  The
 confirmation stage reuses 0x01 with two reserved pass bytes: 0xFE asks
 for the parity of round ``lo``'s random subset, 0xFF bisects inside the
 current round's subset (lo/hi index its positions in ascending order).
+
+The subsets follow from the 0x04 seed alone, so a transcript can be
+checked on its own: each round of an n-bit key draws ceil(n / 64) raw
+64-bit words from PCG64(SeedSequence([seed, 0x5EC])), and key position i
+is in the round's subset iff bit 7 - i % 8 of byte i // 8 of the words'
+little-endian bytes is set (``np.unpackbits`` order).  The bits past n
+select nothing.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ _VERIFY_STREAM = 0x5EC
 _ROUND_TAG = 0xFE
 _REPAIR_TAG = 0xFF
 
-# hard ceiling on confirmation rounds; the u16 round count in the 0x04
-# frame caps it anyway, and a run that needs this many rounds is hopeless
+# hard ceiling on confirmation rounds, set by the u16 round count in the
+# 0x04 frame; a run that needs this many rounds is hopeless, and a longer
+# agreement streak could never be met, so verify_bits is capped by it
 _ROUND_BUDGET = 0xFFFF
 
 # the pass number is the u8 pass byte of a request, below the reserved tags
@@ -100,8 +108,10 @@ class ReconciliationConfig:
             )
         if self.shuffle_seed < 0:
             raise ValueError("shuffle_seed must be non-negative")
-        if self.verify_bits < 0:
-            raise ValueError("verify_bits must be non-negative")
+        if not 0 <= self.verify_bits <= _ROUND_BUDGET:
+            raise ValueError(
+                f"verify_bits must be in [0, {_ROUND_BUDGET}], got {self.verify_bits}"
+            )
 
     @property
     def initial_block(self) -> int:
@@ -178,6 +188,25 @@ def _prefix_parities(bits: np.ndarray) -> bytes:
     return prefix.tobytes()
 
 
+def _key_words(bits: np.ndarray) -> np.ndarray:
+    # key bit i at bit 7 - i % 8 of little-endian byte i // 8, zero padded
+    # to whole 64-bit words, so the pad bits join no subset parity
+    packed = np.zeros(-(-bits.size // 64) * 8, dtype=np.uint8)
+    packed[: -(-bits.size // 8)] = np.packbits(bits)
+    return packed.view("<u8")
+
+
+def _parity(key_words: np.ndarray, subset_words: np.ndarray) -> int:
+    return int(np.bitwise_count(np.bitwise_xor.reduce(key_words & subset_words))) & 1
+
+
+def _subset_positions(subset_words: np.ndarray, n: int) -> np.ndarray:
+    # the key positions a round's words select, ascending; the inverse of
+    # the _key_words layout
+    little = subset_words.astype("<u8", copy=False).view(np.uint8)
+    return np.flatnonzero(np.unpackbits(little, count=n))
+
+
 def _bisect(lo: int, hi: int, parity_differs) -> tuple[int, int]:
     # halving search over an odd-parity-difference range, inclusive bounds;
     # parity_differs(lo, mid) compares the two parties' [lo, mid] parities
@@ -228,10 +257,12 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     odd pass-1 blocks are all bisected at once, level by level with numpy,
     and their queries are written in the order a block-by-block bisection
     asks them.  A confirmation stage then compares random-subset parities
-    one at a time; a mismatch is bisected to its bit (doubled blocks can
-    hide an even number of errors from every pass, so this is what makes
-    small hard patterns correctable), and ``verify_bits`` consecutive
-    agreements end the protocol.
+    one at a time, each read from the keys packed into 64-bit words and a
+    round's random words, one random bit per key bit; a mismatch is
+    bisected to its bit (doubled blocks can hide an even number of errors
+    from every pass, so this is what makes small hard patterns
+    correctable), and ``verify_bits`` consecutive agreements end the
+    protocol.
 
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
@@ -349,33 +380,33 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     verified = True
     if cfg.verify_bits > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.shuffle_seed, _VERIFY_STREAM])
-        )
+        bitgen = np.random.PCG64(np.random.SeedSequence([cfg.shuffle_seed, _VERIFY_STREAM]))
+        alice_words, bob_words = _key_words(alice), _key_words(bob)
         round_parities: list[int] = []
         agree_streak = 0
         while agree_streak < cfg.verify_bits:
             if len(round_parities) >= _ROUND_BUDGET:
                 verified = False
                 break
-            subset = rng.random(n) < 0.5
-            a_par = np.count_nonzero(alice & subset) & 1
+            words = bitgen.random_raw(alice_words.size)
+            a_par = _parity(alice_words, words)
             transcript += _QUERY.pack(
                 9, MSG_PARITY_REQUEST, _ROUND_TAG, len(round_parities), 0,
                 1, MSG_PARITY_REPLY, a_par,
             )
             parity_replies += 1
             round_parities.append(a_par)
-            if a_par == np.count_nonzero(bob & subset) & 1:
+            if a_par == _parity(bob_words, words):
                 agree_streak += 1
                 continue
             agree_streak = 0
             # the subset hides an odd number of differences; bisect it in
             # ascending-position order, then backtrack the pass blocks
-            positions = np.flatnonzero(subset)
+            positions = _subset_positions(words, n)
             g = locate(_REPAIR_TAG, positions, _prefix_parities(alice[positions]), 0)
             flip(g, cfg.n_passes)
             drain(cfg.n_passes)
+            bob_words = _key_words(bob)
         payload = struct.pack("<QH", cfg.shuffle_seed, len(round_parities))
         payload += np.packbits(np.asarray(round_parities, dtype=np.uint8)).tobytes()
         transcript.extend(_frame(MSG_VERIFY, payload))

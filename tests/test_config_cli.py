@@ -173,6 +173,30 @@ def test_unwritable_out_is_refused_before_the_run(argv, compute, first, monkeypa
     assert f"/dev/null/x.{first}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, module, compute",
+    [
+        (["session", "--pulses", "1000"], pipeline, "run_session"),
+        (["cascade", "--n-bits", "1000"], cli, "cascade"),
+    ],
+    ids=["session", "cascade"],
+)
+def test_verify_bits_past_the_round_budget_exit_2_before_the_run(
+    argv, module, compute, tmp_path, monkeypatch, capsys
+):
+    # the 0x04 frame counts rounds in a u16, so a streak of 65536 agreeing
+    # rounds can never be reached; the setting is refused, not run to failure
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{compute} ran with an unreachable verify_bits")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, compute, must_not_run)
+    assert cli.main(argv + ["--verify-bits", "65536", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "verify_bits" in err
+    assert not list(tmp_path.iterdir())
+
+
 # (command, dest) -> (library function, parameter) each literal default feeds
 _LIBRARY_DEFAULTS = {
     ("session", "disclose_fraction"): (pipeline.run_experiment_detailed, "disclose_fraction"),
@@ -509,15 +533,15 @@ def test_cascade_seeded_run_corrects_everything(tmp_path, monkeypatch):
     "argv, digest",
     [
         (["--n-bits", "100000", "--qber", "0.1", "--seed", "2"],
-         "ee30c49641ea0d91a2ea23c711b8d4ae06f15657f6c29c02e444fdf54a055d0e"),
+         "58626e84506182e30a1bdb1f79cfb3a9e9c3ae1326641cf95c625a34db717ba7"),
         (["--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
-         "7ceeaf02c66520deb85a8aad5f9ae0659213a029280fe6d86d23cf5bf896b0ed"),
+         "c7a90b84f2946f0d20982da5045fd69d84904c9c630e7d65843541f6e8ae22ef"),
         # 2-bit pass-1 blocks
         (["--n-bits", "1000", "--qber", "0.3", "--est-qber", "0.49", "--seed", "4"],
-         "b552f5b15561ca7d6ae2262eba190aa8e97677910b3079f1e642ad6243b75772"),
+         "75877bb802251e34cf15617dd88b8c4949fe13765dc7c02114a42e055a223271"),
         # no odd pass-1 block, so no bisection runs in pass 1
         (["--n-bits", "4096", "--qber", "0", "--seed", "11"],
-         "d7742a2b39d4d706b495fa8451297ac8b74e34d2c6a4deaf2850686bef023f14"),
+         "fb37da7f6ea3a2c989701193bd56a835d28adfdfcbb5fba45838565b7dace97f"),
         (["--n-bits", "20000", "--qber", "0.05", "--n-passes", "2", "--verify-bits", "0",
           "--seed", "6"],
          "bbcc244b5d3a155396f0fe252b2e77ae9764200f7f9ba01a1d6ed374189fed3f"),
@@ -651,7 +675,7 @@ def test_cascade_key_files_transcript_is_pinned(tmp_path, monkeypatch):
     assert fields["corrections_made"] == str(int((alice != bob).sum()))
     data = (tmp_path / "cascade.transcript.bin").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
-        "39fcdac7f1edca89e36942f58313d39d671fe850bc1c1cdd1762da6ed23fc59f"
+        "3b497c9a43d1321faa032c2042bd9ffa640a225a9b4e3994a3b8d602bd5f0aaa"
     )
 
 

@@ -4,7 +4,8 @@ The samplers draw only the pulses where something happens, so a seed no
 longer pins per-pulse bytes worth freezing.  These tests pin the
 distributions instead: chi-square statistics of the sampled class counts
 against the photon-number table and the click model, and the ordering of
-the event indices.
+the event indices.  CASCADE's confirmation subsets are drawn as packed
+random words, so their bits are held to fair, independent coins here too.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from spsqkd import sources
+from spsqkd import reconciliation, sources
 from spsqkd.bb84 import run_session
 from spsqkd.channel import LinkSpec, exact_click_probability
 from spsqkd.sources import get_preset, photon_number_distribution, sample_events
@@ -177,3 +178,49 @@ def test_small_batches_keep_the_gap_statistics(monkeypatch):
 def test_negative_pulse_count_is_refused():
     with pytest.raises(ValueError, match="n_pulses"):
         sample_events(np.array([0.5, 0.5]), -1, np.random.default_rng(0))
+
+
+def _subset_bits(n: int, rounds: int, seed: int) -> np.ndarray:
+    """rounds x n confirmation-subset bits, as CASCADE unpacks each round."""
+    stream = np.random.SeedSequence([seed, reconciliation._VERIFY_STREAM])
+    bitgen = np.random.PCG64(stream)
+    bits = np.zeros((rounds, n), dtype=np.uint8)
+    for r in range(rounds):
+        words = bitgen.random_raw(-(-n // 64))
+        bits[r, reconciliation._subset_positions(words, n)] = 1
+    return bits
+
+
+def _pair_counts(first: np.ndarray, second: np.ndarray) -> tuple[float, int]:
+    """Chi-square of the four (first, second) bit pairs against 1/4 each."""
+    counts = np.bincount(2 * first.ravel() + second.ravel(), minlength=4)
+    return _chi2(counts.astype(np.float64), np.full(4, first.size / 4.0))
+
+
+def test_confirmation_subset_bits_are_fair_coins():
+    # 1000 bits is 15 whole words and a part word, 400 rounds pool 4e5 bits
+    bits = _subset_bits(1000, 400, seed=61)
+    ones = float(bits.sum())
+    stat, dof = _chi2(np.array([bits.size - ones, ones]), np.full(2, bits.size / 2.0))
+    assert dof == 1
+    assert stat < _chi2_limit(dof), stat
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["even-pairs", "odd-pairs"])
+def test_neighbouring_subset_bits_are_independent(offset):
+    # disjoint (i, i + 1) pairs; the odd offset puts a pair across every
+    # byte and word seam
+    bits = _subset_bits(1001, 400, seed=67)[:, offset:]
+    width = bits.shape[1] // 2 * 2
+    stat, dof = _pair_counts(bits[:, 0:width:2], bits[:, 1:width:2])
+    assert dof == 3
+    assert stat < _chi2_limit(dof), stat
+
+
+def test_successive_rounds_are_independent_at_each_position():
+    # disjoint (round r, round r + 1) pairs, each at one fixed position,
+    # pooled over the positions of three words
+    bits = _subset_bits(192, 2000, seed=71)
+    stat, dof = _pair_counts(bits[0::2], bits[1::2])
+    assert dof == 3
+    assert stat < _chi2_limit(dof), stat

@@ -274,6 +274,81 @@ def test_confirmation_stage_repairs_pass_blind_pattern():
     assert out.corrections_made == 2
 
 
+@pytest.mark.parametrize("n", [8, 63, 64, 65, 10001])
+def test_packed_subset_parity_matches_the_unpacked_positions(n):
+    rng = np.random.default_rng(n)
+    alice = rng.integers(0, 2, n, dtype=np.uint8)
+    key_words = reconciliation._key_words(alice)
+    assert key_words.size == -(-n // 64)
+    draws = [rng.integers(0, 2**64, key_words.size, dtype=np.uint64) for _ in range(20)]
+    # every word bit set: the subset is the whole key and no pad bit
+    draws.append(np.full(key_words.size, 2**64 - 1, dtype=np.uint64))
+    for words in draws:
+        positions = reconciliation._subset_positions(words, n)
+        assert positions.size == 0 or positions.max() < n
+        assert reconciliation._parity(key_words, words) == int(alice[positions].sum()) & 1
+    assert np.array_equal(positions, np.arange(n))
+
+
+def _confirmation_frames(transcript):
+    """The 0x04 summary (seed, rounds, parities), the 0xFE round replies
+    in order as (round, parity), and the count of 0xFF repair queries."""
+    frames = list(iter_transcript(transcript))
+    replies, repairs = [], 0
+    for (msg_type, payload), (_, reply) in zip(frames, frames[1:]):
+        if msg_type == MSG_PARITY_REQUEST and payload[0] == 0xFE:
+            replies.append((struct.unpack_from("<I", payload, 1)[0], reply[0]))
+        repairs += msg_type == MSG_PARITY_REQUEST and payload[0] == 0xFF
+    (summary,) = [payload for msg_type, payload in frames if msg_type == MSG_VERIFY]
+    seed, rounds = struct.unpack_from("<QH", summary)
+    parities = np.unpackbits(np.frombuffer(summary[10:], dtype=np.uint8), count=rounds)
+    return seed, parities, replies, repairs
+
+
+def _blind_pattern_keys():
+    # test_confirmation_stage_repairs_pass_blind_pattern's keys
+    rng = np.random.default_rng(4)
+    alice = rng.integers(0, 2, 32, dtype=np.uint8)
+    bob = alice.copy()
+    bob[[0, 1]] ^= 1
+    return alice, bob
+
+
+@pytest.mark.parametrize(
+    "keys, est, shuffle_seed, needs_repair",
+    [
+        # no pass sees the two errors, so a round must mismatch and repair them
+        (_blind_pattern_keys, 0.06, 0, True),
+        (lambda: _keys_with_errors(2000, 0.03, seed=5), 0.03, 13, False),
+        (lambda: _keys_with_errors(10_001, 0.05, seed=6), 0.05, 14, False),
+    ],
+    ids=["pass-blind-32", "n2000", "n10001"],
+)
+def test_confirmation_rounds_check_out_against_the_transcript_alone(
+    keys, est, shuffle_seed, needs_repair
+):
+    # Alice's subsets are regenerated from the 0x04 frame's seed alone: one
+    # raw PCG64 word per 64 key bits per round, key position i at bit
+    # 7 - i % 8 of the words' little-endian byte i // 8
+    alice, bob = keys()
+    n = alice.size
+    cfg = ReconciliationConfig(est_qber=est, shuffle_seed=shuffle_seed)
+    out = cascade(alice, bob, cfg)
+    assert out.verified_equal
+    seed, parities, replies, repairs = _confirmation_frames(out.transcript)
+    assert seed == shuffle_seed
+    assert len(replies) == parities.size >= 50
+    bitgen = np.random.PCG64(np.random.SeedSequence([seed, reconciliation._VERIFY_STREAM]))
+    for r, (round_index, reply) in enumerate(replies):
+        words = bitgen.random_raw(-(-n // 64)).astype("<u8")
+        subset = np.unpackbits(words.view(np.uint8), count=n).astype(bool)
+        parity = int(alice[subset].sum()) & 1
+        assert round_index == r
+        assert parity == parities[r] == reply
+    if needs_repair:
+        assert repairs > 0 and out.corrections_made == 2
+
+
 def test_leakage_stays_near_shannon():
     n = 4000
     leaks = []
