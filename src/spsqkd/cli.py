@@ -40,7 +40,7 @@ from .hbt import (
 )
 from .pipeline import EST_QBER_FLOOR, derive_seed, run_experiment_detailed
 from .rates import RIVALS, binary_entropy, crossover_distance, distance_grid, sweep_variants
-from .reconciliation import ReconciliationConfig, cascade
+from .reconciliation import ROUND_BUDGET, ReconciliationConfig, cascade
 from .sources import get_preset
 
 __all__ = ["main", "entry", "build_parser"]
@@ -363,7 +363,15 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         f"verified={outcome.verified_equal} -> {out}.cascade.txt",
     )
     if not outcome.verified_equal:
-        print("verification failed: keys still differ", file=sys.stderr)
+        # the only way a confirmation stage ends unverified: its round count
+        # is a u16, and the agreeing streak did not fit in it
+        differ = int(np.count_nonzero(alice != outcome.corrected_bob_key))
+        print(
+            f"verification failed: the {ROUND_BUDGET}-round confirmation budget ran out "
+            f"before verify_bits = {cfg.verify_bits} rounds in a row agreed; "
+            f"{differ} of {n} bits still differ",
+            file=sys.stderr,
+        )
         return 3
     return 0
 

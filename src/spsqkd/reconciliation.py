@@ -59,7 +59,7 @@ _REPAIR_TAG = 0xFF
 # hard ceiling on confirmation rounds, set by the u16 round count in the
 # 0x04 frame; a run that needs this many rounds is hopeless, and a longer
 # agreement streak could never be met, so verify_bits is capped by it
-_ROUND_BUDGET = 0xFFFF
+ROUND_BUDGET = 0xFFFF
 
 # the pass number is the u8 pass byte of a request, below the reserved tags
 _MAX_PASSES = _ROUND_TAG - 1
@@ -108,9 +108,9 @@ class ReconciliationConfig:
             )
         if self.shuffle_seed < 0:
             raise ValueError("shuffle_seed must be non-negative")
-        if not 0 <= self.verify_bits <= _ROUND_BUDGET:
+        if not 0 <= self.verify_bits <= ROUND_BUDGET:
             raise ValueError(
-                f"verify_bits must be in [0, {_ROUND_BUDGET}], got {self.verify_bits}"
+                f"verify_bits must be in [0, {ROUND_BUDGET}], got {self.verify_bits}"
             )
 
     @property
@@ -385,7 +385,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         round_parities: list[int] = []
         agree_streak = 0
         while agree_streak < cfg.verify_bits:
-            if len(round_parities) >= _ROUND_BUDGET:
+            if len(round_parities) >= ROUND_BUDGET:
                 verified = False
                 break
             words = bitgen.random_raw(alice_words.size)

@@ -332,6 +332,28 @@ def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
     assert int(fields["n_tags"]) > 16_000_000
 
 
+def test_bright_g2_histograms_pairs_in_bounded_memory(tmp_path):
+    # 8e6 ideal95 pulses give 7.6e6 tags and 1.62e7 cross pairs.  Expanded
+    # over runs of at most 2^20 pairs the run fits in about 370 MiB of
+    # address space; one index and one delay array per pair needed over 768
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spsqkd.cli", "g2", "--preset", "ideal95", "--pulses", "8000000",
+         "--out", str(tmp_path / "bright"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [r for r in (tmp_path / "bright.hist.csv").read_text().splitlines()
+            if not r.startswith("#")]
+    assert rows[0] == "tau_ns,counts"
+    assert sum(int(r.split(",")[1]) for r in rows[1:]) > 16_000_000
+
+
 def test_cascade_runs_in_bounded_memory(tmp_path):
     # a cascade over 2^22 bits holds a shuffle and its inverse for each of
     # its 4 passes.  With int32 indices it runs in 332 MiB of address space,
@@ -591,8 +613,14 @@ def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
          "01a6518b23c9164b1a4eaefcb33e38f40a290555c5cdf74a25dab1d68c3753c6"),
         (["--preset", "siv", "--bin-width-ns", "0.5"],
          "23631489690d161e382c2e9de01e000dfad49cbfd24a863b449238d3cdd10a29"),
+        # 61% of ideal10's tags have a neighbour inside the window; siv80's
+        # window is 62.5 ns wide
+        (["--preset", "ideal10", "--pulses", "1000000"],
+         "d3a64b645e548a0cb87e490a5e8abfa2c40e95e1c0aa62e3b56dbfad37137493"),
+        (["--preset", "siv80"],
+         "3aa8d400f836dafa1791b26f45092a1ecafbe8f47d168f2e8e5962a389edc70b"),
     ],
-    ids=["nv-3e6", "siv-half-ns"],
+    ids=["nv-3e6", "siv-half-ns", "ideal10-1e6", "siv80"],
 )
 def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     # digests of the histograms written one formatted row at a time: every
@@ -626,9 +654,15 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["g2", "--preset", "siv", "--bin-width-ns", "0.5"],
          {"g2.g2.txt":
           "5b1ef8cba261a10a73b18005ae9b30501c7304dacb780a9f33f87f5182e60342"}),
+        (["g2", "--preset", "ideal10", "--pulses", "1000000"],
+         {"g2.g2.txt":
+          "2e0c08b24a13431e83acc81627c0b934ca05943b43b7b1c435a4196cd739b45f"}),
+        (["g2", "--preset", "siv80"],
+         {"g2.g2.txt":
+          "84e73dda39fb51fbce47cce6ddf28cf2d9934a17dab34e348ce448d67c9696cc"}),
     ],
     ids=["session-wcp-disclose", "session-nv", "cascade-n10000", "g2-nv-3e6",
-         "g2-siv-half-ns"],
+         "g2-siv-half-ns", "g2-ideal10-1e6", "g2-siv80"],
 )
 def test_report_files_are_pinned(argv, digests, tmp_path, monkeypatch):
     # every header line, report field and bit row is fixed: a change to the
@@ -677,6 +711,30 @@ def test_cascade_key_files_transcript_is_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(data).hexdigest() == (
         "3b497c9a43d1321faa032c2042bd9ffa640a225a9b4e3994a3b8d602bd5f0aaa"
     )
+
+
+def test_cascade_out_of_rounds_names_the_budget(tmp_path, monkeypatch, capsys):
+    # test_confirmation_stage_repairs_pass_blind_pattern's keys: a round must
+    # mismatch to repair them, so a streak of 65535 agreeing rounds no longer
+    # fits in the 65535-round budget, although no bit still differs
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4)
+    alice = rng.integers(0, 2, 32, dtype=np.uint8)
+    bob = alice.copy()
+    bob[[0, 1]] ^= 1
+    (tmp_path / "a.key").write_text("".join(map(str, alice)))
+    (tmp_path / "b.key").write_text("".join(map(str, bob)))
+    assert cli.main(
+        ["cascade", "--alice-file", str(tmp_path / "a.key"),
+         "--bob-file", str(tmp_path / "b.key"), "--verify-bits", "65535", "--quiet"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "65535-round confirmation budget" in err
+    assert "verify_bits = 65535" in err
+    assert "0 of 32 bits still differ" in err
+    fields = _read_fields(tmp_path / "cascade.cascade.txt")
+    assert fields["verified"] == "False"
+    assert fields["residual_error_rate"] == "0"
 
 
 def test_cascade_mismatched_key_files_exit_2(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,14 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spsqkd import hbt
 from spsqkd.hbt import (
     CorrelationHistogram,
     InsufficientDataError,
@@ -146,6 +150,106 @@ def test_histogram_counts_every_cross_pair_once():
     window = hist.window_periods * stream.rep_period_ns
     brute = sum(int(np.sum(np.abs(t1 - t) <= window)) for t in t0)
     assert int(hist.counts.sum()) == brute
+
+
+# a 2 ns lattice divides the 40 ns window of 5 periods, so lattice pairs
+# land exactly on +-window; lonely tags sit at the ends, far outside it
+_PERIOD, _DURATION, _LONELY = 8.0, 2000.0, (0.0, 1999.5)
+_lattice = st.integers(50, 150).map(lambda k: 2.0 * k)
+_anywhere = st.floats(100.0, 1900.0, allow_nan=False)
+
+
+@st.composite
+def _tag_streams(draw):
+    # (time, detector, copies): copies > 1 is a burst of equal times
+    tags = draw(st.lists(
+        st.tuples(st.one_of(_lattice, _anywhere), st.integers(0, 1), st.integers(1, 12)),
+        max_size=40,
+    ))
+    times = [t for t, _, copies in tags for _ in range(copies)]
+    dets = [d for _, d, copies in tags for _ in range(copies)]
+    for end in _LONELY:
+        if draw(st.booleans()):
+            times.append(end)
+            dets.append(draw(st.integers(0, 1)))
+    if times and draw(st.booleans()):
+        # one detector holds a single tag
+        lone = draw(st.integers(0, len(times) - 1))
+        side = draw(st.integers(0, 1))
+        dets = [side if i == lone else 1 - side for i in range(len(times))]
+    order = np.argsort(times, kind="stable")
+    return TimeTagStream(np.asarray(times, dtype=np.float64)[order],
+                         np.asarray(dets, dtype=np.uint8)[order], _DURATION, _PERIOD)
+
+
+def _oracle(stream, edges, window):
+    """Pairs of each detector-0 tag and histogram counts, testing every
+    (t0, t1) pair."""
+    t0 = stream.times_ns[stream.detectors == 0][:, None]
+    t1 = stream.times_ns[stream.detectors == 1][None, :]
+    inside = (t1 >= t0 - window) & (t1 <= t0 + window)
+    return inside.sum(axis=1), np.histogram((t1 - t0)[inside], bins=edges)[0]
+
+
+@given(
+    stream=_tag_streams(),
+    window_periods=st.integers(5, 7),
+    bin_width=st.sampled_from([0.5, 1.0, 3.0]),
+    chunk=st.sampled_from([1, 2, 5, 1 << 20]),
+)
+# a pair exactly at each edge of the window, and equal times across detectors
+@example(
+    stream=TimeTagStream(np.array([0.0, 100.0, 140.0, 180.0, 180.0, 1999.5]),
+                         np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8), _DURATION, _PERIOD),
+    window_periods=5, bin_width=1.0, chunk=1,
+)
+# pairs inside the window by one neighbour test and not by the other.  Here
+# t1 <= t0 + w holds but t0 >= t1 - w does not, and t1 - t0 rounds to w, so
+# the pair lands in the last bin ...
+@example(
+    stream=TimeTagStream(np.array([11.939645736564932, 51.939645736564934]),
+                         np.array([0, 1], dtype=np.uint8), _DURATION, _PERIOD),
+    window_periods=5, bin_width=1.0, chunk=1 << 20,
+)
+# ... and here t1 >= t0 - w holds but t0 <= t1 + w does not (w = 40 + 2^-43
+# and t0 - t1 = w + 2^-43 are both ties, rounded to even).  Its delay lies
+# past -w, as it must for any such pair, so only the pair count shows it
+@example(
+    stream=TimeTagStream(np.array([1024.0, 1064.0 + 2.0**-42]),
+                         np.array([1, 0], dtype=np.uint8), _DURATION, 8.000000000000023),
+    window_periods=5, bin_width=1.0, chunk=1 << 20,
+)
+@settings(max_examples=300, deadline=None)
+def test_histogram_matches_the_all_pairs_oracle(stream, window_periods, bin_width, chunk):
+    n_one = int(stream.detectors.sum())
+    with mock.patch.object(hbt, "_PAIR_CHUNK", chunk):
+        if n_one in (0, len(stream)):
+            with pytest.raises(InsufficientDataError):
+                correlation_histogram(stream, bin_width, window_periods)
+            return
+        with (mock.patch.object(hbt, "check_events", wraps=hbt.check_events) as cap,
+              mock.patch.object(np, "histogram", wraps=np.histogram) as runs):
+            hist = correlation_histogram(stream, bin_width, window_periods)
+    window = window_periods * stream.rep_period_ns
+    n_bins = int(round(2.0 * window / bin_width))
+    assert np.array_equal(hist.bin_edges_ns, np.linspace(-window, window, n_bins + 1))
+    per_tag, counts = _oracle(stream, hist.bin_edges_ns, window)
+    # the cap sees the exact pair count, and the histogram every pair in range
+    assert cap.call_args.args[2] == per_tag.sum()
+    assert np.array_equal(hist.counts, counts)
+    # no run expands more pairs than the chunk, unless one tag has more
+    assert sum(c.args[0].size for c in runs.call_args_list) == per_tag.sum()
+    assert max((c.args[0].size for c in runs.call_args_list), default=0) <= max(
+        chunk, per_tag.max())
+
+
+def test_one_detector_stream_has_no_histogram():
+    # a dense burst, every tag within the window of the next, on one detector
+    times = np.arange(50, dtype=np.float64)
+    for det in (0, 1):
+        stream = TimeTagStream(times, np.full(50, det, dtype=np.uint8), 1000.0, 100.0)
+        with pytest.raises(InsufficientDataError, match="both detectors"):
+            correlation_histogram(stream)
 
 
 def test_peaks_sit_on_pulse_lattice(nv_hist_1e7):
