@@ -225,10 +225,17 @@ def _load_protocol_bits(path: str, n_pulses: int) -> np.ndarray:
 
 def _load_key_file(path: str) -> np.ndarray:
     p = Path(path)
-    if not p.is_file():
+    if not p.exists():
         raise FileNotFoundError(f"key file not found: {path}")
-    text = "".join(p.read_text().split())
-    if not text or set(text) - {"0", "1"}:
+    if not p.is_file():
+        raise ValueError(f"key file is not a regular file: {path}")
+    try:
+        text = "".join(p.read_text(encoding="utf-8").split())
+    except UnicodeDecodeError:
+        raise ValueError(f"key file is not UTF-8 text: {path}") from None
+    if not text:
+        raise ValueError(f"key file is empty: {path}")
+    if set(text) - {"0", "1"}:
         raise ValueError(f"key file must hold only 0/1 characters: {path}")
     return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
 

@@ -32,7 +32,7 @@ __all__ = [
 
 # most events one run may keep: session detections, g2 tags or cascade key
 # bits.  At the cap an nv session takes about a minute and 1.8 GB, a cascade
-# 20 s and 0.9 GB (2-core VM), so a larger expected count is a mistyped size
+# 10 s and 0.85 GB (2-core VM), so a larger expected count is a mistyped size
 MAX_EVENTS = 1 << 24
 
 _BOOL_WORDS = {

@@ -64,6 +64,10 @@ ROUND_BUDGET = 0xFFFF
 # the pass number is the u8 pass byte of a request, below the reserved tags
 _MAX_PASSES = _ROUND_TAG - 1
 
+# most halving searches whose queries a drain writes at once: a batch holds
+# about 60 bytes per query, so it stays under 10 MB whatever the key size
+_SEARCH_BATCH = 1 << 14
+
 # one parity query as sent: a 0x01 request frame (pass byte, lo, hi) and
 # its 0x02 reply frame, 20 bytes; the struct writes one, the dtype a batch
 _QUERY = struct.Struct("<IBBIIIBB")
@@ -144,7 +148,7 @@ def _frame(msg_type: int, payload: bytes) -> bytes:
 
 
 def _query_frames(
-    pass_byte: int, lo: np.ndarray, hi: np.ndarray, parity: np.ndarray
+    pass_byte: int | np.ndarray, lo: np.ndarray, hi: np.ndarray, parity: np.ndarray
 ) -> bytes:
     frames = np.empty(lo.size, dtype=_QUERIES)
     frames["req_len"] = 9
@@ -207,29 +211,14 @@ def _subset_positions(subset_words: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(little, count=n))
 
 
-def _bisect(lo: int, hi: int, parity_differs) -> tuple[int, int]:
-    # halving search over an odd-parity-difference range, inclusive bounds;
-    # parity_differs(lo, mid) compares the two parties' [lo, mid] parities
-    queries = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        queries += 1
-        if parity_differs(lo, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, queries
-
-
-def _bisect_all(
-    lo: np.ndarray, hi: np.ndarray, diff_prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # _bisect over many ranges at once, one level per step; diff_prefix[i]
-    # is the parity of the first i bit differences, and each inclusive
-    # range [lo, hi] holds an odd number of them.  Returns every query
-    # (lo, mid) in (range, level) order and the bit each range ends on
+def _halvings(lo: np.ndarray, hi: np.ndarray, goes_left) -> tuple[np.ndarray, ...]:
+    # halving searches over many inclusive ranges at once, one level per
+    # step; goes_left(lo, mid) tells each range whether the bit it ends on
+    # lies in [lo, mid].  Returns the lo and mid of every query in (range,
+    # level) order, as the u32 the frames hold, the count of queries per
+    # range, and the bit each range ends on
     levels = int((hi - lo).max()).bit_length() if lo.size else 0
-    q_lo = np.empty((lo.size, levels), dtype=np.int64)
+    q_lo = np.empty((lo.size, levels), dtype=np.uint32)
     q_mid = np.empty_like(q_lo)
     asked = np.empty(q_lo.shape, dtype=bool)
     for level in range(levels):
@@ -238,11 +227,66 @@ def _bisect_all(
         q_lo[:, level] = lo
         q_mid[:, level] = mid
         asked[:, level] = active
-        # a converged range stays put: its one bit differs, so goes left
-        left = diff_prefix[mid + 1] != diff_prefix[lo]
+        # a converged range stays put: lo == hi == mid, so it goes left
+        left = goes_left(lo, mid)
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid + 1)
-    return q_lo[asked], q_mid[asked], lo
+    return q_lo[asked], q_mid[asked], asked.sum(axis=1), lo
+
+
+def _bisect_all(
+    lo: np.ndarray, hi: np.ndarray, diff_prefix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # bisect ranges that each hold an odd number of bit differences, where
+    # diff_prefix[i] is the parity of the first i of them: every half whose
+    # differences are odd holds the bit.  Returns every query (lo, mid) in
+    # (range, level) order and the bit each range ends on
+    q_lo, q_mid, _, final = _halvings(
+        lo, hi, lambda lo, mid: diff_prefix[mid + 1] != diff_prefix[lo]
+    )
+    return q_lo, q_mid, final
+
+
+def _odd_bit(mask: int, width: int) -> int:
+    # the offset a halving search over [0, width) ends on, when the set bits
+    # of mask are the offsets that differ (an odd number of them): it keeps
+    # the half holding an odd number, until one bit is left
+    base = 0
+    while mask & (mask - 1):
+        half = (width + 1) // 2
+        left = mask & ((1 << half) - 1)
+        if left.bit_count() & 1:
+            mask, width = left, half
+        else:
+            mask, width, base = mask >> half, width - half, base + half
+    return base + mask.bit_length() - 1
+
+
+def _block_masks(coords: np.ndarray, size: int) -> dict[int, int]:
+    # block id -> bitmask of the offsets inside it, for positions coords in
+    # a partition into blocks of size bits
+    masks: dict[int, int] = {}
+    blocks, offsets = np.divmod(coords, size)
+    for block_id, offset in zip(blocks.tolist(), offsets.tolist()):
+        masks[block_id] = masks.get(block_id, 0) | 1 << offset
+    return masks
+
+
+def _search_frames(searches: list[tuple[int, int, int, int]], prefixes) -> bytes:
+    # the queries and Alice's replies of halving searches given in order as
+    # (pass byte, lo, hi, target): a search goes left exactly when the bit
+    # it ends on is <= mid, so its queries follow from that bit.
+    # prefixes[pass byte] holds Alice's prefix parities in its coordinates
+    pass_byte, lo, hi, target = np.array(searches, dtype=np.int64).T
+    q_lo, q_mid, queries, _ = _halvings(lo, hi, lambda lo, mid: target <= mid)
+    q_pass = np.repeat(pass_byte.astype(np.uint8), queries)
+    parity = np.empty(q_lo.size, dtype=np.uint8)
+    # the passes as a set: np.unique's first call alone adds 1.6 MB of RSS
+    for p in set(pass_byte.tolist()):
+        mine = q_pass == p
+        a_prefix = np.frombuffer(prefixes[p], dtype=np.uint8)
+        parity[mine] = a_prefix[q_mid[mine] + 1] ^ a_prefix[q_lo[mine]]
+    return _query_frames(q_pass, q_lo, q_mid, parity)
 
 
 def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutcome:
@@ -256,13 +300,22 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     own block, so no backtracking runs between two pass-1 bisections: the
     odd pass-1 blocks are all bisected at once, level by level with numpy,
     and their queries are written in the order a block-by-block bisection
-    asks them.  A confirmation stage then compares random-subset parities
-    one at a time, each read from the keys packed into 64-bit words and a
-    round's random words, one random bit per key bit; a mismatch is
-    bisected to its bit (doubled blocks can hide an even number of errors
-    from every pass, so this is what makes small hard patterns
-    correctable), and ``verify_bits`` consecutive agreements end the
-    protocol.
+    asks them.  From pass 2 on, every announced pass keeps, per block, a
+    bitmask of the offsets where the keys differ; a correction clears its
+    bit in every announced pass and queues a block whose popcount turns
+    odd, and a queued block is live exactly while its popcount is odd.  A
+    bisection's queries follow from the bit it ends on, which the mask
+    gives, so the queue is drained without numpy work per block: the drain
+    notes each bisection and writes their queries and Alice's replies in
+    batches of up to 2^14 bisections, in the order the blocks were taken.
+
+    A confirmation stage then compares random-subset parities one at a
+    time, each read from the keys packed into 64-bit words and a round's
+    random words, one random bit per key bit; a mismatch is bisected to its
+    bit, its queries written before those of the drain it sets off
+    (doubled blocks can hide an even number of errors from every pass, so
+    this is what makes small hard patterns correctable), and
+    ``verify_bits`` consecutive agreements end the protocol.
 
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
@@ -275,8 +328,9 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     if n < 8:
         raise ValueError("keys must hold at least 8 bits")
 
-    transcript = bytearray()
-    transcript += _frame(MSG_SHUFFLE_SEED, struct.pack("<Q", cfg.shuffle_seed))
+    # frames are kept as chunks and joined once: growing one buffer by each
+    # drain's batch fragments the heap and raises the peak RSS
+    transcript = [_frame(MSG_SHUFFLE_SEED, struct.pack("<Q", cfg.shuffle_seed))]
 
     perms: list[np.ndarray] = []
     inv_perms: list[np.ndarray] = []
@@ -299,59 +353,54 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     parity_replies = 0
 
-    def locate(pass_byte: int, coords: np.ndarray, a_prefix: bytes, base: int) -> int:
-        # bisect the query range [base, base + coords.size) down to one
-        # differing bit; coords are its key positions in query order and
-        # a_prefix Alice's prefix parities over query coordinates.  Bob
-        # holds his side fixed while bisecting, so one prefix of the
-        # differences answers every half he compares
+    def write(searches: list[tuple[int, int, int, int]], prefixes) -> None:
         nonlocal parity_replies
-        diff = _prefix_parities(alice[coords] ^ bob[coords])
-
-        def differs(lo: int, mid: int) -> bool:
-            parity = a_prefix[mid + 1] ^ a_prefix[lo]
-            transcript.extend(
-                _QUERY.pack(
-                    9, MSG_PARITY_REQUEST, pass_byte, lo, mid, 1, MSG_PARITY_REPLY, parity
-                )
-            )
-            return diff[mid + 1 - base] != diff[lo - base]
-
-        pos, queries = _bisect(base, base + coords.size - 1, differs)
-        parity_replies += queries
-        return int(coords[pos - base])
+        frames = _search_frames(searches, prefixes)
+        transcript.append(frames)
+        parity_replies += len(frames) // _QUERIES.itemsize
 
     corrections = 0
-    # blocks with a known parity mismatch; the heap orders them by (pass,
-    # block) and may also hold entries since toggled out of the set
-    pending: set[tuple[int, int]] = set()
+    # masks[r][block id]: the offsets in that pass-r block where the keys
+    # differ, as a bitmask (blocks without one are left out).  A block's
+    # announced parities mismatch exactly when its popcount is odd; the heap
+    # orders those blocks by (pass, block) and may also hold blocks that
+    # have been made even since
+    masks: list[dict[int, int]] = []
     heap: list[tuple[int, int]] = []
 
     def flip(g: int, announced: int) -> None:
         nonlocal corrections
         bob[g] ^= 1
         corrections += 1
-        # the flip toggles the parity difference of the containing block
-        # in every pass whose parities have been exchanged so far,
-        # including any block just bisected (now even again)
+        # the flip clears g's bit in the containing block of every pass
+        # whose parities have been exchanged so far, including any block
+        # just bisected (now even again)
         for r in range(announced):
-            key = (r, int(inv_perms[r][g]) // block_size[r])
-            if key in pending:
-                pending.remove(key)
-            else:
-                pending.add(key)
-                heapq.heappush(heap, key)
+            block_id, offset = divmod(int(inv_perms[r][g]), block_size[r])
+            mask = masks[r].pop(block_id) ^ 1 << offset
+            if mask:
+                masks[r][block_id] = mask
+                if mask.bit_count() & 1:
+                    heapq.heappush(heap, (r, block_id))
 
     def drain(announced: int) -> None:
-        # smallest pass first: cheapest blocks, fastest convergence
-        while pending:
-            key = heapq.heappop(heap)
-            if key in pending:
-                q, block_id = key
-                lo = block_id * block_size[q]
-                hi = min(lo + block_size[q], n)
-                flip(locate(q, perms[q][lo:hi], alice_prefix[q], lo), announced)
-        heap.clear()  # only stale entries are left
+        # smallest pass first: cheapest blocks, fastest convergence.  Each
+        # search is noted as it is made and its queries written in batches
+        searches = []
+        while heap:
+            r, block_id = heapq.heappop(heap)
+            mask = masks[r].get(block_id, 0)
+            if mask.bit_count() & 1:
+                lo = block_id * block_size[r]
+                hi = min(lo + block_size[r], n) - 1
+                target = lo + _odd_bit(mask, hi - lo + 1)
+                searches.append((r, lo, hi, target))
+                flip(int(perms[r][target]), announced)
+                if len(searches) == _SEARCH_BATCH:
+                    write(searches, alice_prefix)
+                    searches.clear()
+        if searches:
+            write(searches, alice_prefix)
 
     for p in range(cfg.n_passes):
         # every block parity of the pass at once, both parties
@@ -359,7 +408,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         ends = np.minimum(starts + block_size[p], n)
         a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
         a_par = a_prefix[ends] ^ a_prefix[starts]
-        transcript += _query_frames(p, starts, ends - 1, a_par)
+        transcript.append(_query_frames(p, starts, ends - 1, a_par))
         parity_replies += starts.size
         if p == 0:
             # pass 1 runs in natural order, so one prefix of the differences
@@ -367,15 +416,19 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
             diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
             odd = diff[ends] != diff[starts]
             q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
-            transcript += _query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo])
+            transcript.append(
+                _query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo])
+            )
             parity_replies += q_lo.size
             bob[final] ^= 1
             corrections += final.size
             continue
-        b_par = np.bitwise_xor.reduceat(bob[perms[p]], starts)
-        # ascending, so already a heap
-        heap.extend((p, block_id) for block_id in np.flatnonzero(a_par != b_par).tolist())
-        pending.update(heap)
+        # the pass opens its masks (pass 1's open with pass 2's, after its
+        # batch of corrections); its odd blocks, ascending, are a heap
+        errors = np.flatnonzero(alice != bob)
+        for r in range(len(masks), p + 1):
+            masks.append(_block_masks(inv_perms[r][errors], block_size[r]))
+        heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
         drain(p + 1)
 
     verified = True
@@ -390,10 +443,10 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
                 break
             words = bitgen.random_raw(alice_words.size)
             a_par = _parity(alice_words, words)
-            transcript += _QUERY.pack(
+            transcript.append(_QUERY.pack(
                 9, MSG_PARITY_REQUEST, _ROUND_TAG, len(round_parities), 0,
                 1, MSG_PARITY_REPLY, a_par,
-            )
+            ))
             parity_replies += 1
             round_parities.append(a_par)
             if a_par == _parity(bob_words, words):
@@ -403,20 +456,25 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
             # the subset hides an odd number of differences; bisect it in
             # ascending-position order, then backtrack the pass blocks
             positions = _subset_positions(words, n)
-            g = locate(_REPAIR_TAG, positions, _prefix_parities(alice[positions]), 0)
-            flip(g, cfg.n_passes)
+            differs = np.packbits(alice[positions] != bob[positions], bitorder="little")
+            target = _odd_bit(int.from_bytes(differs.tobytes(), "little"), positions.size)
+            write(
+                [(_REPAIR_TAG, 0, positions.size - 1, target)],
+                {_REPAIR_TAG: _prefix_parities(alice[positions])},
+            )
+            flip(int(positions[target]), cfg.n_passes)
             drain(cfg.n_passes)
             bob_words = _key_words(bob)
         payload = struct.pack("<QH", cfg.shuffle_seed, len(round_parities))
         payload += np.packbits(np.asarray(round_parities, dtype=np.uint8)).tobytes()
-        transcript.extend(_frame(MSG_VERIFY, payload))
+        transcript.append(_frame(MSG_VERIFY, payload))
 
     return ReconciliationOutcome(
         corrected_bob_key=bob,
         leaked_bits=parity_replies,
         corrections_made=corrections,
         verified_equal=verified,
-        transcript=bytes(transcript),
+        transcript=b"".join(transcript),
     )
 
 

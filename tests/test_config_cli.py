@@ -748,6 +748,27 @@ def test_cascade_mismatched_key_files_exit_2(tmp_path, monkeypatch, capsys):
     assert "equal length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: path.write_text(""), "key file is empty"),
+        (lambda path: path.write_bytes(b"01\xff10"), "key file is not UTF-8 text"),
+        (lambda path: path.mkdir(), "key file is not a regular file"),
+    ],
+    ids=["empty", "not-utf8", "directory"],
+)
+def test_cascade_bad_key_file_exits_2_naming_it(make, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.key").write_text("01" * 32)
+    make(tmp_path / "b.key")
+    assert cli.main(
+        ["cascade", "--alice-file", str(tmp_path / "a.key"),
+         "--bob-file", str(tmp_path / "b.key")]
+    ) == 2
+    assert f"{message}: {tmp_path / 'b.key'}" in capsys.readouterr().err
+    assert not (tmp_path / "cascade.transcript.bin").exists()
+
+
 def test_cascade_key_files_over_the_events_cap_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name in ("a.key", "b.key"):

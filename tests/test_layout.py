@@ -1,11 +1,13 @@
-"""The package carries no public API that only the tests use, one output format,
+"""The package carries no code that only the tests use, one output format,
 and no import inside a function.
 
-Every public function, method and property defined in ``src/spsqkd`` must
-be referenced by the package itself, the scripts or the benchmark harness,
-somewhere other than its own definition: by name, by attribute, or as a
-string naming it (the harness patches functions by name).  Listing a name
-in ``__all__`` is not a use.
+Every public function, method and property defined in ``src/spsqkd``, and
+every private module-level function, must be referenced by the package
+itself, the scripts or the benchmark harness, somewhere other than its own
+definition: by name, by attribute, or as a string naming it (the harness
+patches functions by name).  Listing a name in ``__all__`` is not a use.
+So no scalar twin of a vectorized path survives as a test-only oracle in
+the package; such oracles live in the tests.
 """
 
 import ast
@@ -22,15 +24,17 @@ ALLOWED = {
 }
 
 
-def _public_definitions(tree):
-    """(qualified name, bare name) of module-level functions and class members."""
+def _definitions(tree):
+    """(qualified name, bare name) of the public module-level functions and
+    class members, and of the private module-level functions."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node.name
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item.name
+                    if not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
 
 
 def _references(tree):
@@ -69,24 +73,32 @@ def _program_files():
 
 
 def _scan():
-    """Public definitions in the package, and every name the programs use."""
+    """Checked definitions in the package, and every name the programs use."""
     used = set()
     defined = {}
     for path in _program_files():
         tree = ast.parse(path.read_text(), filename=str(path))
         used |= _references(tree)
         if (ROOT / "src" / "spsqkd") in path.parents:
-            for qualified, bare in _public_definitions(tree):
-                if not bare.startswith("_"):
-                    defined[qualified] = bare
+            defined.update(_definitions(tree))
     return defined, used
 
 
-def test_every_public_definition_has_a_caller():
+def _uncalled(private):
     defined, used = _scan()
-    assert defined
-    unused = sorted(q for q, bare in defined.items() if bare not in used and q not in ALLOWED)
+    checked = {q: bare for q, bare in defined.items() if bare.startswith("_") == private}
+    assert checked
+    return sorted(q for q, bare in checked.items() if bare not in used and q not in ALLOWED)
+
+
+def test_every_public_definition_has_a_caller():
+    unused = _uncalled(private=False)
     assert unused == [], f"public but only tests call: {unused}"
+
+
+def test_every_private_function_has_a_caller():
+    unused = _uncalled(private=True)
+    assert unused == [], f"private helpers only tests call: {unused}"
 
 
 def test_allowlist_holds_only_uncalled_definitions():

@@ -6,6 +6,7 @@ formula at (n=1000, delta=0.0042, E=0.03, leaked=300, margin=30) gives
 floor(801.59) - 330 = 471.
 """
 
+import heapq
 import math
 import struct
 
@@ -23,7 +24,6 @@ from spsqkd.reconciliation import (
     MSG_SHUFFLE_SEED,
     MSG_VERIFY,
     ReconciliationConfig,
-    _bisect,
     cascade,
     iter_transcript,
     privacy_amplify,
@@ -37,16 +37,39 @@ def _keys_with_errors(n, qber, seed):
     return alice, bob
 
 
+def _bisect(lo, hi, parity_differs):
+    # the scalar halving search the replay oracles use, inclusive bounds;
+    # parity_differs(lo, mid) compares the two parties' [lo, mid] parities
+    queries = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        queries += 1
+        if parity_differs(lo, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, queries
+
+
 def _bisect_blocks(alice, bob):
-    # the bisection over a whole block pair, comparing the two parties'
-    # parities of each half it asks about
+    # the shipped bisections over a whole block pair: the pass-1 batch,
+    # which compares the parities of each half, and the later passes'
+    # descent over a mask of the differing bits, whose queries are then
+    # written from the bit it ends on.  Both must ask the same queries
     a = np.asarray(alice, dtype=np.uint8)
     b = np.asarray(bob, dtype=np.uint8)
-
-    def differs(lo, mid):
-        return int(np.bitwise_xor.reduce(a[lo : mid + 1] ^ b[lo : mid + 1])) == 1
-
-    return _bisect(0, a.size - 1, differs)
+    n = a.size
+    diff = np.concatenate(([0], np.bitwise_xor.accumulate(a ^ b)))
+    q_lo, q_mid, final = reconciliation._bisect_all(np.array([0]), np.array([n - 1]), diff)
+    mask = sum(1 << int(i) for i in np.flatnonzero(a != b))
+    target = reconciliation._odd_bit(mask, n)
+    a_prefix = np.concatenate(([0], np.bitwise_xor.accumulate(a))).astype(np.uint8)
+    frames = reconciliation._search_frames([(1, 0, n - 1, target)], [b"", a_prefix.tobytes()])
+    parities = a_prefix[q_mid + 1] ^ a_prefix[q_lo]
+    expected = reconciliation._query_frames(1, q_lo, q_mid, parities)
+    assert target == final[0]
+    assert frames == expected
+    return int(final[0]), int(q_lo.size)
 
 
 def test_binary_bisect_examples():
@@ -141,6 +164,163 @@ def test_pass1_matches_a_block_by_block_replay(n, qber, est, seed):
     assert _pass1_frames(out.transcript) == frames
     assert calls == [fixed]
     assert np.array_equal(out.corrected_bob_key[fixed], alice[fixed])
+
+
+def _query(pass_byte, lo, hi, parity):
+    # one 0x01 request frame and its 0x02 reply frame
+    request = struct.pack("<IBBII", 9, MSG_PARITY_REQUEST, pass_byte, lo, hi)
+    return request + struct.pack("<IBB", 1, MSG_PARITY_REPLY, parity)
+
+
+def _replay_cascade(alice, bob, cfg):
+    """The whole protocol one block at a time: a heap of (pass, block), the
+    set of blocks with a known parity mismatch, and a scalar bisection of
+    each, asking Alice for every parity it needs.  Returns the transcript,
+    Bob's key, the leaked bits, the corrections and the verdict."""
+    bob = bob.copy()
+    n = alice.size
+    transcript = [struct.pack("<IBQ", 8, MSG_SHUFFLE_SEED, cfg.shuffle_seed)]
+    perms = [np.arange(n)] + [
+        np.random.default_rng(np.random.SeedSequence([cfg.shuffle_seed, p])).permutation(n)
+        for p in range(1, cfg.n_passes)
+    ]
+    inv_perms = [np.argsort(perm) for perm in perms]
+    sizes = [min(n, cfg.initial_block << p) for p in range(cfg.n_passes)]
+    leaked = corrections = 0
+    pending, heap = set(), []
+
+    def ask(pass_byte, lo, hi, positions):
+        nonlocal leaked
+        leaked += 1
+        transcript.append(_query(pass_byte, lo, hi, int(alice[positions].sum()) & 1))
+        return int((alice[positions] != bob[positions]).sum()) & 1
+
+    def locate(pass_byte, coords, base):
+        # the key position a bisection of the range [base, base + coords.size) ends on
+        def differs(lo, mid):
+            return ask(pass_byte, lo, mid, coords[lo - base : mid + 1 - base])
+
+        pos, _ = _bisect(base, base + coords.size - 1, differs)
+        return int(coords[pos - base])
+
+    def flip(g, announced):
+        nonlocal corrections
+        bob[g] ^= 1
+        corrections += 1
+        for r in range(announced):
+            key = (r, int(inv_perms[r][g]) // sizes[r])
+            if key in pending:
+                pending.remove(key)
+            else:
+                pending.add(key)
+                heapq.heappush(heap, key)
+
+    def drain(announced):
+        while pending:
+            key = heapq.heappop(heap)
+            if key in pending:
+                r, block_id = key
+                lo = block_id * sizes[r]
+                flip(locate(r, perms[r][lo : lo + sizes[r]], lo), announced)
+        heap.clear()
+
+    for p in range(cfg.n_passes):
+        for block_id, lo in enumerate(range(0, n, sizes[p])):
+            block = perms[p][lo : lo + sizes[p]]
+            if ask(p, lo, lo + block.size - 1, block):
+                pending.add((p, block_id))
+                heap.append((p, block_id))
+        drain(p + 1)
+
+    verified = True
+    if cfg.verify_bits:
+        stream = np.random.SeedSequence([cfg.shuffle_seed, reconciliation._VERIFY_STREAM])
+        bitgen = np.random.PCG64(stream)
+        parities, streak = [], 0
+        while streak < cfg.verify_bits:
+            if len(parities) >= reconciliation.ROUND_BUDGET:
+                verified = False
+                break
+            words = bitgen.random_raw(-(-n // 64)).astype("<u8")
+            subset = np.flatnonzero(np.unpackbits(words.view(np.uint8), count=n))
+            parities.append(int(alice[subset].sum()) & 1)
+            if not ask(0xFE, len(parities) - 1, 0, subset):
+                streak += 1
+                continue
+            streak = 0
+            flip(locate(0xFF, subset, 0), cfg.n_passes)
+            drain(cfg.n_passes)
+        summary = struct.pack("<QH", cfg.shuffle_seed, len(parities))
+        summary += np.packbits(np.array(parities, dtype=np.uint8)).tobytes()
+        transcript.append(struct.pack("<IB", len(summary), MSG_VERIFY) + summary)
+    return b"".join(transcript), bob, leaked, corrections, verified
+
+
+def _blind_pattern_keys():
+    # test_confirmation_stage_repairs_pass_blind_pattern's keys
+    rng = np.random.default_rng(4)
+    alice = rng.integers(0, 2, 32, dtype=np.uint8)
+    bob = alice.copy()
+    bob[[0, 1]] ^= 1
+    return alice, bob
+
+
+def _stacked_errors_keys():
+    # ten errors in the first 25-bit block: pass 1 sees an even count, and
+    # passes 2-4 bisect blocks whose masks hold several of them
+    rng = np.random.default_rng(8)
+    alice = rng.integers(0, 2, 400, dtype=np.uint8)
+    bob = alice.copy()
+    bob[[0, 1, 2, 3, 7, 11, 13, 17, 19, 23]] ^= 1
+    return alice, bob
+
+
+def _assert_matches_the_replay(alice, bob, cfg, batch=reconciliation._SEARCH_BATCH):
+    # batch: the most searches a drain writes at once
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconciliation, "_SEARCH_BATCH", batch)
+        out = cascade(alice, bob, cfg)
+    transcript, key, leaked, corrections, verified = _replay_cascade(alice, bob, cfg)
+    assert out.transcript == transcript
+    assert np.array_equal(out.corrected_bob_key, key)
+    assert out.leaked_bits == leaked
+    assert out.corrections_made == corrections
+    assert out.verified_equal == verified
+
+
+@given(
+    n=st.integers(min_value=8, max_value=5000),
+    qber=st.floats(min_value=0.0, max_value=0.3),
+    est_ratio=st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0]),
+    n_passes=st.integers(min_value=2, max_value=6),
+    verify_bits=st.sampled_from([0, 1, 50]),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.sampled_from([1, 3, reconciliation._SEARCH_BATCH]),
+)
+@example(n=3000, qber=0.3, est_ratio=0.1, n_passes=3, verify_bits=50, seed=1, batch=3)
+@settings(max_examples=60, deadline=None)
+def test_cascade_matches_a_block_by_block_replay(
+    n, qber, est_ratio, n_passes, verify_bits, seed, batch
+):
+    # the example: an estimate ten times too low, so blocks of 25 and up
+    # hold many errors, the later passes bisect multi-bit masks, and their
+    # drains write many small batches
+    alice, bob = _keys_with_errors(n, qber, seed)
+    est = min(max(qber * est_ratio, EST_QBER_FLOOR), 0.49)
+    cfg = ReconciliationConfig(
+        est_qber=est, n_passes=n_passes, shuffle_seed=seed, verify_bits=verify_bits
+    )
+    _assert_matches_the_replay(alice, bob, cfg, batch)
+
+
+@pytest.mark.parametrize(
+    "keys, est",
+    [(_stacked_errors_keys, 0.03), (_blind_pattern_keys, 0.06)],
+    ids=["stacked-errors", "pass-blind"],
+)
+def test_cascade_matches_the_replay_on_crafted_keys(keys, est):
+    alice, bob = keys()
+    _assert_matches_the_replay(alice, bob, ReconciliationConfig(est_qber=est))
 
 
 def test_identical_keys_leak_top_level_parities_only():
@@ -303,15 +483,6 @@ def _confirmation_frames(transcript):
     seed, rounds = struct.unpack_from("<QH", summary)
     parities = np.unpackbits(np.frombuffer(summary[10:], dtype=np.uint8), count=rounds)
     return seed, parities, replies, repairs
-
-
-def _blind_pattern_keys():
-    # test_confirmation_stage_repairs_pass_blind_pattern's keys
-    rng = np.random.default_rng(4)
-    alice = rng.integers(0, 2, 32, dtype=np.uint8)
-    bob = alice.copy()
-    bob[[0, 1]] ^= 1
-    return alice, bob
 
 
 @pytest.mark.parametrize(
