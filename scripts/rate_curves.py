@@ -8,6 +8,7 @@ over a fibre span, printing where each preset overtakes the laser.
 """
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -25,7 +26,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dmax", type=float, default=60.0)
     ap.add_argument("--step", type=float, default=0.2)
-    ap.add_argument("--rep-rate", type=float, default=1e6)
+    rep_rate = inspect.signature(sweep_variants).parameters["rep_rate_hz"].default
+    ap.add_argument("--rep-rate", type=float, default=rep_rate)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = ap.parse_args()
 

@@ -80,9 +80,17 @@ class LinkSpec:
         return dataclasses.replace(self, distance_km=distance_km)
 
 
-def click_probability(mu: float, link: LinkSpec) -> float:
-    """Per-gate click probability min(1, mu * eta + p_dark)."""
-    return min(1.0, mu * link.total_efficiency + link.dark_count_prob)
+def click_probability(
+    mu: float | np.ndarray, link: LinkSpec, eta: float | np.ndarray | None = None
+) -> float | np.ndarray:
+    """Per-gate click probability min(1, mu * eta + p_dark).
+
+    ``eta`` is the link's total efficiency unless given, as a float or an
+    array of efficiencies (a distance sweep); a float in gives a float out.
+    """
+    eta = link.total_efficiency if eta is None else eta
+    p = np.minimum(1.0, mu * eta + link.dark_count_prob)
+    return p if p.ndim else float(p)
 
 
 def exact_click_probability(source, link: LinkSpec) -> float:
@@ -101,16 +109,19 @@ def exact_click_probability(source, link: LinkSpec) -> float:
     return 1.0 - survive_none * no_dark
 
 
-def error_rate_model(mu: float, link: LinkSpec) -> float:
+def error_rate_model(
+    mu: float | np.ndarray, link: LinkSpec, eta: float | np.ndarray | None = None
+) -> float | np.ndarray:
     """Expected QBER: misaligned signal plus half the dark clicks.
 
     Darks land in either detector with equal probability, so they contribute
-    errors at 50%.  Clamped to [0, 0.5]; a link that can never click at all
-    is reported at the uninformative 0.5.
+    errors at 50%.  Clamped to 0.5; a link that can never click at all is
+    reported at the uninformative 0.5.  ``eta`` is read as by
+    ``click_probability``.
     """
-    p_click = click_probability(mu, link)
-    if p_click == 0:
-        return 0.5
-    num = link.misalignment * mu * link.total_efficiency + 0.5 * link.dark_count_prob
-    return min(0.5, max(0.0, num / p_click))
-
+    eta = link.total_efficiency if eta is None else eta
+    num = link.misalignment * mu * eta + 0.5 * link.dark_count_prob
+    # num >= 0, so only a link that cannot click divides to nan, which fmin reads as 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.fmin(0.5, np.divide(num, click_probability(mu, link, eta)))
+    return e if e.ndim else float(e)

@@ -40,7 +40,7 @@ from .hbt import (
 )
 from .pipeline import EST_QBER_FLOOR, derive_seed, run_experiment_detailed
 from .rates import RIVALS, binary_entropy, crossover_distance, distance_grid, sweep_variants
-from .reconciliation import ROUND_BUDGET, ReconciliationConfig, cascade
+from .reconciliation import ROUND_BUDGET, ReconciliationConfig, cascade, check_shuffle_budget
 from .sources import get_preset
 
 __all__ = ["main", "entry", "build_parser"]
@@ -65,8 +65,11 @@ _RECON = {
     dest: Setting(f"recon.{dest}", int, getattr(ReconciliationConfig, dest))
     for dest in ("n_passes", "verify_bits")
 }
-# the session's own defaults, read where the library declares them
+# the session's, sweep's and g2 run's own defaults, read where the library declares them
 _SESSION = inspect.signature(run_experiment_detailed).parameters
+_RATES = inspect.signature(sweep_variants).parameters
+_HBT = {**inspect.signature(simulate_hbt).parameters,
+        **inspect.signature(correlation_histogram).parameters}
 
 # command -> dest -> setting; each dest is also the flag `--dest-with-dashes`
 _SCHEMAS = {
@@ -96,9 +99,9 @@ _SCHEMAS = {
         "preset": Setting("source.preset", str, "nv"),
         "dmax": Setting("rates.dmax_km", float, 30.0, "sweep end in km"),
         "step": Setting("rates.step_km", float, 0.1, "sweep step in km"),
-        "rep_rate": Setting("rates.rep_rate_hz", float, 1e6),
-        "f_ec": Setting("rates.f_ec", float, 1.22),
-        "flat_error": Setting("rates.flat_error", bool, False),
+        "rep_rate": Setting("rates.rep_rate_hz", float, _RATES["rep_rate_hz"].default),
+        "f_ec": Setting("rates.f_ec", float, _RATES["f_ec"].default),
+        "flat_error": Setting("rates.flat_error", bool, _RATES["flat_error"].default),
         "wcp": Setting("rates.wcp", bool, False),
         "decoy": Setting("rates.decoy", bool, False),
         "ideal10": Setting("rates.ideal10", bool, False),
@@ -120,10 +123,10 @@ _SCHEMAS = {
         "g2_zero": Setting("source.g2_zero", float, None),
         "lifetime_ns": Setting("source.lifetime_ns", float, None),
         "rep_rate": Setting("source.rep_rate_hz", float, None),
-        "splitter_ratio": Setting("g2.splitter_ratio", float, 0.5),
-        "detection_eff": Setting("g2.detection_eff", float, 1.0),
-        "bin_width_ns": Setting("g2.bin_width_ns", float, 1.0),
-        "window_periods": Setting("g2.window_periods", int, 5),
+        "splitter_ratio": Setting("g2.splitter_ratio", float, _HBT["splitter_ratio"].default),
+        "detection_eff": Setting("g2.detection_eff", float, _HBT["detection_eff"].default),
+        "bin_width_ns": Setting("g2.bin_width_ns", float, _HBT["bin_width_ns"].default),
+        "window_periods": Setting("g2.window_periods", int, _HBT["window_periods"].default),
     },
 }
 # every subcommand takes the master seed
@@ -195,13 +198,7 @@ def _metadata(effective: dict) -> dict:
 
 
 def _link_from(settings: dict, distance: float = 0.0) -> LinkSpec:
-    return LinkSpec(
-        distance_km=distance,
-        attenuation_db_per_km=settings["attenuation_db_per_km"],
-        setup_efficiency=settings["setup_efficiency"],
-        dark_count_prob=settings["dark_count_prob"],
-        misalignment=settings["misalignment"],
-    )
+    return LinkSpec(distance_km=distance, **{dest: settings[dest] for dest in _LINK})
 
 
 def _emit(quiet: bool, message: str) -> None:
@@ -338,6 +335,7 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         if settings["n_bits"] < 8:
             raise ValueError(f"n_bits must be at least 8, got {settings['n_bits']}")
         check_events("n_bits", settings["n_bits"], settings["n_bits"], "key bits")
+        check_shuffle_budget(settings["n_bits"], cfg.n_passes)
         rng_a = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
         rng_b = np.random.default_rng(np.random.SeedSequence([settings["seed"], 1]))
         alice = rng_a.integers(0, 2, settings["n_bits"], dtype=np.uint8)

@@ -36,6 +36,9 @@ _FIT_FLOOR_COUNTS = 5
 # mistyped width, not a measurement
 _MAX_BINS = 1 << 22
 
+# the histogram bin both the g2 and the lifetime estimate default to
+_BIN_WIDTH_NS = 1.0
+
 # most tag pairs expanded at once (about 40 MB of index and delay arrays),
 # unless a single detector-0 tag has more
 _PAIR_CHUNK = 1 << 20
@@ -132,21 +135,22 @@ class CorrelationHistogram:
         return 0.5 * (self.bin_edges_ns[:-1] + self.bin_edges_ns[1:])
 
 
-def _bin_count(span_ns: float, bin_width_ns: float) -> int:
-    """Number of ``bin_width_ns`` bins across ``span_ns``, at most _MAX_BINS."""
+def _bin_count(span_ns: float, bin_width_ns: float, setting: str, value: float) -> int:
+    """Number of ``bin_width_ns`` bins across ``span_ns``, at most _MAX_BINS.
+
+    More are refused by the name of the ``setting`` that asked for them, at its ``value``.
+    """
     if not (math.isfinite(bin_width_ns) and bin_width_ns > 0):
         raise ValueError(f"bin_width_ns must be positive and finite, got {bin_width_ns}")
     n_bins = span_ns / bin_width_ns
     if n_bins > _MAX_BINS:
-        raise ValueError(
-            f"bin_width_ns = {bin_width_ns:g} needs {n_bins:.3g} bins, over {_MAX_BINS}"
-        )
+        raise ValueError(f"{setting} = {value:g} needs {n_bins:.3g} bins, over {_MAX_BINS}")
     return int(round(n_bins))
 
 
 def correlation_histogram(
     stream: TimeTagStream,
-    bin_width_ns: float = 1.0,
+    bin_width_ns: float = _BIN_WIDTH_NS,
     window_periods: int = 5,
 ) -> CorrelationHistogram:
     """Histogram of t(detector 1) - t(detector 0) pair delays.
@@ -166,14 +170,9 @@ def correlation_histogram(
         raise ValueError("window_periods must be at least 5 to cover the side peaks")
     # the narrowest window fixes how fine a bin may be; a wider window that
     # then needs too many bins is refused by its own name
-    _bin_count(10.0 * stream.rep_period_ns, bin_width_ns)
+    _bin_count(10.0 * stream.rep_period_ns, bin_width_ns, "bin_width_ns", bin_width_ns)
     window = window_periods * stream.rep_period_ns
-    n_bins = 2.0 * window / bin_width_ns
-    if n_bins > _MAX_BINS:
-        raise ValueError(
-            f"window_periods = {window_periods:g} needs {n_bins:.3g} bins, over {_MAX_BINS}"
-        )
-    n_bins = int(round(n_bins))
+    n_bins = _bin_count(2.0 * window, bin_width_ns, "window_periods", window_periods)
     times, dets = stream.times_ns, stream.detectors
     n_one = int(np.count_nonzero(dets))
     if n_one == 0 or n_one == dets.size:
@@ -260,7 +259,7 @@ class LifetimeFit:
 
 def fit_lifetime(
     stream: TimeTagStream,
-    bin_width_ns: float = 1.0,
+    bin_width_ns: float = _BIN_WIDTH_NS,
 ) -> LifetimeFit:
     """Exponential lifetime from the pulse-phase histogram of detector 0.
 
@@ -270,7 +269,7 @@ def fit_lifetime(
     since phase wraparound then flattens the decay.
     """
     period = stream.rep_period_ns
-    n_bins = max(4, _bin_count(period, bin_width_ns))
+    n_bins = max(4, _bin_count(period, bin_width_ns, "bin_width_ns", bin_width_ns))
     phases = np.compress(stream.detectors == 0, stream.times_ns) % period
     counts, edges = np.histogram(phases, bins=n_bins, range=(0.0, period))
     centers = 0.5 * (edges[:-1] + edges[1:])

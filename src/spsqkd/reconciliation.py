@@ -32,6 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import MAX_EVENTS
 from .rates import binary_entropy
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "ReconciliationOutcome",
     "SecretKey",
     "cascade",
+    "check_shuffle_budget",
     "privacy_amplify",
     "iter_transcript",
 ]
@@ -63,6 +65,10 @@ ROUND_BUDGET = 0xFFFF
 
 # the pass number is the u8 pass byte of a request, below the reserved tags
 _MAX_PASSES = _ROUND_TAG - 1
+
+# most key bits times passes one run may shuffle, at 9 bytes each: the
+# default 4 passes at the key cap, 0.85 GB in all
+_SHUFFLE_BUDGET = 4 * MAX_EVENTS
 
 # most halving searches whose queries a drain writes at once: a batch holds
 # about 60 bytes per query, so it stays under 10 MB whatever the key size
@@ -289,6 +295,15 @@ def _search_frames(searches: list[tuple[int, int, int, int]], prefixes) -> bytes
     return _query_frames(q_pass, q_lo, q_mid, parity)
 
 
+def check_shuffle_budget(n_bits: int, n_passes: int) -> None:
+    """Refuse ``n_passes`` passes over ``n_bits`` key bits past ``_SHUFFLE_BUDGET``."""
+    if n_bits * n_passes > _SHUFFLE_BUDGET:
+        raise ValueError(
+            f"n_passes = {n_passes} over {n_bits} key bits needs {n_bits * n_passes:.3g} "
+            f"shuffled bits, over {_SHUFFLE_BUDGET}"
+        )
+
+
 def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutcome:
     """Run CASCADE, returning Bob's corrected key and the exact leakage.
 
@@ -319,6 +334,8 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
+    Every shuffle is built before pass 1, so ``check_shuffle_budget`` caps
+    the key bits times ``n_passes``.
     """
     alice = _as_bits(alice_key, "alice_key")
     bob = _as_bits(bob_key, "bob_key").copy()
@@ -327,6 +344,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         raise ValueError("keys must have equal length")
     if n < 8:
         raise ValueError("keys must hold at least 8 bits")
+    check_shuffle_budget(n, cfg.n_passes)
 
     # frames are kept as chunks and joined once: growing one buffer by each
     # drain's batch fragments the heap and raises the peak RSS

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spsqkd.bb84 import run_session
@@ -21,6 +21,7 @@ from spsqkd.channel import (
     fibre_transmission,
 )
 from spsqkd.sources import PRESETS, SourceKind, SourceSpec
+from test_rates import _oracle_error
 
 
 def test_fibre_transmission_anchors():
@@ -160,6 +161,48 @@ def test_error_rate_bounds_and_monotonicity(mu, dist, e):
     # below click saturation, a brighter pulse dilutes the darks
     assume(2 * mu * link.total_efficiency + link.dark_count_prob < 1.0)
     assert error_rate_model(2 * mu, link) <= q + 1e-12
+
+
+def _with_edges(strategy, *edges):
+    return st.sampled_from(edges) | strategy
+
+
+@given(
+    mu=_with_edges(st.floats(min_value=0.0, max_value=2.0), 0.0, 1.0),
+    etas=st.lists(_with_edges(st.floats(min_value=0.0, max_value=1.0), 0.0, 1.0),
+                  min_size=1, max_size=8),
+    dark=_with_edges(st.floats(min_value=0.0, max_value=1e-3), 0.0),
+    mis=_with_edges(st.floats(min_value=0.0, max_value=0.5), 0.0, 0.5),
+)
+@example(mu=0.029, etas=[0.0, 1.0, 0.31], dark=0.0, mis=0.5)
+@example(mu=0.0, etas=[0.0, 0.5], dark=0.0, mis=0.0)
+@settings(max_examples=200)
+def test_array_calls_match_float_calls_bit_for_bit(mu, etas, dark, mis):
+    # a sweep's efficiencies as one array give, element by element, the same
+    # doubles as one float call each and as the math oracle; a float call
+    # gives a float, which the report writer prints with %.6g
+    link = LinkSpec(dark_count_prob=dark, misalignment=mis)
+    eta = np.array(etas)
+    clicks = click_probability(mu, link, eta)
+    errors = error_rate_model(mu, link, eta)
+    # an attenuated laser run at mu = eta
+    laser_clicks = click_probability(eta, link, eta)
+    laser_errors = error_rate_model(eta, link, eta)
+    for i, e in enumerate(etas):
+        p = click_probability(mu, link, e)
+        q = error_rate_model(mu, link, e)
+        assert type(p) is float and type(q) is float
+        assert clicks[i] == p == min(1.0, mu * e + dark)
+        assert errors[i] == q == _oracle_error(mu, e, dark, mis)
+        assert laser_clicks[i] == click_probability(e, link, e) == min(1.0, e * e + dark)
+        assert laser_errors[i] == error_rate_model(e, link, e) == _oracle_error(e, e, dark, mis)
+    if dark == 0.0 and 0.0 in etas:
+        assert errors[etas.index(0.0)] == 0.5
+    # no eta: the link's own total efficiency
+    own = link.total_efficiency
+    assert type(click_probability(mu, link)) is float
+    assert click_probability(mu, link) == click_probability(mu, link, own)
+    assert error_rate_model(mu, link) == _oracle_error(mu, own, dark, mis)
 
 
 def test_transmit_photons_statistics():

@@ -222,6 +222,44 @@ def test_literal_defaults_match_the_library(command, dest):
     assert cli._SCHEMAS[command][dest].default == expected
 
 
+def test_commands_without_flags_pass_the_library_defaults(tmp_path, monkeypatch):
+    # every argument a flagless command hands a library function equals that
+    # parameter's own default, so a default the command line typed again
+    # and let drift fails here
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((real, inspect.signature(real).bind(*args, **kwargs).arguments))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+
+    names = ["run_experiment_detailed", "sweep_variants", "simulate_hbt",
+             "correlation_histogram", "fit_lifetime"]
+    for name in names:
+        spy(name)
+    for command in ("session", "rates", "g2"):
+        assert cli.main([command, "--quiet"]) == 0
+    assert sorted(real.__name__ for real, _ in calls) == sorted(names)
+    checked = 0
+    for real, arguments in calls:
+        params = inspect.signature(real).parameters
+        for name, value in arguments.items():
+            default = params[name].default
+            if name == "link":
+                default = cli.LinkSpec()
+            if default is not inspect.Parameter.empty:
+                assert value == default, (real.__name__, name)
+                checked += 1
+    # the session's six and link, the sweep's three and link, the splitter's
+    # two and the bins' three
+    assert checked == 16
+
+
 # every numeric flag alone on a small run, the run sizes included
 _FUZZ_BASE = {
     "session": ["--preset", "wcp", "--pulses", "2000"],
@@ -594,8 +632,12 @@ def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["--preset", "ideal95", "--ideal10", "--ideal95", "--wcp",
           "--dmax", "20", "--step", "0.1"],
          "e119ba380cbf49c4cd1cad9f2e6420fd594b53255716e8d8cff696af4846e5c7"),
+        # a clock and an error-correction inefficiency other than the defaults
+        (["--preset", "decoy", "--wcp", "--ideal10", "--rep-rate", "2e6", "--f-ec", "1.1",
+          "--dmax", "100", "--step", "0.05"],
+         "2abb0810636ae671405ebcb0e82fc5726f4b80b37e6e512db66cc607d9e95091"),
     ],
-    ids=["nv-all-60km", "siv-flat-200km", "ideal95-twice-20km"],
+    ids=["nv-all-60km", "siv-flat-200km", "ideal95-twice-20km", "decoy-2MHz-fec1.1"],
 )
 def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     # digests of the CSVs written by the per-distance scalar sweep the array
@@ -645,6 +687,16 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
           "9f40bd14f532be6151bb909c409e239d3f99d9e591a14b489c4e9d0fcef88733",
           "session.bits.csv":
           "4329034d45f26a69964520bfd17947744cee42f2f1a06f1e507bc48a015d6afb"}),
+        (["session", "--preset", "decoy", "--pulses", "1000000", "--seed", "3"],
+         {"session.summary.txt":
+          "c196ff4f52936566b9df6a2513de649bbd7ed0bb2a15569576a83e4f306ec473"}),
+        (["session", "--preset", "siv", "--pulses", "1000000", "--seed", "7"],
+         {"session.summary.txt":
+          "853a9408959bc2467b2d18580660f721f400bd5109470371cecf77ff4ec06ba4"}),
+        (["session", "--preset", "ideal95", "--pulses", "200000", "--distance-km", "10",
+          "--seed", "7"],
+         {"session.summary.txt":
+          "2c0a0fbc572ad18fb153851e87cd725f955ce415d44b7185d2aee95353be56f9"}),
         (["cascade", "--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
          {"cascade.cascade.txt":
           "cbb9a9d52cec295610a7a5e4e19b1db0741d64073b685829b1213884dbc600d5"}),
@@ -661,7 +713,8 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
          {"g2.g2.txt":
           "84e73dda39fb51fbce47cce6ddf28cf2d9934a17dab34e348ce448d67c9696cc"}),
     ],
-    ids=["session-wcp-disclose", "session-nv", "cascade-n10000", "g2-nv-3e6",
+    ids=["session-wcp-disclose", "session-nv", "session-decoy", "session-siv",
+         "session-ideal95-10km", "cascade-n10000", "g2-nv-3e6",
          "g2-siv-half-ns", "g2-ideal10-1e6", "g2-siv80"],
 )
 def test_report_files_are_pinned(argv, digests, tmp_path, monkeypatch):
@@ -767,6 +820,21 @@ def test_cascade_bad_key_file_exits_2_naming_it(make, message, tmp_path, monkeyp
     ) == 2
     assert f"{message}: {tmp_path / 'b.key'}" in capsys.readouterr().err
     assert not (tmp_path / "cascade.transcript.bin").exists()
+
+
+def test_cascade_over_the_shuffle_budget_exits_2_before_any_key(
+    tmp_path, monkeypatch, capsys
+):
+    # 253 shuffles of a key at the events cap would take about 38 GB
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("a key was drawn past the shuffle budget")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.np.random, "default_rng", must_not_draw)
+    assert cli.main(["cascade", "--n-bits", str(1 << 24), "--n-passes", "253"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_passes = 253 over 16777216 key bits")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cascade_key_files_over_the_events_cap_exit_2(tmp_path, monkeypatch, capsys):

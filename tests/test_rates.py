@@ -73,6 +73,12 @@ def test_gllp_zero_when_fully_tagged():
     assert gllp_rate(inputs) == 0.0
 
 
+def test_gllp_zero_on_a_link_that_cannot_click():
+    # p_click is a float 0 here, so the tagged fraction must not divide by it in Python
+    inputs = RateInputs(mu=0.0, multiphoton=0.0, link=LinkSpec(dark_count_prob=0.0))
+    assert gllp_rate(inputs) == 0.0
+
+
 @given(
     e_lo=st.floats(min_value=0.0, max_value=0.25),
     e_hi=st.floats(min_value=0.0, max_value=0.25),

@@ -25,6 +25,7 @@ from spsqkd.reconciliation import (
     MSG_VERIFY,
     ReconciliationConfig,
     cascade,
+    check_shuffle_budget,
     iter_transcript,
     privacy_amplify,
 )
@@ -362,6 +363,17 @@ def test_cascade_validation():
         ReconciliationConfig(est_qber=0.03, n_passes=0xFE)
     with pytest.raises(ValueError, match="0/1"):
         cascade(np.full(16, 2, dtype=np.uint8), key, ReconciliationConfig(est_qber=0.03))
+
+
+def test_cascade_refuses_shuffles_past_the_budget():
+    # the default 4 passes fit at the key cap; a fifth is refused before any
+    # shuffle is built
+    key = np.zeros(1 << 24, dtype=np.uint8)
+    with pytest.raises(ValueError, match="n_passes = 5 over 16777216 key bits"):
+        cascade(key, key, ReconciliationConfig(est_qber=0.03, n_passes=5))
+    check_shuffle_budget(1 << 24, 4)
+    with pytest.raises(ValueError, match="n_passes = 5"):
+        check_shuffle_budget(1 << 24, 5)
 
 
 def test_initial_block_rule():

@@ -50,6 +50,19 @@ def test_rate_curves_stdout_is_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+def test_table_reproduction_stdout_is_pinned():
+    # the measured rows and the closed-form column, which comes from gllp_rate
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "table_reproduction.py"), "--seeds", "1",
+         "--pulses", "200000"],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = "4523123f244918f39212d29befec6e11c865098003ce3b4246bb529042d8fa7a"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "script, args, setting",
     [
