@@ -241,8 +241,11 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
     source = get_preset(settings["preset"])
     link = _link_from(settings, distance=settings["distance_km"])
     pulses = settings["pulses"]
-    check_events("pulses", pulses, pulses * exact_click_probability(source, link),
-                  "detections")
+    detections = pulses * exact_click_probability(source, link)
+    check_events("pulses", pulses, detections, "detections")
+    # CASCADE shuffles the sifted key, half the clicks, once per pass: refuse
+    # an over-budget run here, not after the Monte-Carlo
+    check_shuffle_budget(round(detections / 2), settings["n_passes"])
     protocol_bits = None
     if settings["entropy_file"]:
         protocol_bits = _load_protocol_bits(settings["entropy_file"], settings["pulses"])

@@ -16,9 +16,9 @@ single-photon yield is known exactly.
 
 Each formula is evaluated as a numpy array over the link efficiencies of a
 whole distance sweep, with the click probability and signal error rate from
-``channel``; the decoy optimum walks the intensity grid once with
-distance-length vectors.  The scalar entry points are one-point calls into
-the same kernels.  The module only computes; its callers write the curves.
+``channel``; the decoy optimum searches (intensity x efficiency) tiles.
+The scalar entry points are one-point calls into the same kernels.  The
+module only computes; its callers write the curves.
 
 Two formulas keep a scalar twin, because merging either would change
 output bytes: numpy's exp and log2 can differ from math's in the last bit.
@@ -60,6 +60,11 @@ _Q = 0.5
 # Intensity search grid for attenuated-laser optimisation: 0.005 steps, and
 # the endpoint lands exactly on mu = 1.
 _MU_GRID = np.linspace(0.005, 1.0, 200)
+# each grid intensity's single-photon weight mu e^-mu, taken with math.exp
+_MU_WEIGHT = np.array([mu * math.exp(-mu) for mu in map(float, _MU_GRID)])[:, None]
+
+# elements of a decoy search tile: every grid intensity x 81 efficiencies
+_TILE = 1 << 14
 
 # the laser curves a sweep can set against its sources, as the module docstring names them
 RIVALS = ("wcp", "decoy")
@@ -78,20 +83,27 @@ def binary_entropy(x: float) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def _entropy(x: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` over an array, read as 0 outside (0, 1).
+def _entropy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``binary_entropy`` over an array, read as 0 outside (0, 1), into ``out`` if given.
 
     numpy's log2 can differ from math.log2 in the last bit, so the scalar,
     which key lengths are floored from, stays its own function.
     """
+    x = np.asarray(x)
+    h = np.subtract(1.0, x, out=np.empty(x.shape) if out is None else out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
-    return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+        rest = np.log2(h) * h  # (1 - x) log2(1 - x)
+        h = np.multiply(np.log2(x, out=h), x, out=h)
+        h += rest
+    np.negative(h, out=h)
+    np.copyto(h, 0.0, where=~((x > 0.0) & (x < 1.0)))
+    return h
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
-    """``max(0.0, x)`` elementwise."""
-    return np.where(x > 0.0, x, 0.0)
+    """``max(0.0, x)`` elementwise, in place on an array the caller owns."""
+    np.copyto(x, 0.0, where=~(x > 0.0))
+    return x
 
 
 def _check_clock(rep_rate_hz: float, f_ec: float) -> None:
@@ -152,7 +164,7 @@ def _tagged_rate(p_click, multiphoton, e, rep_rate_hz: float, f_ec: float):
         e_phase = e / (1.0 - delta)
     inner = -f_ec * _entropy(e) + (1.0 - delta) * (1.0 - _entropy(e_phase))
     alive = (p_click > 0.0) & (delta < 1.0) & (e_phase < 1.0)
-    return np.where(alive, _positive(_Q * rep_rate_hz * p_click * inner), 0.0)
+    return np.where(alive, _positive(np.asarray(_Q * rep_rate_hz * p_click * inner)), 0.0)
 
 
 def _wcp_rate(eta, link: LinkSpec, rep_rate_hz: float, f_ec: float):
@@ -169,29 +181,43 @@ def _decoy_optimum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best decoy-state rate over ``_MU_GRID`` at each efficiency, and its intensity.
 
-    The intensity is the first grid value reaching the strict maximum, and
-    ``_MU_GRID[0]`` where every rate is 0.  The grid is walked one intensity
-    at a time with vectors over ``eta``, so memory stays linear in the sweep.
+    The intensity is the first grid value reaching the maximum, and
+    ``_MU_GRID[0]`` where every rate is 0.  The search runs over tiles of
+    (intensity x efficiency), ``_TILE`` elements at most, each value computed
+    once per tile, in place, with the operands of the one-point formula in its
+    order, so every rate is the same to the bit; the argmax over a tile's
+    intensities keeps the first on a tie.  Memory is the two curves and a tile.
     """
     # asymptotic decoy analysis: the single-photon yield and error rate are
     # pinned exactly, so only true single-photon detections feed the key
-    dark = link.dark_count_prob
-    y1 = 1.0 - (1.0 - eta) * (1.0 - dark)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = np.minimum(0.5, (link.misalignment * eta + 0.5 * dark) / y1)
-    secure1 = 1.0 - _entropy(e1)
-    best_rate = np.zeros(eta.shape)
-    best_mu = np.full(eta.shape, float(_MU_GRID[0]))
-    for mu in map(float, _MU_GRID):
-        p_click = click_probability(mu, link, eta)
-        e_mu = error_rate_model(mu, link, eta)
-        q1 = mu * math.exp(-mu) * y1
-        # a link that cannot click has q1 = 0, so its rate floors at 0
-        inner = -p_click * f_ec * _entropy(e_mu) + q1 * secure1
-        rate = _positive(_Q * rep_rate_hz * inner)
-        better = rate > best_rate
-        best_rate[better] = rate[better]
-        best_mu[better] = mu
+    dark, mis = link.dark_count_prob, link.misalignment
+    mu = _MU_GRID[:, None]
+    best_rate, best_mu = np.empty(eta.shape), np.empty(eta.shape)
+    width = _TILE // mu.size
+    buffers = np.empty((3, mu.size * width))
+    for c in range(0, eta.size, width):
+        eta_c = eta[c : c + width]
+        y1 = 1.0 - (1.0 - eta_c) * (1.0 - dark)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e1 = np.minimum(0.5, (mis * eta_c + 0.5 * dark) / y1)
+        secure1 = 1.0 - _entropy(e1)
+        p, e, h = (b[: mu.size * eta_c.size].reshape(mu.size, -1) for b in buffers)
+        # channel.click_probability, then channel.error_rate_model over it
+        np.minimum(np.add(np.multiply(mu, eta_c, out=p), dark, out=p), 1.0, out=p)
+        np.add(np.multiply(mis * mu, eta_c, out=e), 0.5 * dark, out=e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.fmin(np.divide(e, p, out=e), 0.5, out=e)
+        # (-p f) h2(e) + q1 (1 - h2(e1)), as p (-f) is (-p) f to the bit; a
+        # link that cannot click has q1 = 0, so its rate floors at 0
+        p *= -f_ec
+        p *= _entropy(e, out=h)
+        q1 = np.multiply(_MU_WEIGHT, y1, out=h)
+        q1 *= secure1
+        p += q1
+        rate = _positive(np.multiply(p, _Q * rep_rate_hz, out=p))
+        top = rate.argmax(axis=0)
+        best_rate[c : c + width] = rate[top, np.arange(eta_c.size)]
+        best_mu[c : c + width] = _MU_GRID[top]
     return best_rate, best_mu
 
 

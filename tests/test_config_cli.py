@@ -636,8 +636,15 @@ def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["--preset", "decoy", "--wcp", "--ideal10", "--rep-rate", "2e6", "--f-ec", "1.1",
           "--dmax", "100", "--step", "0.05"],
          "2abb0810636ae671405ebcb0e82fc5726f4b80b37e6e512db66cc607d9e95091"),
+        # 20,001 points, many decoy search tiles wide and not ending on a tile
+        # edge, on a noisier link; the digest is of the CSV the one-intensity-
+        # at-a-time decoy search wrote at commit 4e6cdb1
+        (["--preset", "siv", "--decoy", "--wcp", "--dmax", "100", "--step", "0.005",
+          "--dark-count-prob", "1e-4", "--misalignment", "0.05"],
+         "634a60d0a37e7ced73e5ccc339f58789900869825bf4f54f7bae0db54c57715a"),
     ],
-    ids=["nv-all-60km", "siv-flat-200km", "ideal95-twice-20km", "decoy-2MHz-fec1.1"],
+    ids=["nv-all-60km", "siv-flat-200km", "ideal95-twice-20km", "decoy-2MHz-fec1.1",
+         "siv-decoy-noisy-100km"],
 )
 def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     # digests of the CSVs written by the per-distance scalar sweep the array
@@ -834,6 +841,23 @@ def test_cascade_over_the_shuffle_budget_exits_2_before_any_key(
     assert cli.main(["cascade", "--n-bits", str(1 << 24), "--n-passes", "253"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_passes = 253 over 16777216 key bits")
+    assert not list(tmp_path.iterdir())
+
+
+def test_session_over_the_shuffle_budget_exits_2_before_the_monte_carlo(
+    tmp_path, monkeypatch, capsys
+):
+    # about 4.6e5 sifted bits times 253 passes is over the shuffle budget,
+    # which is known from the expected click probability before any pulse
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the session ran past the shuffle budget")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_experiment_detailed", must_not_run)
+    argv = ["session", "--preset", "wcp", "--pulses", "10000000", "--n-passes", "253"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_passes = 253 over ") and "shuffled bits" in err
     assert not list(tmp_path.iterdir())
 
 

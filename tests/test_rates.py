@@ -8,17 +8,21 @@ at 1/2 (symmetric basis choice) throughout, so the oracles take it as 0.5.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spsqkd.channel import LinkSpec, error_rate_model
+from spsqkd.channel import LinkSpec, click_probability, error_rate_model, fibre_transmission
 from spsqkd.config import format_csv
 from spsqkd.rates import (
+    _MU_GRID,
+    _TILE,
     RIVALS,
     RateInputs,
+    _decoy_optimum,
     binary_entropy,
     critical_efficiency,
     crossover_distance,
@@ -261,6 +265,106 @@ def test_rate_kernels_match_scalar_oracle(distances, attenuation, setup, dark, m
         if best.rate_bps == 0.0:
             # past every cutoff: nothing to choose, so the first intensity
             assert top == 0.0 and best.mu == _MU[0]
+
+
+# ---- the decoy search one intensity at a time, with vectors over the whole
+# sweep, as the module ran it before the tiles: the tiles must match it to the bit
+
+
+def _decoy_by_intensity(eta, link, rep, f_ec):
+    def entropy(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+        return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+
+    dark = link.dark_count_prob
+    y1 = 1.0 - (1.0 - eta) * (1.0 - dark)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = np.minimum(0.5, (link.misalignment * eta + 0.5 * dark) / y1)
+    secure1 = 1.0 - entropy(e1)
+    best_rate = np.zeros(eta.shape)
+    best_mu = np.full(eta.shape, _MU[0])
+    for mu in _MU:
+        p_click = click_probability(mu, link, eta)
+        e_mu = error_rate_model(mu, link, eta)
+        q1 = mu * math.exp(-mu) * y1
+        rate = 0.5 * rep * (-p_click * f_ec * entropy(e_mu) + q1 * secure1)
+        rate = np.where(rate > 0.0, rate, 0.0)
+        better = rate > best_rate
+        best_rate[better] = rate[better]
+        best_mu[better] = mu
+    return best_rate, best_mu
+
+
+def _assert_decoy_search_exact(eta, link, rep=1e6, f_ec=1.22):
+    rate, mu = _decoy_optimum(eta, link, rep, f_ec)
+    want_rate, want_mu = _decoy_by_intensity(eta, link, rep, f_ec)
+    assert np.array_equal(rate, want_rate) and rate.tobytes() == want_rate.tobytes()
+    assert np.array_equal(mu, want_mu)
+    return rate, mu
+
+
+# a tile spans every intensity and _TILE // 200 efficiencies: one tile, one
+# either side of its width, and many tiles with a remainder
+_WIDTH = _TILE // _MU_GRID.size
+_SWEEP_LENGTHS = [1, _WIDTH - 1, _WIDTH, _WIDTH + 1, 40 * _WIDTH + 17]
+
+
+@pytest.mark.parametrize("n", _SWEEP_LENGTHS)
+@pytest.mark.parametrize(
+    "link",
+    [LinkSpec(), LinkSpec(dark_count_prob=0.0), LinkSpec(misalignment=0.0),
+     LinkSpec(dark_count_prob=1e-3, misalignment=0.1, attenuation_db_per_km=0.2)],
+    ids=["default", "no-darks", "no-misalignment", "noisy"],
+)
+def test_decoy_tiles_match_the_per_intensity_search(n, link):
+    distances = np.linspace(0.0, 150.0, n)
+    eta = link.setup_efficiency * fibre_transmission(distances, link.attenuation_db_per_km)
+    _assert_decoy_search_exact(eta, link)
+
+
+@pytest.mark.parametrize("n", _SWEEP_LENGTHS)
+def test_decoy_tiles_where_no_rate_is_positive(n):
+    # misalignment 0.5 pins e1 at 0.5, so no intensity keys; nor does eta = 0
+    eta = 0.31 * fibre_transmission(np.linspace(0.0, 150.0, n), 0.4)
+    for link, eta in ((LinkSpec(misalignment=0.5), eta), (LinkSpec(), np.zeros(n)),
+                      (LinkSpec(dark_count_prob=0.0), np.zeros(n))):
+        rate, mu = _assert_decoy_search_exact(eta, link)
+        assert not rate.any() and np.all(mu == _MU_GRID[0])
+
+
+@given(
+    n=st.sampled_from(_SWEEP_LENGTHS),
+    dmax=st.floats(min_value=0.0, max_value=300.0),
+    attenuation=st.floats(min_value=0.0, max_value=1.0),
+    setup=st.floats(min_value=1e-3, max_value=1.0),
+    dark=st.floats(min_value=0.0, max_value=1e-2),
+    mis=st.floats(min_value=0.0, max_value=0.5),
+    f_ec=st.floats(min_value=1.0, max_value=2.0),
+    rep=st.floats(min_value=1e3, max_value=1e10),
+)
+@settings(max_examples=40, deadline=None)
+def test_decoy_tiles_match_the_per_intensity_search_on_any_link(
+    n, dmax, attenuation, setup, dark, mis, f_ec, rep
+):
+    link = LinkSpec(attenuation_db_per_km=attenuation, setup_efficiency=setup,
+                    dark_count_prob=dark, misalignment=mis)
+    eta = setup * fibre_transmission(np.linspace(0.0, dmax, n), attenuation)
+    _assert_decoy_search_exact(eta, link, rep, f_ec)
+
+
+def test_decoy_search_memory_is_the_curves_and_a_tile():
+    # walking the grid with sweep-length vectors held about 7.6 times the two
+    # curves at this size; the tiles hold the curves and a few tile buffers
+    eta = 0.31 * fibre_transmission(np.linspace(0.0, 100.0, 1 << 18), 0.4)
+    tile_bytes = 8 * _TILE
+    tracemalloc.start()
+    try:
+        _decoy_optimum(eta, LinkSpec(), 1e6, 1.22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * eta.nbytes + 8 * tile_bytes
 
 
 def test_crossover_semantics():
