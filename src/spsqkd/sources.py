@@ -10,7 +10,10 @@ Sampling is event-driven.  Faint sources leave most pulses empty, so
 the gaps between them are geometric, and each one's outcome comes from the
 table conditioned on being non-null.  Its cost and memory grow with the
 events drawn, not with the pulse count.  Loss and dark clicks go into the
-table too, so a run draws only the pulses that click.
+table too, so a run draws only the pulses that click.  A gap at event
+probability p is ceil(E / -log1p(-p)) with E from numpy's
+``standard_exponential``; below p = 1/3 these are the numbers
+``Generator.geometric`` gives, which draws them this way one at a time.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def photon_number_distribution(spec: SourceSpec) -> np.ndarray:
     Poissonian tables are truncated once the remaining tail is negligible.
     """
     if spec.kind is SourceKind.SUB_POISSONIAN:
-        p2 = spec.mu**2 * spec.g2_zero / 2
+        p2 = subpoissonian_multiphoton(spec.mu, spec.g2_zero)
         p1 = spec.mu - 2 * p2
         return np.array([1.0 - p1 - p2, p1, p2])
     if spec.kind is SourceKind.POISSONIAN:
@@ -231,41 +234,62 @@ def sample_events(
     """Pulses out of ``n_pulses`` whose outcome class is not 0.
 
     ``probs[c]`` is the probability of class ``c`` for every pulse, pulses
-    being independent.  Returns the ascending pulse indices and each one's
-    class in 1..len(probs)-1, never one of probability 0.  The gaps between
-    event pulses are geometric at p = sum(probs[1:]), drawn in batches until
-    they pass the last pulse; the classes then come from the table
-    conditioned on class > 0.
+    being independent.  Returns the ascending pulse indices (int64) and each
+    one's class in 1..len(probs)-1, never one of probability 0, in the
+    smallest unsigned type that holds len(probs).  The gaps between event
+    pulses are geometric at p = sum(probs[1:]), drawn in batches until they
+    pass the last pulse; the classes then come from the table conditioned
+    on class > 0.  Below p = 1/3 the gaps are the numbers
+    ``rng.geometric(p)`` would give; from there up the law is the same but
+    the stream is not.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
     probs = np.asarray(probs, dtype=np.float64)
+    class_type = np.min_scalar_type(probs.size)
     p = min(1.0, float(probs[1:].sum()))
     if n_pulses == 0 or p <= 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=class_type)
     expected = n_pulses * p
     batch = int(min(expected + 6.0 * math.sqrt(expected) + 16.0, _MAX_BATCH))
+    # numpy's geometric below p = 1/3, vectorized: ceil(E / -log1p(-p)), with
+    # E its ziggurat exponential, in a true division as numpy does it
+    scale = -math.log1p(-p) if p < 1.0 else math.inf
     parts = []
     last = -1  # index of the latest event drawn
     while True:
-        # a gap reaching past the last pulse ends the run, so clipping it there
+        gaps = rng.standard_exponential(batch)
+        gaps /= scale
+        np.ceil(gaps, out=gaps)
+        # at least 1, also for p = 1 and an exponential of exactly 0; a gap
+        # reaching past the last pulse ends the run, so clipping it there
         # changes nothing and keeps the sums up to the end below 2 n_pulses
-        # (numpy returns 2^63 - 1 for the gaps of a vanishing p)
-        gaps = np.minimum(rng.geometric(p, batch), n_pulses - last)
-        index = last + np.cumsum(gaps)
+        np.clip(gaps, 1.0, n_pulses - last, out=gaps)
+        index = gaps.astype(np.int64)
+        del gaps
+        np.cumsum(index, out=index)
+        index += last
         past = index >= n_pulses
         if past.any():
             parts.append(index[: np.argmax(past)])
             break
         parts.append(index)
         last = int(index[-1])
-    index = np.concatenate(parts)
+    index = np.concatenate(parts) if len(parts) > 1 else parts[0]
     del parts
+    # every event starts in the likeliest class; only the u outside its
+    # interval [cdf[top - 1], cdf[top]) are searched, for the same class
+    # searchsorted gives: the first with cdf > u
     cdf = np.cumsum(probs[1:])
+    top = int(np.argmax(probs[1:]))
     u = rng.random(index.size)
     u *= cdf[-1]  # below cdf[-1], so past every class of nonzero probability
-    classes = np.searchsorted(cdf, u, side="right")
-    classes += 1
+    off = u >= cdf[top]
+    if top:
+        off |= u < cdf[top - 1]
+    off = np.flatnonzero(off)
+    classes = np.full(index.size, top + 1, dtype=class_type)
+    classes[off] = np.searchsorted(cdf, u[off], side="right") + 1
     return index, classes
 
 
@@ -274,7 +298,9 @@ class PhotonEvents:
     """The clicking pulses of a run: ascending index, arrived photons, darks.
 
     ``dark`` has bit 0 set for a dark click in detector 0, bit 1 for one in
-    detector 1.  As an array it is its photon counts, so ``np.count_nonzero``
+    detector 1.  ``pulse_index`` is int64; ``photons`` and ``dark`` are the
+    smallest unsigned type that holds the class count (uint8 for every
+    preset).  As an array it is its photon counts, so ``np.count_nonzero``
     of it is the number of pulses with an arrived photon.
     """
 
@@ -314,7 +340,7 @@ def sample_photon_numbers(
     # class 4 k + d, so class 0 is the pulse where nothing happens
     table = _click_table(spec, efficiency, dark_count_prob).ravel()
     index, classes = sample_events(table, n_pulses, rng)
-    dark_bits = (classes & 3).astype(np.uint8)
+    dark_bits = (classes & 3).astype(np.uint8, copy=False)
     classes >>= 2
     return PhotonEvents(index, classes, dark_bits)
 

@@ -175,6 +175,65 @@ def test_small_batches_keep_the_gap_statistics(monkeypatch):
     assert stat < _chi2_limit(dof)
 
 
+@pytest.mark.parametrize("p", [1e-4, 0.029, 0.0916, 0.33])
+def test_gaps_are_numpys_geometric_below_a_third(p):
+    # the gaps come from numpy's own exponential kernel, so below p = 1/3 the
+    # events are the ones rng.geometric gives at the same seed, cut where the
+    # next one would pass the last pulse
+    n = 20_000_000 if p < 1e-3 else 2_000_000
+    index, _ = sample_events(np.array([1.0 - p, p]), n, np.random.default_rng([59, 7]))
+    gaps = np.random.default_rng([59, 7]).geometric(p, index.size + 1)
+    assert index.size > 1000
+    assert np.array_equal(index, np.cumsum(gaps[:-1]) - 1)
+    assert index[-1] + gaps[-1] >= n
+
+
+@pytest.mark.parametrize("p", [0.5, 0.95])
+def test_gaps_follow_the_geometric_law_from_a_third_up(p):
+    # above p = 1/3 the stream is not numpy's geometric, the law still is
+    n = 1_000_000
+    index, _ = sample_events(np.array([1.0 - p, p]), n, np.random.default_rng([61, 0]))
+    gaps = np.diff(index, prepend=-1)
+    counts = np.bincount(gaps).astype(np.float64)[1:]  # gap k at k - 1
+    k = np.arange(1, counts.size + 1)
+    expected = gaps.size * (1.0 - p) ** (k - 1) * p
+    expected[-1] = gaps.size * (1.0 - p) ** (counts.size - 1)  # the tail past the longest
+    stat, dof = _chi2(counts, expected)
+    assert dof >= 3
+    assert stat < _chi2_limit(dof), (p, stat, dof)
+
+
+class _UniformRecorder:
+    """A generator that keeps a copy of the uniforms it hands out."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.uniforms = []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        self.uniforms.append(u.copy())
+        return u
+
+
+def test_classes_off_the_likeliest_are_the_full_search():
+    # the likeliest class (3) is neither first nor last, and classes of
+    # probability 0 sit on both sides of it; events outside its interval are
+    # searched, the rest skip the search, and both must give the class a
+    # search over every event gives
+    probs = np.array([0.6, 0.05, 0.0, 0.2, 0.0, 0.1, 0.0, 0.05])
+    rng = _UniformRecorder(np.random.default_rng(67))
+    _, classes = sample_events(probs, 200_000, rng)
+    (u,) = rng.uniforms
+    cdf = np.cumsum(probs[1:])
+    assert classes.dtype == np.uint8
+    assert np.array_equal(classes, np.searchsorted(cdf, u * cdf[-1], "right") + 1)
+    assert set(np.unique(classes)) == {1, 3, 5, 7}
+
+
 def test_negative_pulse_count_is_refused():
     with pytest.raises(ValueError, match="n_pulses"):
         sample_events(np.array([0.5, 0.5]), -1, np.random.default_rng(0))
