@@ -13,7 +13,10 @@ them out of a table of classes (photons arrived after the link's loss, dark
 pattern of the two detectors), so lost photons and quiet pulses are never
 drawn.  Protocol bits, routing and double-click resolution are drawn for the
 clicking pulses alone, so a run costs in proportion to its clicks, not its
-pulses or its emitted photons.
+pulses or its emitted photons.  Routing compares one uniform per clicking
+pulse with a table, over (photons arrived, basis relation, Alice's bit), of
+the chances that every arrived photon lands in one detector: the only events
+the click pattern depends on.
 
 Sifting keeps pulses where the bases match and the click pattern resolved to
 a bit.  A disclosed subsample estimates the QBER and is struck from the keys.
@@ -91,14 +94,33 @@ def _detector_clicks(
     applied; ``dark`` holds each pulse's dark clicks, bit 0 for detector 0
     and bit 1 for detector 1.  Detector index is the bit value in Bob's
     basis.
+
+    Each of the k arrived photons lands in detector 1 with chance p: 1/2 in
+    a mismatched basis, e or 1 - e in a matched one with Alice's bit 0 or 1.
+    The pattern depends only on whether none of them does, chance
+    (1 - p)^k, or all of them do, chance p^k.  So one uniform u per pulse
+    routes them all: detector 1 stays quiet for u < (1 - p)^k, detector 0
+    for u >= 1 - p^k.  For k >= 1 the two ranges are disjoint, and for k = 1
+    they cover [0, 1), so exactly one detector fires; for k = 0 neither
+    does.  A dark click makes its detector fire whatever u is, so both
+    comparisons read small tables indexed by (k, kind, dark pattern).
     """
-    # probability an arriving photon lands in detector 1 of Bob's basis
+    # chance a photon lands in detector 1, by kind: 0 mismatched bases,
+    # 1 + Alice's bit in matched ones
     e = link.misalignment
-    p_det1 = np.where(matched, np.where(alice_bit == 1, 1.0 - e, e), 0.5)
-    n_to_1 = rng.binomial(n_arrived, p_det1)
-    click0 = (n_arrived > n_to_1) | ((dark & 1) > 0)
-    click1 = (n_to_1 > 0) | ((dark & 2) > 0)
-    return click0, click1
+    p_det1 = np.array([0.5, e, 1.0 - e])[:, None]
+    k = np.arange(int(n_arrived.max(initial=0)) + 1)[:, None, None]
+    dark_bits = np.arange(4)
+    fires0 = np.where(dark_bits & 1, 1.0, 1.0 - p_det1**k).ravel()
+    quiet1 = np.where(dark_bits & 2, 0.0, (1.0 - p_det1) ** k).ravel()
+    # index (3 k + kind) 4 + dark into the [k, kind, dark] tables
+    row = n_arrived.astype(np.min_scalar_type(fires0.size - 1))
+    row *= 3
+    row += (alice_bit + 1) * matched
+    row <<= 2
+    row |= dark
+    u = rng.random(row.size)
+    return u < fires0[row], u >= quiet1[row]
 
 
 def run_session(

@@ -686,24 +686,24 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["session", "--preset", "wcp", "--pulses", "1000000", "--seed", "7",
           "--disclose-fraction", "0.1", "--bits-csv"],
          {"session.summary.txt":
-          "785f768b352603a0e2f38a7320c379455a48ad2695717dcc5d8c48730ccafddd",
+          "71e33d7a4ddcf53f7cb2b830d7e8ded629a2c97ddd75e4124ee3ce0167a9957d",
           "session.bits.csv":
-          "42d14469373cdb3095c6ddcaa869ca12cffbddaf40af4b732d698dcb808205fe"}),
+          "83a017860aadaa02a4e45ad745368842faf50c6b27bfe170ff92e39403ee5ebb"}),
         (["session", "--preset", "nv", "--pulses", "1000000", "--seed", "7", "--bits-csv"],
          {"session.summary.txt":
-          "9f40bd14f532be6151bb909c409e239d3f99d9e591a14b489c4e9d0fcef88733",
+          "c373afbc7c86184fa8f6383e4505d8235299ccc8854e1c6153b799acd4269c6d",
           "session.bits.csv":
-          "4329034d45f26a69964520bfd17947744cee42f2f1a06f1e507bc48a015d6afb"}),
+          "6a029b94e2376f0b6da14f3e1b2cf840a01628a6449cb34e99764636fa108030"}),
         (["session", "--preset", "decoy", "--pulses", "1000000", "--seed", "3"],
          {"session.summary.txt":
-          "c196ff4f52936566b9df6a2513de649bbd7ed0bb2a15569576a83e4f306ec473"}),
+          "db318055b1e44e9e172d9e0ff3c090363930a78aec20e8a9229837cdb4b81aaa"}),
         (["session", "--preset", "siv", "--pulses", "1000000", "--seed", "7"],
          {"session.summary.txt":
-          "853a9408959bc2467b2d18580660f721f400bd5109470371cecf77ff4ec06ba4"}),
+          "4699ccb6e1af0c0d26b506f5de476fbc6ebbd5e76e53a36708ec89048d602ff2"}),
         (["session", "--preset", "ideal95", "--pulses", "200000", "--distance-km", "10",
           "--seed", "7"],
          {"session.summary.txt":
-          "2c0a0fbc572ad18fb153851e87cd725f955ce415d44b7185d2aee95353be56f9"}),
+          "4df5e3433421dea993690f44aaba6cdd3cc4414deaeba63f2a37930509c94fa8"}),
         (["cascade", "--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
          {"cascade.cascade.txt":
           "cbb9a9d52cec295610a7a5e4e19b1db0741d64073b685829b1213884dbc600d5"}),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spsqkd import reconciliation, sources
-from spsqkd.bb84 import run_session
+from spsqkd.bb84 import _detector_clicks, run_session
 from spsqkd.channel import LinkSpec, exact_click_probability
 from spsqkd.sources import get_preset, photon_number_distribution, sample_events
 
@@ -135,6 +135,54 @@ def test_click_patterns_match_the_click_model(preset, distance_km, dark_count_pr
         stat, dof = stat + s, dof + d
     assert dof >= 3
     assert stat < _chi2_limit(dof), (preset, stat, dof)
+
+
+_ROUTED_K = (0, 1, 2, 3, 8, 64)
+
+
+def _routing_oracle(k: int, p: float, h: float) -> np.ndarray:
+    """P(neither, detector 0 only, detector 1 only, both) from the binomial.
+
+    j of the k photons land in detector 1, each with chance p; each detector
+    also fires dark with chance h on its own.
+    """
+    probs = np.zeros(4)
+    for j in range(k + 1):
+        weight = math.comb(k, j) * p**j * (1.0 - p) ** (k - j)
+        for d0 in (0, 1):
+            for d1 in (0, 1):
+                w = weight * (h if d0 else 1.0 - h) * (h if d1 else 1.0 - h)
+                probs[((k - j > 0) | d0) + 2 * ((j > 0) | d1)] += w
+    return probs
+
+
+@pytest.mark.parametrize("photon_type", [np.uint8, np.int64])
+@pytest.mark.parametrize("h", [0.0, 0.1], ids=["no-darks", "darks"])
+@pytest.mark.parametrize("e", [0.0, 0.03])
+def test_routing_matches_the_binomial_oracle(e, h, photon_type):
+    # one call over a block of n pulses for every (k, kind): kind 0 is a
+    # mismatched basis, kinds 1 and 2 matched ones with Alice's bit 0 and 1
+    n = 20_000
+    cases = [(k, kind) for k in _ROUTED_K for kind in range(3)]
+    rng = np.random.default_rng([73, int(e > 0), int(h > 0), np.dtype(photon_type).itemsize])
+    n_arrived = np.repeat([k for k, _ in cases], n).astype(photon_type)
+    kinds = np.repeat([kind for _, kind in cases], n)
+    alice_bit = (kinds == 2).astype(np.uint8)
+    matched = kinds > 0
+    dark0, dark1 = rng.random((2, kinds.size)) < h
+    dark = (dark0 | dark1 << 1).astype(np.uint8)
+    click0, click1 = _detector_clicks(n_arrived, alice_bit, matched, dark,
+                                      LinkSpec(misalignment=e), rng)
+    patterns = (click0 + 2 * click1).reshape(len(cases), n)
+    stat, dof = 0.0, 0
+    for (k, kind), block in zip(cases, patterns):
+        probs = _routing_oracle(k, (0.5, e, 1.0 - e)[kind], h)
+        counts = np.bincount(block, minlength=4).astype(np.float64)
+        assert np.all(counts[probs == 0.0] == 0), (k, kind, counts)
+        s, d = _chi2(counts, n * probs)
+        stat, dof = stat + s, dof + d
+    assert dof >= 7  # e = 0 without darks: only mismatched k = 1, 2, 3, 8 vary
+    assert stat < _chi2_limit(dof), (stat, dof)
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def test_table_reproduction_stdout_is_pinned():
         env=env, capture_output=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    digest = "4523123f244918f39212d29befec6e11c865098003ce3b4246bb529042d8fa7a"
+    digest = "51f329dbb4c45475e6b0b62ca138b662d67c7368bfa403a5c2d54434f20c231e"
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
