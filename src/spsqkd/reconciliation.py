@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -73,6 +74,14 @@ _SHUFFLE_BUDGET = 4 * MAX_EVENTS
 # most halving searches whose queries a drain writes at once: a batch holds
 # about 60 bytes per query, so it stays under 10 MB whatever the key size
 _SEARCH_BATCH = 1 << 14
+
+# keys from this many bits up have passes 3 and later shuffled on a second
+# thread while passes 1 and 2 run.  Below it the saving is a few ms, about
+# what the thread loses waiting up to the 5 ms GIL switch interval to take
+# the lock back from the drains after each table kernel: on 2 cores at 3%
+# errors it won in each of four paired curves from 2^17 bits up (time
+# ratio 0.71-0.84), but lost in one at 2^16 (1.08, against 0.76-0.77)
+_THREAD_FROM = 1 << 17
 
 # one parity query as sent: a 0x01 request frame (pass byte, lo, hi) and
 # its 0x02 reply frame, 20 bytes; the struct writes one, the dtype a batch
@@ -196,6 +205,17 @@ def _prefix_parities(bits: np.ndarray) -> bytes:
     prefix = np.zeros(bits.size + 1, dtype=np.uint8)
     np.bitwise_xor.accumulate(bits, out=prefix[1:])
     return prefix.tobytes()
+
+
+def _shuffle_tables(alice: np.ndarray, natural: np.ndarray, seed: int, p: int):
+    # pass p's shuffle, its inverse and Alice's prefix parities in shuffled
+    # order.  The pass has its own stream, so any thread builds the same bytes;
+    # shuffling an int32 arange gives the same order, but slower
+    rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
+    perm = rng.permutation(alice.size).astype(np.int32)
+    inv = np.empty(alice.size, dtype=np.int32)
+    inv[perm] = natural
+    return perm, inv, _prefix_parities(alice[perm])
 
 
 def _key_words(bits: np.ndarray) -> np.ndarray:
@@ -334,8 +354,14 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
-    Every shuffle is built before pass 1, so ``check_shuffle_budget`` caps
-    the key bits times ``n_passes``.
+    Every pass's shuffle is held until the call returns, so
+    ``check_shuffle_budget`` caps the key bits times ``n_passes``.  Pass 2
+    is shuffled as it starts.  From ``_THREAD_FROM`` (2^17) key bits up,
+    passes 3 and later are shuffled on a second thread, on the second core,
+    while passes 1 and 2 are reconciled; below it they are shuffled as pass
+    3 starts.  Each pass draws from its own stream, so the transcript is
+    the same bytes either way.  No thread outlives the call, and an error
+    raised on the thread is raised again here.
     """
     alice = _as_bits(alice_key, "alice_key")
     bob = _as_bits(bob_key, "bob_key").copy()
@@ -350,24 +376,39 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     # drain's batch fragments the heap and raises the peak RSS
     transcript = [_frame(MSG_SHUFFLE_SEED, struct.pack("<Q", cfg.shuffle_seed))]
 
-    perms: list[np.ndarray] = []
-    inv_perms: list[np.ndarray] = []
-    alice_prefix: list[bytes] = []
-    block_size: list[int] = []
     natural = np.arange(n, dtype=np.int32)
-    for p in range(cfg.n_passes):
-        if p == 0:
-            perm = inv = natural
-        else:
-            # shuffling an int32 arange gives the same order, but slower
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.shuffle_seed, p]))
-            perm = rng.permutation(n).astype(np.int32)
-            inv = np.empty(n, dtype=np.int32)
-            inv[perm] = natural
-        perms.append(perm)
+    block_size = [min(n, cfg.initial_block * (1 << p)) for p in range(cfg.n_passes)]
+    # each pass's shuffle, its inverse and Alice's prefix parities in
+    # shuffled order, appended as the pass starts (pass 1 keeps the natural
+    # order).  The drains read the shuffles and flip Bob's bits through
+    # memoryviews: a scalar access costs a third of a numpy index
+    inv_perms, alice_prefix = [natural], [_prefix_parities(alice)]
+    perm_at, inv_at = [memoryview(natural)], [memoryview(natural)]
+    bob_at = memoryview(bob)
+
+    def add_pass(perm: np.ndarray, inv: np.ndarray, prefix: bytes) -> None:
         inv_perms.append(inv)
-        alice_prefix.append(_prefix_parities(alice[perm]))
-        block_size.append(min(n, cfg.initial_block * (1 << p)))
+        alice_prefix.append(prefix)
+        perm_at.append(memoryview(perm))
+        inv_at.append(memoryview(inv))
+
+    # passes 3 and later are shuffled in one go: on a second thread while
+    # passes 1 and 2 run, from _THREAD_FROM key bits up, else as pass 3 starts.
+    # Each kernel releases the GIL, so the thread runs beside the drains
+    later: list[tuple[np.ndarray, np.ndarray, bytes]] = []
+    failed: list[BaseException] = []
+
+    def shuffle_later() -> None:
+        try:
+            for p in range(2, cfg.n_passes):
+                later.append(_shuffle_tables(alice, natural, cfg.shuffle_seed, p))
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    worker = None
+    if n >= _THREAD_FROM and cfg.n_passes > 2:
+        worker = threading.Thread(target=shuffle_later, name="cascade-shuffles")
+        worker.start()
 
     parity_replies = 0
 
@@ -388,13 +429,13 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     def flip(g: int, announced: int) -> None:
         nonlocal corrections
-        bob[g] ^= 1
+        bob_at[g] ^= 1
         corrections += 1
         # the flip clears g's bit in the containing block of every pass
         # whose parities have been exchanged so far, including any block
         # just bisected (now even again)
         for r in range(announced):
-            block_id, offset = divmod(int(inv_perms[r][g]), block_size[r])
+            block_id, offset = divmod(inv_at[r][g], block_size[r])
             mask = masks[r].pop(block_id) ^ 1 << offset
             if mask:
                 masks[r][block_id] = mask
@@ -413,41 +454,57 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
                 hi = min(lo + block_size[r], n) - 1
                 target = lo + _odd_bit(mask, hi - lo + 1)
                 searches.append((r, lo, hi, target))
-                flip(int(perms[r][target]), announced)
+                flip(perm_at[r][target], announced)
                 if len(searches) == _SEARCH_BATCH:
                     write(searches, alice_prefix)
                     searches.clear()
         if searches:
             write(searches, alice_prefix)
 
-    for p in range(cfg.n_passes):
-        # every block parity of the pass at once, both parties
-        starts = np.arange(0, n, block_size[p])
-        ends = np.minimum(starts + block_size[p], n)
-        a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
-        a_par = a_prefix[ends] ^ a_prefix[starts]
-        transcript.append(_query_frames(p, starts, ends - 1, a_par))
-        parity_replies += starts.size
-        if p == 0:
-            # pass 1 runs in natural order, so one prefix of the differences
-            # answers every half Bob compares, in every block
-            diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
-            odd = diff[ends] != diff[starts]
-            q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
-            transcript.append(
-                _query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo])
-            )
-            parity_replies += q_lo.size
-            bob[final] ^= 1
-            corrections += final.size
-            continue
-        # the pass opens its masks (pass 1's open with pass 2's, after its
-        # batch of corrections); its odd blocks, ascending, are a heap
-        errors = np.flatnonzero(alice != bob)
-        for r in range(len(masks), p + 1):
-            masks.append(_block_masks(inv_perms[r][errors], block_size[r]))
-        heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
-        drain(p + 1)
+    try:
+        for p in range(cfg.n_passes):
+            if p == 1:
+                add_pass(*_shuffle_tables(alice, natural, cfg.shuffle_seed, 1))
+            elif p == 2:
+                if worker is None:
+                    shuffle_later()
+                else:
+                    worker.join()
+                if failed:
+                    raise failed[0]
+                for tables in later:
+                    add_pass(*tables)
+            # every block parity of the pass at once, both parties
+            starts = np.arange(0, n, block_size[p])
+            ends = np.minimum(starts + block_size[p], n)
+            a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
+            a_par = a_prefix[ends] ^ a_prefix[starts]
+            transcript.append(_query_frames(p, starts, ends - 1, a_par))
+            parity_replies += starts.size
+            if p == 0:
+                # pass 1 runs in natural order, so one prefix of the
+                # differences answers every half Bob compares, in every block
+                diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
+                odd = diff[ends] != diff[starts]
+                q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
+                transcript.append(
+                    _query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo])
+                )
+                parity_replies += q_lo.size
+                bob[final] ^= 1
+                corrections += final.size
+                continue
+            # the pass opens its masks (pass 1's open with pass 2's, after
+            # its batch of corrections); its odd blocks, ascending, are a heap
+            errors = np.flatnonzero(alice != bob)
+            for r in range(len(masks), p + 1):
+                masks.append(_block_masks(inv_perms[r][errors], block_size[r]))
+            heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
+            drain(p + 1)
+    finally:
+        # no thread outlives the call, whatever the passes raised
+        if worker is not None:
+            worker.join()
 
     verified = True
     if cfg.verify_bits > 0:
@@ -544,14 +601,21 @@ def privacy_amplify(
         return SecretKey(np.zeros(0, dtype=np.uint8), inputs, aborted=True)
 
     rng = np.random.default_rng(np.random.SeedSequence([hash_seed]))
-    diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64)
+    # drawn as int64, which fixes the stream, and held as the float64 the
+    # FFT reads; each array is dropped as soon as it is used
+    diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64).astype(np.float64)
     # Toeplitz matrix T[i, j] = diagonals[i - j + n - 1]; row i of T @ key is
     # the full convolution at lag i + n - 1
     size = 1 << (n + m - 2).bit_length()
-    spectrum = np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size)
+    spectrum = np.fft.rfft(diagonals, size)
+    del diagonals
+    spectrum *= np.fft.rfft(bits, size)
     sums = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    del spectrum
     rounded = np.rint(sums)
-    error = float(np.max(np.abs(sums - rounded)))
+    sums -= rounded
+    error = float(np.max(np.abs(sums)))
+    del sums
     if not error < 0.25:
         raise ArithmeticError(
             f"Toeplitz hash lost precision: rounding error {error:.3g}"

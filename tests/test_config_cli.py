@@ -394,8 +394,9 @@ def test_bright_g2_histograms_pairs_in_bounded_memory(tmp_path):
 
 def test_cascade_runs_in_bounded_memory(tmp_path):
     # a cascade over 2^22 bits holds a shuffle and its inverse for each of
-    # its 4 passes.  With int32 indices it runs in 332 MiB of address space,
-    # with int64 indices in 473 MiB
+    # its 4 passes, and shuffles two passes at once on two threads.  With
+    # int32 indices it runs in 352 MiB of address space (313 MiB with every
+    # shuffle on one thread), with int64 indices in 473 MiB
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
@@ -605,9 +606,13 @@ def test_cascade_seeded_run_corrects_everything(tmp_path, monkeypatch):
         (["--n-bits", "20000", "--qber", "0.05", "--n-passes", "2", "--verify-bits", "0",
           "--seed", "6"],
          "bbcc244b5d3a155396f0fe252b2e77ae9764200f7f9ba01a1d6ed374189fed3f"),
+        # above reconciliation._THREAD_FROM: passes 3 and 4 shuffled on a
+        # second thread
+        (["--n-bits", "262144", "--qber", "0.03", "--seed", "7"],
+         "4f6007ad91f8478f607c051c07457851ffbeafadf1cc6ad7f73ece386c7cd1c2"),
     ],
     ids=["n100000-qber0.1", "n10000-qber0.03", "n1000-block2", "n4096-qber0",
-         "n20000-2passes-unverified"],
+         "n20000-2passes-unverified", "n262144-threaded"],
 )
 def test_cascade_transcript_is_pinned(argv, digest, tmp_path, monkeypatch):
     # digests of transcripts written by earlier implementations (one frame

@@ -1,5 +1,5 @@
 """The package carries no code that only the tests use, one output format,
-and no import inside a function.
+no import inside a function, and no costly standard module at import.
 
 Every public function, method and property defined in ``src/spsqkd``, and
 every private module-level function, must be referenced by the package
@@ -11,6 +11,9 @@ the package; such oracles live in the tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,3 +151,15 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 }
     assert not sites, f"imports inside functions: {sorted(sites)}"
+
+
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    # every command pays for its imports first: concurrent.futures, with the
+    # logging it imports, would add about 7 ms to a 0.12 s start.  numpy
+    # already loads threading, which is all the CASCADE table thread needs
+    code = ("import sys, spsqkd.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

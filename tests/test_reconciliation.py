@@ -9,6 +9,8 @@ floor(801.59) - 330 = 471.
 import heapq
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -277,16 +279,20 @@ def _stacked_errors_keys():
 
 
 def _assert_matches_the_replay(alice, bob, cfg, batch=reconciliation._SEARCH_BATCH):
-    # batch: the most searches a drain writes at once
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reconciliation, "_SEARCH_BATCH", batch)
-        out = cascade(alice, bob, cfg)
+    # batch: the most searches a drain writes at once.  Both ways of building
+    # the tables are checked: inline, and with passes 3 and later shuffled on
+    # the second thread (its cut-over patched down to the smallest key)
     transcript, key, leaked, corrections, verified = _replay_cascade(alice, bob, cfg)
-    assert out.transcript == transcript
-    assert np.array_equal(out.corrected_bob_key, key)
-    assert out.leaked_bits == leaked
-    assert out.corrections_made == corrections
-    assert out.verified_equal == verified
+    for thread_from in (reconciliation._THREAD_FROM, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconciliation, "_SEARCH_BATCH", batch)
+            mp.setattr(reconciliation, "_THREAD_FROM", thread_from)
+            out = cascade(alice, bob, cfg)
+        assert out.transcript == transcript
+        assert np.array_equal(out.corrected_bob_key, key)
+        assert out.leaked_bits == leaked
+        assert out.corrections_made == corrections
+        assert out.verified_equal == verified
 
 
 @given(
@@ -322,6 +328,120 @@ def test_cascade_matches_a_block_by_block_replay(
 def test_cascade_matches_the_replay_on_crafted_keys(keys, est):
     alice, bob = keys()
     _assert_matches_the_replay(alice, bob, ReconciliationConfig(est_qber=est))
+
+
+class _Injected(Exception):
+    pass
+
+
+def _spy_shuffles(monkeypatch, before=None):
+    # records (pass, thread, live threads) of every shuffle table built;
+    # before(p) runs first and may raise or wait
+    shuffle_tables = reconciliation._shuffle_tables
+    calls = []
+
+    def spy(alice, natural, seed, p):
+        calls.append((p, threading.current_thread(), threading.active_count()))
+        if before is not None:
+            before(p)
+        return shuffle_tables(alice, natural, seed, p)
+
+    monkeypatch.setattr(reconciliation, "_shuffle_tables", spy)
+    return calls
+
+
+def test_shuffles_start_one_thread_at_most_and_only_from_the_cut_over(monkeypatch):
+    # the 2^18-bit CLI pin in test_config_cli runs the threaded path
+    assert reconciliation._THREAD_FROM <= 1 << 18
+    calls = _spy_shuffles(monkeypatch)
+    main = threading.current_thread()
+    live = threading.active_count()
+    for n, n_passes, threaded in [
+        (reconciliation._THREAD_FROM - 1, 4, False),
+        (reconciliation._THREAD_FROM, 2, False),
+        (reconciliation._THREAD_FROM, 3, True),
+        (reconciliation._THREAD_FROM, 9, True),
+    ]:
+        calls.clear()
+        alice, bob = _keys_with_errors(n, 0.03, n_passes)
+        out = cascade(alice, bob, ReconciliationConfig(est_qber=0.03, n_passes=n_passes))
+        assert out.verified_equal
+        threads = {p: thread for p, thread, _ in calls}
+        assert sorted(threads) == list(range(1, n_passes))
+        # pass 2 on the calling thread; passes 3 and later all on one thread
+        assert threads.pop(1) is main
+        assert len(set(threads.values())) <= 1
+        assert all((thread is not main) == threaded for thread in threads.values())
+        assert max(count for _, _, count in calls) <= live + threaded
+        assert threading.active_count() == live
+
+
+def test_a_failed_shuffle_on_the_thread_is_raised_by_the_caller(monkeypatch):
+    monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
+
+    def fail_later(p):
+        if p >= 2:
+            raise _Injected(p)
+
+    calls = _spy_shuffles(monkeypatch, fail_later)
+    alice, bob = _keys_with_errors(4096, 0.03, 2)
+    live = threading.active_count()
+    with pytest.raises(_Injected):
+        cascade(alice, bob, ReconciliationConfig(est_qber=0.03))
+    assert [thread is threading.current_thread() for p, thread, _ in calls if p == 2] == [False]
+    assert threading.active_count() == live
+
+
+def test_a_failure_mid_pass_still_joins_the_thread(monkeypatch):
+    # _search_frames first runs in pass 2's drain, while the thread is held
+    # in its first shuffle; it fails there, and only then is the thread let go
+    monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
+    release = threading.Event()
+    calls = _spy_shuffles(monkeypatch, lambda p: p < 2 or release.wait(timeout=30))
+    live = threading.active_count()
+    seen = []
+
+    def fail(searches, prefixes):
+        seen.append(threading.active_count())
+        release.set()
+        raise _Injected
+
+    monkeypatch.setattr(reconciliation, "_search_frames", fail)
+    alice, bob = _keys_with_errors(4096, 0.03, 3)
+    with pytest.raises(_Injected):
+        cascade(alice, bob, ReconciliationConfig(est_qber=0.03))
+    assert seen == [live + 1]
+    assert threading.active_count() == live
+    # the thread was joined, not abandoned: it finished its shuffles
+    assert sorted(p for p, _, _ in calls) == [1, 2, 3]
+
+
+def test_threaded_cascades_agree_with_inline_under_fast_switching():
+    # several callers at once, each with its own table thread, more threads
+    # than cores, and the GIL handed over every 10 us: every transcript must
+    # equal the one built without a thread
+    keys = [_keys_with_errors(20_000, 0.05, seed) for seed in range(3)]
+    cfgs = [ReconciliationConfig(est_qber=0.05, n_passes=6, shuffle_seed=s) for s in range(3)]
+    expected = [cascade(a, b, cfg).transcript for (a, b), cfg in zip(keys, cfgs)]
+    results = [None] * len(keys)
+
+    def run(i):
+        results[i] = cascade(*keys[i], cfgs[i]).transcript
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconciliation, "_THREAD_FROM", 8)
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(keys))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == expected
 
 
 def test_identical_keys_leak_top_level_parities_only():
