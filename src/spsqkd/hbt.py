@@ -94,6 +94,8 @@ def simulate_hbt(
     rarely reaches the next pulse, so a stable sort (a timsort merge of
     the sorted runs) is several times faster than the default quicksort;
     a float sort gives the same array whichever algorithm runs it.
+
+    After the settings, ``ValueError`` refuses ``n_pulses`` expecting over MAX_EVENTS tags.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
@@ -101,6 +103,7 @@ def simulate_hbt(
         raise ValueError("splitter_ratio must be in [0, 1]")
     if not 0.0 <= detection_eff <= 1.0:
         raise ValueError("detection_eff must be in [0, 1]")
+    check_events("pulses", n_pulses, n_pulses * source.mu * detection_eff, "tags")
 
     period = source.rep_period_ns
     duration = n_pulses * period

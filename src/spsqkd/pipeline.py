@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bb84 import SessionResult, run_session
-from .channel import LinkSpec, click_probability
-from .reconciliation import ReconciliationConfig, cascade, privacy_amplify
+from .channel import LinkSpec, click_probability, exact_click_probability
+from .config import check_events
+from .reconciliation import ReconciliationConfig, cascade, check_shuffle_budget, privacy_amplify
 from .sources import SourceSpec, multiphoton_probability
 
 __all__ = [
@@ -81,6 +82,10 @@ def run_experiment_detailed(
     derived from the master seed.  A run that cannot distill a key reports
     zero secret bits with ``aborted`` set; stages it never reached read
     nan or 0.
+
+    Before any pulse, and before ``run_session`` checks its own settings,
+    ``ValueError`` refuses a run expecting over ``config.MAX_EVENTS`` detections
+    (named ``pulses``) or a sifted key, half of them, over CASCADE's shuffle budget.
     """
     # settings are refused before any pulse; est_qber is a stand-in until measured
     if safety_margin < 0:
@@ -91,6 +96,9 @@ def run_experiment_detailed(
         shuffle_seed=derive_seed(master_seed, 1),
         verify_bits=verify_bits,
     )
+    detections = n_pulses * exact_click_probability(source, link)
+    check_events("pulses", n_pulses, detections, "detections")
+    check_shuffle_budget(round(detections / 2), n_passes)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
     session = run_session(
         source,

@@ -508,6 +508,44 @@ def test_entropy_file_too_short_exits_2(tmp_path, monkeypatch, capsys):
     assert "too short" in capsys.readouterr().err
 
 
+def test_over_cap_session_pages_in_none_of_its_entropy_file(tmp_path):
+    # the 375 MB file is mapped, not read: the run is refused its size before
+    # any pulse, so none of the file is paged in (reading it would be ~410 MB)
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    pulses = 1_000_000_000
+    ent = tmp_path / "ent.bin"
+    ent.touch()
+    os.truncate(ent, -(-3 * pulses // 8))  # sparse
+    code = (
+        "import resource, sys\n"
+        "from spsqkd import cli\n"
+        f"code = cli.main(['session', '--preset', 'wcp', '--pulses', '{pulses}',"
+        f" '--entropy-file', {str(ent)!r}, '--out', {str(tmp_path / 'x')!r}])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit_address_space)
+    assert proc.stderr.startswith("error: pulses = 1e+09 expects "), proc.stderr
+    exit_code, max_rss_mb = map(int, proc.stdout.split())
+    assert exit_code == 2
+    assert max_rss_mb < 200
+    assert list(tmp_path.iterdir()) == [ent]
+
+
+def test_entropy_file_with_no_pulses_leaves_the_refusal_to_the_session(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    ent = tmp_path / "ent.bin"
+    ent.touch()
+    assert cli.main(["session", "--pulses", "0", "--entropy-file", str(ent)]) == 2
+    assert capsys.readouterr().err == "error: n_pulses must be at least 1\n"
+
+
 def test_entropy_file_drives_protocol_bits(tmp_path, monkeypatch):
     # all-zero bits: every basis matches, so every detection is sifted
     monkeypatch.chdir(tmp_path)
@@ -858,7 +896,7 @@ def test_session_over_the_shuffle_budget_exits_2_before_the_monte_carlo(
         raise AssertionError("the session ran past the shuffle budget")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_experiment_detailed", must_not_run)
+    monkeypatch.setattr(pipeline, "run_session", must_not_run)
     argv = ["session", "--preset", "wcp", "--pulses", "10000000", "--n-passes", "253"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -897,6 +935,14 @@ def test_g2_sparse_stream_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["g2", "--preset", "nv", "--pulses", "100", "--seed", "2"]) == 3
     assert "side peaks" in capsys.readouterr().err
+
+
+def test_g2_empty_stream_exits_3(tmp_path, monkeypatch, capsys):
+    # no tag at all: the histogram refuses the stream, which has no detector pair
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["g2", "--pulses", "10000", "--detection-eff", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_g2_source_overrides_are_validated(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spsqkd import hbt
+from spsqkd.config import MAX_EVENTS
 from spsqkd.hbt import (
     CorrelationHistogram,
     InsufficientDataError,
@@ -98,6 +99,20 @@ def test_simulate_rejects_bad_arguments(kwargs):
         simulate_hbt(get_preset("nv"), args["n_pulses"], _rng(0),
                      splitter_ratio=args["splitter_ratio"],
                      detection_eff=args["detection_eff"])
+
+
+def test_simulate_refuses_a_run_over_the_tag_cap_before_sampling(monkeypatch):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("photons were sampled past the tag cap")
+
+    monkeypatch.setattr(hbt, "sample_photon_numbers", must_not_sample)
+    nv = get_preset("nv")
+    over = math.floor(MAX_EVENTS / (nv.mu * 0.5)) + 1
+    with pytest.raises(ValueError, match=rf"^pulses = .* tags, over {MAX_EVENTS}$"):
+        simulate_hbt(nv, over, _rng(0), detection_eff=0.5)
+    # a bad efficiency is refused by its own name, even at a size past the cap
+    with pytest.raises(ValueError, match="^detection_eff"):
+        simulate_hbt(nv, 10**12, _rng(0), detection_eff=1.5)
 
 
 def test_stream_type_rejects_malformed_tags():

@@ -163,3 +163,26 @@ def test_importing_the_cli_loads_no_thread_pool_or_logging():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_front_ends_leave_run_sizing_to_the_library():
+    # run_experiment_detailed and simulate_hbt refuse their own sizes, so the
+    # CLI and the scripts need nothing of the channel model but the link
+    files = [ROOT / "src" / "spsqkd" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+    sites = set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["spsqkd" if node.level else "", node.module]))
+                names = [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            sites |= {
+                f"{path.name}:{name}"
+                for name in names
+                if name.startswith("spsqkd.channel") and name != "spsqkd.channel.LinkSpec"
+            }
+    assert not sites, f"channel imports in the front ends: {sorted(sites)}"

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from spsqkd.channel import LinkSpec
-from spsqkd.config import format_report
+from spsqkd import pipeline
+from spsqkd.channel import LinkSpec, exact_click_probability
+from spsqkd.config import MAX_EVENTS, format_report
 from spsqkd.pipeline import derive_seed, run_experiment_detailed
 from spsqkd.sources import get_preset
 
@@ -80,3 +81,44 @@ def test_zero_click_run_reports_nan_qber():
     summary, _ = run_experiment_detailed(get_preset("siv80"), dead, 5_000, master_seed=9)
     assert summary.aborted
     assert math.isnan(summary.qber) or summary.sifted_count < 8
+
+
+class _Reached(Exception):
+    """Raised by the run_session spy: the run got past its size checks."""
+
+
+def _spy_on_run_session(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise _Reached
+
+    monkeypatch.setattr(pipeline, "run_session", spy)
+    return calls
+
+
+def test_session_over_the_detections_cap_is_refused_before_sampling(monkeypatch):
+    calls = _spy_on_run_session(monkeypatch)
+    wcp, link = get_preset("wcp"), LinkSpec()
+    p_click = exact_click_probability(wcp, link)
+    under = math.floor(MAX_EVENTS / p_click)
+    over = under + 1
+    assert under * p_click <= MAX_EVENTS < over * p_click
+    with pytest.raises(ValueError, match=rf"^pulses = .* detections, over {MAX_EVENTS}$"):
+        run_experiment_detailed(wcp, link, over, master_seed=1)
+    assert calls == []
+    # one pulse fewer is let through; the spy stops it before any sampling
+    with pytest.raises(_Reached):
+        run_experiment_detailed(wcp, link, under, master_seed=1)
+    assert len(calls) == 1 and calls[0][2] == under
+
+
+def test_session_over_the_shuffle_budget_is_refused_before_sampling(monkeypatch):
+    # about 4.6e5 expected sifted bits, shuffled 253 times
+    calls = _spy_on_run_session(monkeypatch)
+    with pytest.raises(ValueError, match=r"^n_passes = 253 over .* shuffled bits"):
+        run_experiment_detailed(get_preset("wcp"), LinkSpec(), 10_000_000, master_seed=1,
+                                n_passes=253)
+    assert calls == []
+

@@ -88,3 +88,5 @@ def test_script_refuses_bad_settings(script, args, setting):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert setting in proc.stderr
+    # refused before the first line of the table or the curves
+    assert proc.stdout == ""
