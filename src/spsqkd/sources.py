@@ -142,18 +142,6 @@ class SourceSpec:
             )
 
     @property
-    def g2_effective(self) -> float:
-        """g2(0) implied by the configured statistics."""
-        if self.kind is SourceKind.SUB_POISSONIAN:
-            assert self.g2_zero is not None
-            return self.g2_zero
-        if self.kind is SourceKind.POISSONIAN:
-            return 1.0
-        # Mixture of Poissonians: E[n(n-1)] = sum w_i mu_i^2.
-        second = sum(w * m * m for m, w in self.decoy_levels)
-        return second / (self.mu * self.mu)
-
-    @property
     def rep_period_ns(self) -> float:
         return 1e9 / self.rep_rate_hz
 

@@ -350,10 +350,10 @@ def test_long_session_runs_in_bounded_memory(tmp_path):
 
 
 def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
-    # 5.7e8 nv pulses expect 1.65e7 tags, just under the events cap.  The
-    # run samples every tag in one draw; built in place, its tags need about
-    # 640 MiB of address space, where sampling block by block and then
-    # concatenating needed about 830 MiB
+    # 5.7e8 nv pulses expect 1.65e7 tags, just under the events cap.  Built
+    # in windows on two threads and appended in order to one reserved
+    # stream, the run needs about 460 MiB of address space; one draw over
+    # the whole run needed about 520 MiB
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
 
@@ -372,7 +372,7 @@ def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
 
 def test_bright_g2_histograms_pairs_in_bounded_memory(tmp_path):
     # 8e6 ideal95 pulses give 7.6e6 tags and 1.62e7 cross pairs.  Expanded
-    # over runs of at most 2^20 pairs the run fits in about 370 MiB of
+    # over runs of at most 2^20 pairs the run fits in about 380 MiB of
     # address space; one index and one delay array per pair needed over 768
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
@@ -702,13 +702,14 @@ def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     "argv, digest",
     [
         (["--preset", "nv", "--pulses", "3000000"],
-         "01a6518b23c9164b1a4eaefcb33e38f40a290555c5cdf74a25dab1d68c3753c6"),
+         "b75e524cdd990a63ebe54266f30e54958b0af8f9f33f1a389f4b008329d65847"),
         (["--preset", "siv", "--bin-width-ns", "0.5"],
-         "23631489690d161e382c2e9de01e000dfad49cbfd24a863b449238d3cdd10a29"),
+         "6d1f9faa41a316806cc8c64ee16f92a4e0d261f5c0c137a43fad3b5ab68d10a7"),
         # 61% of ideal10's tags have a neighbour inside the window; siv80's
-        # window is 62.5 ns wide
+        # window is 62.5 ns wide, and its 28.75k expected tags are the only
+        # run here that fits in one window of simulate_hbt
         (["--preset", "ideal10", "--pulses", "1000000"],
-         "d3a64b645e548a0cb87e490a5e8abfa2c40e95e1c0aa62e3b56dbfad37137493"),
+         "a856a84315a2d5a93a9c20ae9f449f2183cf5cd2c944d46d5141705a1c0b538b"),
         (["--preset", "siv80"],
          "3aa8d400f836dafa1791b26f45092a1ecafbe8f47d168f2e8e5962a389edc70b"),
     ],
@@ -752,13 +753,13 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
           "cbb9a9d52cec295610a7a5e4e19b1db0741d64073b685829b1213884dbc600d5"}),
         (["g2", "--preset", "nv", "--pulses", "3000000"],
          {"g2.g2.txt":
-          "2ec768bedbe0d9b73d31e27479880d3aee06745866ab46046add8484eed16e37"}),
+          "5e760e061160f33ca36946040f7a91d569db509f675355d26371e9f9a1f448d2"}),
         (["g2", "--preset", "siv", "--bin-width-ns", "0.5"],
          {"g2.g2.txt":
-          "5b1ef8cba261a10a73b18005ae9b30501c7304dacb780a9f33f87f5182e60342"}),
+          "976fc4f0e53fef2525e3ee6a05be59eb96cb878285540a2c29e977188febd919"}),
         (["g2", "--preset", "ideal10", "--pulses", "1000000"],
          {"g2.g2.txt":
-          "2e0c08b24a13431e83acc81627c0b934ca05943b43b7b1c435a4196cd739b45f"}),
+          "346320aba3e8a1a8e71c8b6e5d1f02183d4ec237305a11308f140e75b6d85c21"}),
         (["g2", "--preset", "siv80"],
          {"g2.g2.txt":
           "84e73dda39fb51fbce47cce6ddf28cf2d9934a17dab34e348ce448d67c9696cc"}),

@@ -13,10 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from spsqkd import reconciliation, sources
+from spsqkd import hbt, reconciliation, sources
 from spsqkd.bb84 import _detector_clicks, run_session
 from spsqkd.channel import LinkSpec, exact_click_probability
-from spsqkd.sources import get_preset, photon_number_distribution, sample_events
+from spsqkd.sources import (
+    get_preset,
+    photon_number_distribution,
+    sample_events,
+    thinned_distribution,
+)
 
 
 def _chi2_limit(dof: int) -> float:
@@ -249,6 +254,55 @@ def test_gaps_follow_the_geometric_law_from_a_third_up(p):
     stat, dof = _chi2(counts, expected)
     assert dof >= 3
     assert stat < _chi2_limit(dof), (p, stat, dof)
+
+
+def _gap_counts(gaps: np.ndarray, law) -> tuple[float, int]:
+    """Chi-square of positive integer gaps against ``law(k)``, the chance of
+    gap k, with every gap past the longest observed in the last bin."""
+    counts = np.bincount(gaps).astype(np.float64)[1:]  # gap k at k - 1
+    k = np.arange(1, counts.size + 1)
+    expected = gaps.size * law(k)
+    expected[-1] = gaps.size - expected[:-1].sum()
+    return _chi2(counts, expected)
+
+
+def test_tag_streams_keep_their_laws_across_windows(monkeypatch):
+    # windows of 412 pulses, each drawn from its own stream: 2427 seams in
+    # 1e6 pulses.  Tag count, the gaps between tagged pulses (all of them,
+    # and those holding a seam), and the splitter share must be those of
+    # one memoryless run.  A bright source keeps the gaps short, so a seam
+    # that lost a pulse, lengthening each seam gap by one, fails the test
+    monkeypatch.setattr(hbt, "_WINDOW_TAGS", 64)
+    wcp, n, eta, ratio = get_preset("wcp"), 1_000_000, 0.5, 0.3
+    size = math.floor(64 / (wcp.mu * eta))
+    stream = hbt.simulate_hbt(wcp, n, np.random.default_rng([79, 0]),
+                              splitter_ratio=ratio, detection_eff=eta)
+    q = thinned_distribution(photon_number_distribution(wcp), eta)
+    mean = n * wcp.mu * eta
+    var = n * (float(np.arange(q.size) ** 2 @ q) - (wcp.mu * eta) ** 2)
+    assert abs(len(stream) - mean) < 4 * math.sqrt(var)
+
+    # wcp's delays are 1e-4 periods, so a tag's pulse is the one its time
+    # falls in
+    pulses = np.unique(np.floor(stream.times_ns / wcp.rep_period_ns).astype(np.int64))
+    p = 1.0 - q[0]
+    stat, dof = _gap_counts(np.diff(pulses), lambda k: p * (1 - p) ** (k - 1))
+    assert dof >= 20
+    assert stat < _chi2_limit(dof), ("gaps", stat, dof)
+    # a gap holding a fixed pulse is length-biased: k p^2 (1 - p)^(k - 1)
+    seams = np.arange(size, n, size)
+    after = np.searchsorted(pulses, seams)
+    ok = (after > 0) & (after < pulses.size)
+    spans = pulses[after[ok]] - pulses[after[ok] - 1]
+    assert spans.size > 2400
+    stat, dof = _gap_counts(spans, lambda k: k * p * p * (1 - p) ** (k - 1))
+    assert dof >= 10
+    assert stat < _chi2_limit(dof), ("seams", stat, dof)
+
+    ones = float(stream.detectors.sum())
+    stat, dof = _chi2(np.array([len(stream) - ones, ones]),
+                      len(stream) * np.array([ratio, 1.0 - ratio]))
+    assert stat < _chi2_limit(dof), ("splitter", stat)
 
 
 class _UniformRecorder:

@@ -1,6 +1,8 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -81,6 +83,142 @@ def test_same_seed_same_stream():
     assert np.array_equal(a.times_ns, b.times_ns)
     assert np.array_equal(a.detectors, b.detectors)
     assert not np.array_equal(a.times_ns, c.times_ns)
+
+
+class _InlineThread:
+    """A thread whose start() runs its target on the calling thread."""
+
+    def __init__(self, target, name=None):
+        self._target = target
+
+    def start(self):
+        self._target()
+
+    def join(self, timeout=None):
+        pass
+
+
+def test_windows_give_the_same_bytes_on_one_thread(monkeypatch):
+    # 3e6 nv pulses expect 87k tags, two windows; 2^9 tags a window make 170
+    nv = get_preset("nv")
+    for window_tags in (hbt._WINDOW_TAGS, 1 << 9):
+        monkeypatch.setattr(hbt, "_WINDOW_TAGS", window_tags)
+        threaded = simulate_hbt(nv, 3_000_000, _rng(5, 7))
+        with monkeypatch.context() as mp:
+            mp.setattr(hbt.threading, "Thread", _InlineThread)
+            inline = simulate_hbt(nv, 3_000_000, _rng(5, 7))
+        assert len(threaded) > 80_000
+        assert np.array_equal(threaded.times_ns, inline.times_ns)
+        assert np.array_equal(threaded.detectors, inline.detectors)
+
+
+def test_windows_give_the_same_bytes_under_fast_switching(monkeypatch):
+    # several callers at once, each with its own window thread, more threads
+    # than cores, and the GIL handed over every 10 us
+    monkeypatch.setattr(hbt, "_WINDOW_TAGS", 1 << 8)
+    nv = get_preset("nv")
+    expected = [simulate_hbt(nv, 500_000, _rng(6, i)).times_ns for i in range(3)]
+    results = [None] * len(expected)
+
+    def run(i):
+        results[i] = simulate_hbt(nv, 500_000, _rng(6, i)).times_ns
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(expected))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(np.array_equal(r, e) for r, e in zip(results, expected))
+
+
+def _windows_alone(source, n_pulses, rng, window_tags, splitter_ratio):
+    """Each window's sorted tags and their detectors, built alone from its
+    own generator, joined in window order."""
+    period = source.rep_period_ns
+    duration = n_pulses * period
+    size = max(1, math.floor(window_tags / source.mu))
+    starts = range(0, n_pulses, size)
+    times, dets = [], []
+    for start, gen in zip(starts, [rng, *rng.spawn(len(starts) - 1)]):
+        events = hbt.sample_photon_numbers(source, min(size, n_pulses - start), gen)
+        t = (np.repeat(events.pulse_index, events.photons) + start) * period
+        t = np.sort(t + gen.exponential(source.lifetime_ns, t.size), kind="stable")
+        t = t[t < duration]
+        times.append(t)
+        dets.append((gen.random(t.size) >= splitter_ratio).astype(np.uint8))
+    return np.concatenate(times), np.concatenate(dets)
+
+
+@pytest.mark.parametrize("reserve_sigmas", [hbt._RESERVE_SIGMAS, -1e9],
+                         ids=["reserved", "grown"])
+def test_tags_spilled_across_windows_keep_their_detectors(monkeypatch, reserve_sigmas):
+    # delays of 5 periods over windows of 8 pulses: a tag often lands past
+    # the next window's first tags.  With no room reserved, the stream grows
+    # as the windows are appended
+    slow = SourceSpec(kind=SourceKind.SUB_POISSONIAN, mu=0.5, g2_zero=0.0,
+                      lifetime_ns=5000.0)
+    monkeypatch.setattr(hbt, "_WINDOW_TAGS", 4)
+    monkeypatch.setattr(hbt, "_RESERVE_SIGMAS", reserve_sigmas)
+    stream = simulate_hbt(slow, 4_000, _rng(8, 1), splitter_ratio=0.3)
+    joined, dets = _windows_alone(slow, 4_000, _rng(8, 1), 4, splitter_ratio=0.3)
+    assert np.count_nonzero(np.diff(joined) < 0) > 100
+    # the stream is the joined windows put in order by one stable sort
+    order = np.argsort(joined, kind="stable")
+    assert np.all(np.diff(stream.times_ns) >= 0)
+    assert np.array_equal(stream.times_ns, joined[order])
+    assert np.array_equal(stream.detectors, dets[order])
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["hbt-worker", "MainThread"])
+def test_a_failed_window_is_raised_by_the_caller_after_the_join(monkeypatch, failing):
+    sample = hbt.sample_photon_numbers
+
+    def fail_on(*args, **kwargs):
+        if threading.current_thread().name == failing:
+            raise _Injected
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(hbt, "sample_photon_numbers", fail_on)
+    monkeypatch.setattr(hbt, "_WINDOW_TAGS", 1 << 8)
+    live = threading.active_count()
+    with pytest.raises(_Injected):
+        simulate_hbt(get_preset("nv"), 1_000_000, _rng(9, 9))
+    assert threading.active_count() == live
+
+
+def test_split_estimators_match_one_pass(monkeypatch):
+    # a stream over one window's worth of tags splits its passes over two
+    # threads; integer counts add exactly, so one pass gives the same numbers
+    stream = simulate_hbt(get_preset("nv"), 3_000_000, _rng(10, 1))
+    assert len(stream) >= hbt._WINDOW_TAGS
+    halves = []
+
+    def keep_counts(*args, **kwargs):
+        counts, edges = histogram(*args, **kwargs)
+        halves.append(counts.copy())
+        return counts, edges
+
+    histogram = np.histogram
+    with mock.patch.object(np, "histogram", keep_counts):
+        fit = fit_lifetime(stream)
+    period = stream.rep_period_ns
+    phases = stream.times_ns[stream.detectors == 0] % period
+    whole = histogram(phases, bins=int(period), range=(0.0, period))[0]
+    assert len(halves) == 2 and np.array_equal(halves[0] + halves[1], whole)
+    hist = correlation_histogram(stream)
+    monkeypatch.setattr(hbt, "_WINDOW_TAGS", len(stream) + 1)
+    assert np.array_equal(correlation_histogram(stream).counts, hist.counts)
+    assert fit_lifetime(stream) == fit
 
 
 @pytest.mark.parametrize(
@@ -284,7 +422,10 @@ def test_g2_recovery_nv(nv_hist_1e7):
 
 
 def test_g2_recovery_siv():
-    stream = simulate_hbt(get_preset("siv"), 10_000_000, _rng(101, 2))
+    # siv's centre peak expects N mu^2 g2 / 4 = 144 coincidences at 1e8
+    # pulses, so the estimate's sigma is 0.0034 and the band is 4.4 sigma
+    # (at 1e7 pulses it was 1.4 sigma: one stream in seven fell outside)
+    stream = simulate_hbt(get_preset("siv"), 100_000_000, _rng(101, 2))
     assert g2_at_zero(correlation_histogram(stream)) == pytest.approx(0.04, abs=0.015)
 
 

@@ -22,8 +22,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     # the closed-form threshold acceptance criterion 3 is anchored on
     "critical_efficiency",
-    # the g2 variance reference that test_sources checks the sampler against
-    "SourceSpec.g2_effective",
 }
 
 

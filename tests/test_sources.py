@@ -83,11 +83,28 @@ def test_decoy_multiphoton_is_mixture_tail():
     assert multiphoton_probability(spec) == pytest.approx(dist[2:].sum(), abs=1e-12)
 
 
+def _g2_effective(spec: SourceSpec) -> float:
+    """g2(0) implied by the configured statistics."""
+    if spec.kind is SourceKind.SUB_POISSONIAN:
+        return spec.g2_zero
+    if spec.kind is SourceKind.POISSONIAN:
+        return 1.0
+    # mixture of Poissonians: E[n(n-1)] = sum w_i mu_i^2
+    second = sum(w * m * m for m, w in spec.decoy_levels)
+    return second / (spec.mu * spec.mu)
+
+
 def test_g2_effective():
-    assert get_preset("nv").g2_effective == 0.09
-    assert get_preset("wcp").g2_effective == 1.0
+    assert _g2_effective(get_preset("nv")) == 0.09
+    assert _g2_effective(get_preset("wcp")) == 1.0
     # mixture second moment over squared mean
-    assert get_preset("decoy").g2_effective == pytest.approx(1.16998, abs=1e-4)
+    assert _g2_effective(get_preset("decoy")) == pytest.approx(1.16998, abs=1e-4)
+    # each preset's E[n(n - 1)] / mu^2 from its photon-number table
+    for spec in PRESETS.values():
+        dist = photon_number_distribution(spec)
+        n = np.arange(dist.size)
+        second = float(n * (n - 1) @ dist)
+        assert second / spec.mu**2 == pytest.approx(_g2_effective(spec), rel=1e-9)
 
 
 @given(
@@ -209,7 +226,7 @@ def test_decoy_sampling_mean():
     n = 200_000
     draws = sample_photon_numbers(spec, n, rng)
     # mixture variance = mu + mu^2 (g2_eff - 1)
-    var = spec.mu + spec.mu**2 * (spec.g2_effective - 1)
+    var = spec.mu + spec.mu**2 * (_g2_effective(spec) - 1)
     assert abs(draws.photons.sum() / n - spec.mu) < 4 * math.sqrt(var / n)
 
 
