@@ -190,7 +190,8 @@ def _effective(command: str, settings: dict) -> dict:
     return eff
 
 
-def _metadata(effective: dict) -> dict:
+def _metadata(command: str, settings: dict) -> dict:
+    effective = _effective(command, settings)
     meta = {"config_hash": config_hash(effective)}
     for key in sorted(effective):
         meta[key] = effective[key]
@@ -240,7 +241,7 @@ def _load_key_file(path: str) -> np.ndarray:
     return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
 
 
-def cmd_session(settings: dict, out: str, quiet: bool) -> int:
+def cmd_session(settings: dict, meta: dict, out: str, quiet: bool) -> int:
     source = get_preset(settings["preset"])
     link = _link_from(settings, distance=settings["distance_km"])
     protocol_bits = None
@@ -258,7 +259,6 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
         safety_margin=settings["safety_margin"],
         protocol_bits=protocol_bits,
     )
-    meta = _metadata(_effective("session", settings))
     Path(f"{out}.summary.txt").write_text(format_report(meta, dataclasses.asdict(summary)))
     if settings["bits_csv"]:
         columns = {
@@ -280,7 +280,7 @@ def cmd_session(settings: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
+def cmd_rates(settings: dict, meta: dict, out: str, quiet: bool) -> int:
     distances = distance_grid(settings["dmax"], settings["step"])
     link = _link_from(settings)
 
@@ -297,7 +297,6 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
         f_ec=settings["f_ec"],
         flat_error=settings["flat_error"],
     )
-    meta = _metadata(_effective("rates", settings))
     for name in sources:
         for rival in rivals:
             d = crossover_distance(distances, curves[name], curves[rival])
@@ -310,7 +309,7 @@ def cmd_rates(settings: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
+def cmd_cascade(settings: dict, meta: dict, out: str, quiet: bool) -> int:
     qber = settings["qber"]
     if not (math.isfinite(qber) and 0.0 <= qber < 0.5):
         raise ValueError(f"qber must be finite and in [0, 0.5), got {qber}")
@@ -359,7 +358,6 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
         "verified": outcome.verified_equal,
         "residual_error_rate": residual,
     }
-    meta = _metadata(_effective("cascade", settings))
     Path(f"{out}.cascade.txt").write_text(format_report(meta, report))
     Path(f"{out}.transcript.bin").write_bytes(outcome.transcript)
     _emit(
@@ -381,7 +379,7 @@ def cmd_cascade(settings: dict, out: str, quiet: bool) -> int:
     return 0
 
 
-def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
+def cmd_g2(settings: dict, meta: dict, out: str, quiet: bool) -> int:
     # settings that, when set, override a field of the preset source
     fields = {"mu": "mu", "g2_zero": "g2_zero", "lifetime_ns": "lifetime_ns",
               "rep_rate": "rep_rate_hz"}
@@ -407,7 +405,6 @@ def cmd_g2(settings: dict, out: str, quiet: bool) -> int:
     except InsufficientDataError:
         tau, sigma, reliable = float("nan"), float("nan"), False
 
-    meta = _metadata(_effective("g2", settings))
     hist_meta = {**meta, "rep_period_ns": f"{source.rep_period_ns:.6g}"}
     columns = {"tau_ns": hist.tau_centers_ns, "counts": hist.counts}
     Path(f"{out}.hist.csv").write_text(format_csv(hist_meta, columns, "%.6g,%d"))
@@ -458,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         folder = Path(f"{out}.{first}").parent  # every output file lands here
         if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
             raise ValueError(f"cannot write {out}.{first}: {folder} is not a writable directory")
-        return run(settings, out, quiet)
+        return run(settings, _metadata(args.command, settings), out, quiet)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

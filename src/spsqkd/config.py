@@ -82,6 +82,8 @@ def coerce_value(key: str, raw: str, kind: type):
                 raise ValueError(raw)
             return _BOOL_WORDS[word]
         if kind is int:
+            if raw.strip().lstrip("+-").isdigit():
+                return int(raw)  # exact at any size, unlike a float
             # tolerate scientific notation for counts, e.g. pulses = 1e6
             as_float = float(raw)
             as_int = int(as_float)

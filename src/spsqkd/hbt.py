@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import _on_two_threads
 from .config import check_events
 from .sources import SourceSpec, sample_photon_numbers
 
@@ -85,33 +86,6 @@ class TimeTagStream:
         return int(self.times_ns.size)
 
 
-def _on_two_threads(first, second, threaded: bool = True):
-    """``(first(), second())``, with ``first`` on a second thread if ``threaded``.
-
-    The thread is joined before this returns or raises, and an error raised
-    on it is raised again here.
-    """
-    if not threaded:
-        return first(), second()
-    results, failed = [None, None], []
-
-    def run_first() -> None:
-        try:
-            results[0] = first()
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=run_first, name="hbt-worker")
-    worker.start()
-    try:
-        results[1] = second()
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return results[0], results[1]
-
-
 def simulate_hbt(
     source: SourceSpec,
     n_pulses: int,
@@ -175,10 +149,6 @@ def simulate_hbt(
         times = times[: np.searchsorted(times, duration)]
         return times, (rngs[w].random(times.size) >= splitter_ratio).view(np.uint8)
 
-    if n_windows == 1:
-        times, dets = window(0)
-        return TimeTagStream(times, dets, duration, period)
-
     # the stream is reserved for the mean tag count and _RESERVE_SIGMAS
     # Poisson sigmas more, and grown by an eighth if a run draws past that
     expected = n_pulses * rate
@@ -231,7 +201,7 @@ def simulate_hbt(
                 claims = iter(())
             raise
 
-    _on_two_threads(run_windows, run_windows)
+    _on_two_threads(run_windows, run_windows, threaded=n_windows > 1)
     return TimeTagStream(times[:filled], dets[:filled], duration, period)
 
 

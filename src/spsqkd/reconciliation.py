@@ -27,12 +27,12 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from ._threads import _on_two_threads
 from .config import MAX_EVENTS
 from .rates import binary_entropy
 
@@ -83,9 +83,8 @@ _SEARCH_BATCH = 1 << 14
 # ratio 0.71-0.84), but lost in one at 2^16 (1.08, against 0.76-0.77)
 _THREAD_FROM = 1 << 17
 
-# one parity query as sent: a 0x01 request frame (pass byte, lo, hi) and
-# its 0x02 reply frame, 20 bytes; the struct writes one, the dtype a batch
-_QUERY = struct.Struct("<IBBIIIBB")
+# parity queries as sent: each a 0x01 request frame (pass byte, lo, hi)
+# and its 0x02 reply frame, 20 bytes
 _QUERIES = np.dtype(
     [
         ("req_len", "<u4"),
@@ -163,7 +162,10 @@ def _frame(msg_type: int, payload: bytes) -> bytes:
 
 
 def _query_frames(
-    pass_byte: int | np.ndarray, lo: np.ndarray, hi: np.ndarray, parity: np.ndarray
+    pass_byte: int | np.ndarray,
+    lo: np.ndarray,
+    hi: int | np.ndarray,
+    parity: np.ndarray | list[int],
 ) -> bytes:
     frames = np.empty(lo.size, dtype=_QUERIES)
     frames["req_len"] = 9
@@ -347,21 +349,21 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     A confirmation stage then compares random-subset parities one at a
     time, each read from the keys packed into 64-bit words and a round's
     random words, one random bit per key bit; a mismatch is bisected to its
-    bit, its queries written before those of the drain it sets off
-    (doubled blocks can hide an even number of errors from every pass, so
-    this is what makes small hard patterns correctable), and
-    ``verify_bits`` consecutive agreements end the protocol.
+    bit, its queries written after the rounds so far and before those of
+    the drain it sets off (doubled blocks can hide an even number of errors
+    from every pass, so this is what makes small hard patterns
+    correctable), and ``verify_bits`` consecutive agreements end the
+    protocol.
 
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
     Every pass's shuffle is held until the call returns, so
-    ``check_shuffle_budget`` caps the key bits times ``n_passes``.  Pass 2
-    is shuffled as it starts.  From ``_THREAD_FROM`` (2^17) key bits up,
-    passes 3 and later are shuffled on a second thread, on the second core,
-    while passes 1 and 2 are reconciled; below it they are shuffled as pass
-    3 starts.  Each pass draws from its own stream, so the transcript is
-    the same bytes either way.  No thread outlives the call, and an error
-    raised on the thread is raised again here.
+    ``check_shuffle_budget`` caps the key bits times ``n_passes``.  Each
+    pass is shuffled as it starts, except from ``_THREAD_FROM`` (2^17) key
+    bits up: there passes 3 and later are shuffled ahead, in one go on a
+    second thread, on the second core, while passes 1 and 2 are
+    reconciled.  Each pass draws from its own stream, so the transcript is
+    the same bytes either way.
     """
     alice = _as_bits(alice_key, "alice_key")
     bob = _as_bits(bob_key, "bob_key").copy()
@@ -375,11 +377,18 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     # frames are kept as chunks and joined once: growing one buffer by each
     # drain's batch fragments the heap and raises the peak RSS
     transcript = [_frame(MSG_SHUFFLE_SEED, struct.pack("<Q", cfg.shuffle_seed))]
+    leaked_bits = 0
+
+    def send(frames: bytes) -> None:
+        # every disclosed parity crosses the channel here, one query a reply
+        nonlocal leaked_bits
+        transcript.append(frames)
+        leaked_bits += len(frames) // _QUERIES.itemsize
 
     natural = np.arange(n, dtype=np.int32)
     block_size = [min(n, cfg.initial_block * (1 << p)) for p in range(cfg.n_passes)]
     # each pass's shuffle, its inverse and Alice's prefix parities in
-    # shuffled order, appended as the pass starts (pass 1 keeps the natural
+    # shuffled order, appended in pass order (pass 1 keeps the natural
     # order).  The drains read the shuffles and flip Bob's bits through
     # memoryviews: a scalar access costs a third of a numpy index
     inv_perms, alice_prefix = [natural], [_prefix_parities(alice)]
@@ -391,32 +400,6 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         alice_prefix.append(prefix)
         perm_at.append(memoryview(perm))
         inv_at.append(memoryview(inv))
-
-    # passes 3 and later are shuffled in one go: on a second thread while
-    # passes 1 and 2 run, from _THREAD_FROM key bits up, else as pass 3 starts.
-    # Each kernel releases the GIL, so the thread runs beside the drains
-    later: list[tuple[np.ndarray, np.ndarray, bytes]] = []
-    failed: list[BaseException] = []
-
-    def shuffle_later() -> None:
-        try:
-            for p in range(2, cfg.n_passes):
-                later.append(_shuffle_tables(alice, natural, cfg.shuffle_seed, p))
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    worker = None
-    if n >= _THREAD_FROM and cfg.n_passes > 2:
-        worker = threading.Thread(target=shuffle_later, name="cascade-shuffles")
-        worker.start()
-
-    parity_replies = 0
-
-    def write(searches: list[tuple[int, int, int, int]], prefixes) -> None:
-        nonlocal parity_replies
-        frames = _search_frames(searches, prefixes)
-        transcript.append(frames)
-        parity_replies += len(frames) // _QUERIES.itemsize
 
     corrections = 0
     # masks[r][block id]: the offsets in that pass-r block where the keys
@@ -456,61 +439,66 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
                 searches.append((r, lo, hi, target))
                 flip(perm_at[r][target], announced)
                 if len(searches) == _SEARCH_BATCH:
-                    write(searches, alice_prefix)
+                    send(_search_frames(searches, alice_prefix))
                     searches.clear()
         if searches:
-            write(searches, alice_prefix)
+            send(_search_frames(searches, alice_prefix))
 
-    try:
-        for p in range(cfg.n_passes):
-            if p == 1:
-                add_pass(*_shuffle_tables(alice, natural, cfg.shuffle_seed, 1))
-            elif p == 2:
-                if worker is None:
-                    shuffle_later()
-                else:
-                    worker.join()
-                if failed:
-                    raise failed[0]
-                for tables in later:
-                    add_pass(*tables)
-            # every block parity of the pass at once, both parties
-            starts = np.arange(0, n, block_size[p])
-            ends = np.minimum(starts + block_size[p], n)
-            a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
-            a_par = a_prefix[ends] ^ a_prefix[starts]
-            transcript.append(_query_frames(p, starts, ends - 1, a_par))
-            parity_replies += starts.size
-            if p == 0:
-                # pass 1 runs in natural order, so one prefix of the
-                # differences answers every half Bob compares, in every block
-                diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
-                odd = diff[ends] != diff[starts]
-                q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
-                transcript.append(
-                    _query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo])
-                )
-                parity_replies += q_lo.size
-                bob[final] ^= 1
-                corrections += final.size
-                continue
-            # the pass opens its masks (pass 1's open with pass 2's, after
-            # its batch of corrections); its odd blocks, ascending, are a heap
-            errors = np.flatnonzero(alice != bob)
-            for r in range(len(masks), p + 1):
-                masks.append(_block_masks(inv_perms[r][errors], block_size[r]))
-            heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
-            drain(p + 1)
-    finally:
-        # no thread outlives the call, whatever the passes raised
-        if worker is not None:
-            worker.join()
+    def run_pass(p: int) -> None:
+        nonlocal corrections
+        if p == len(alice_prefix):  # not shuffled ahead
+            add_pass(*_shuffle_tables(alice, natural, cfg.shuffle_seed, p))
+        # every block parity of the pass at once, both parties
+        starts = np.arange(0, n, block_size[p])
+        ends = np.minimum(starts + block_size[p], n)
+        a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
+        send(_query_frames(p, starts, ends - 1, a_prefix[ends] ^ a_prefix[starts]))
+        if p == 0:
+            # pass 1 runs in natural order, so one prefix of the
+            # differences answers every half Bob compares, in every block
+            diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
+            odd = diff[ends] != diff[starts]
+            q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
+            send(_query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo]))
+            bob[final] ^= 1
+            corrections += final.size
+            return
+        # the pass opens its masks (pass 1's open with pass 2's, after its
+        # batch of corrections); its odd blocks, ascending, are a heap
+        errors = np.flatnonzero(alice != bob)
+        for r in range(len(masks), p + 1):
+            masks.append(_block_masks(inv_perms[r][errors], block_size[r]))
+        heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
+        drain(p + 1)
+
+    # from _THREAD_FROM key bits up, passes 3 and later are shuffled ahead on
+    # a second thread while passes 1 and 2 run: each table kernel releases
+    # the GIL, so the shuffles run beside the drains
+    ahead = range(2, cfg.n_passes if n >= _THREAD_FROM else 2)
+    later, _ = _on_two_threads(
+        lambda: [_shuffle_tables(alice, natural, cfg.shuffle_seed, p) for p in ahead],
+        lambda: [run_pass(p) for p in range(2)],
+        threaded=bool(ahead),
+    )
+    for tables in later:
+        add_pass(*tables)
+    for p in range(2, cfg.n_passes):
+        run_pass(p)
 
     verified = True
     if cfg.verify_bits > 0:
         bitgen = np.random.PCG64(np.random.SeedSequence([cfg.shuffle_seed, _VERIFY_STREAM]))
         alice_words, bob_words = _key_words(alice), _key_words(bob)
         round_parities: list[int] = []
+        sent = 0  # rounds whose queries are in the transcript
+
+        def send_rounds() -> None:
+            # the rounds since the last repair, each a query of its index
+            nonlocal sent
+            rounds = np.arange(sent, len(round_parities))
+            send(_query_frames(_ROUND_TAG, rounds, 0, round_parities[sent:]))
+            sent = len(round_parities)
+
         agree_streak = 0
         while agree_streak < cfg.verify_bits:
             if len(round_parities) >= ROUND_BUDGET:
@@ -518,35 +506,32 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
                 break
             words = bitgen.random_raw(alice_words.size)
             a_par = _parity(alice_words, words)
-            transcript.append(_QUERY.pack(
-                9, MSG_PARITY_REQUEST, _ROUND_TAG, len(round_parities), 0,
-                1, MSG_PARITY_REPLY, a_par,
-            ))
-            parity_replies += 1
             round_parities.append(a_par)
             if a_par == _parity(bob_words, words):
                 agree_streak += 1
                 continue
             agree_streak = 0
+            send_rounds()
             # the subset hides an odd number of differences; bisect it in
             # ascending-position order, then backtrack the pass blocks
             positions = _subset_positions(words, n)
             differs = np.packbits(alice[positions] != bob[positions], bitorder="little")
             target = _odd_bit(int.from_bytes(differs.tobytes(), "little"), positions.size)
-            write(
+            send(_search_frames(
                 [(_REPAIR_TAG, 0, positions.size - 1, target)],
                 {_REPAIR_TAG: _prefix_parities(alice[positions])},
-            )
+            ))
             flip(int(positions[target]), cfg.n_passes)
             drain(cfg.n_passes)
             bob_words = _key_words(bob)
+        send_rounds()
         payload = struct.pack("<QH", cfg.shuffle_seed, len(round_parities))
         payload += np.packbits(np.asarray(round_parities, dtype=np.uint8)).tobytes()
         transcript.append(_frame(MSG_VERIFY, payload))
 
     return ReconciliationOutcome(
         corrected_bob_key=bob,
-        leaked_bits=parity_replies,
+        leaked_bits=leaked_bits,
         corrections_made=corrections,
         verified_equal=verified,
         transcript=b"".join(transcript),

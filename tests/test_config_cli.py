@@ -27,6 +27,20 @@ def _read_fields(path):
     return fields
 
 
+def _run_limited(limit, args, timeout=300):
+    """Run ``python args`` under an address-space limit of ``limit`` bytes."""
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # one BLAS thread: per-thread buffers on a many-core host would count
+    # against the limit before the run starts
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit_address_space)
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -60,6 +74,16 @@ def test_coerce_value_handles_counts_and_bools():
         coerce_value("session.pulses", "inf", int)
     with pytest.raises(ValueError):
         coerce_value("k", "maybe", bool)
+
+
+def test_integer_literals_are_read_exactly_past_2_53():
+    # a float holds every integer only up to 2^53: 2^53 + 1 would read as 2^53
+    assert coerce_value("seed", "9007199254740993", int) == 2**53 + 1
+    assert coerce_value("seed", " +9007199254740993 ", int) == 2**53 + 1
+    assert coerce_value("k", "-7", int) == -7
+    assert coerce_value("k", "2.5e3", int) == 2500
+    with pytest.raises(ValueError, match="seed"):
+        coerce_value("seed", "+-9", int)
 
 
 def test_config_hash_is_order_free_and_value_bound():
@@ -330,20 +354,9 @@ def test_session_rerun_is_byte_identical(tmp_path, monkeypatch):
 def test_long_session_runs_in_bounded_memory(tmp_path):
     # 3e8 pulses: a dense per-pulse simulation needs several GB, while the
     # ~3e5 clicks of an event-driven one fit easily under a 1 GiB address space
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    # one BLAS thread: per-thread buffers on a many-core host would count
-    # against the limit before the session starts
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spsqkd.cli", "session", "--preset", "nv",
-         "--distance-km", "25", "--pulses", "300000000", "--out", str(tmp_path / "long"),
-         "--quiet"],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=limit_address_space,
-    )
+    proc = _run_limited(1 << 30, [
+        "-m", "spsqkd.cli", "session", "--preset", "nv", "--distance-km", "25",
+        "--pulses", "300000000", "--out", str(tmp_path / "long"), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     fields = _read_fields(tmp_path / "long.summary.txt")
     assert fields["n_pulses"] == "300000000"
@@ -354,17 +367,9 @@ def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
     # in windows on two threads and appended in order to one reserved
     # stream, the run needs about 460 MiB of address space; one draw over
     # the whole run needed about 520 MiB
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
-
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spsqkd.cli", "g2", "--preset", "nv", "--pulses", "570000000",
-         "--out", str(tmp_path / "cap"), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=limit_address_space,
-    )
+    proc = _run_limited(768 << 20, [
+        "-m", "spsqkd.cli", "g2", "--preset", "nv", "--pulses", "570000000",
+        "--out", str(tmp_path / "cap"), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     fields = _read_fields(tmp_path / "cap.g2.txt")
     assert int(fields["n_tags"]) > 16_000_000
@@ -374,17 +379,9 @@ def test_bright_g2_histograms_pairs_in_bounded_memory(tmp_path):
     # 8e6 ideal95 pulses give 7.6e6 tags and 1.62e7 cross pairs.  Expanded
     # over runs of at most 2^20 pairs the run fits in about 380 MiB of
     # address space; one index and one delay array per pair needed over 768
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spsqkd.cli", "g2", "--preset", "ideal95", "--pulses", "8000000",
-         "--out", str(tmp_path / "bright"), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=limit_address_space,
-    )
+    proc = _run_limited(512 << 20, [
+        "-m", "spsqkd.cli", "g2", "--preset", "ideal95", "--pulses", "8000000",
+        "--out", str(tmp_path / "bright"), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     rows = [r for r in (tmp_path / "bright.hist.csv").read_text().splitlines()
             if not r.startswith("#")]
@@ -397,17 +394,9 @@ def test_cascade_runs_in_bounded_memory(tmp_path):
     # its 4 passes, and shuffles two passes at once on two threads.  With
     # int32 indices it runs in 352 MiB of address space (313 MiB with every
     # shuffle on one thread), with int64 indices in 473 MiB
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spsqkd.cli", "cascade", "--n-bits", "4194304", "--qber", "0.03",
-         "--out", str(tmp_path / "big"), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=limit_address_space,
-    )
+    proc = _run_limited(400 << 20, [
+        "-m", "spsqkd.cli", "cascade", "--n-bits", "4194304", "--qber", "0.03",
+        "--out", str(tmp_path / "big"), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     fields = _read_fields(tmp_path / "big.cascade.txt")
     assert fields["verified"] == "True"
@@ -416,22 +405,14 @@ def test_cascade_runs_in_bounded_memory(tmp_path):
 def test_long_entropy_file_session_runs_in_bounded_memory(tmp_path):
     # the 113 MB file stays packed: unpacking it to a byte per bit, plus a
     # mask of the same size, would not fit under the 1 GiB address space
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     pulses = 300_000_000
     ent = tmp_path / "ent.bin"
     ent.touch()
     os.truncate(ent, -(-3 * pulses // 8))  # sparse, all zero bits
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spsqkd.cli", "session", "--preset", "nv",
-         "--distance-km", "25", "--pulses", str(pulses), "--entropy-file", str(ent),
-         "--out", str(tmp_path / "long"), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=limit_address_space,
-    )
+    proc = _run_limited(1 << 30, [
+        "-m", "spsqkd.cli", "session", "--preset", "nv", "--distance-km", "25",
+        "--pulses", str(pulses), "--entropy-file", str(ent),
+        "--out", str(tmp_path / "long"), "--quiet"])
     assert proc.returncode == 0, proc.stderr
     fields = _read_fields(tmp_path / "long.summary.txt")
     assert fields["n_pulses"] == str(pulses)
@@ -511,9 +492,6 @@ def test_entropy_file_too_short_exits_2(tmp_path, monkeypatch, capsys):
 def test_over_cap_session_pages_in_none_of_its_entropy_file(tmp_path):
     # the 375 MB file is mapped, not read: the run is refused its size before
     # any pulse, so none of the file is paged in (reading it would be ~410 MB)
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     pulses = 1_000_000_000
     ent = tmp_path / "ent.bin"
     ent.touch()
@@ -525,10 +503,7 @@ def test_over_cap_session_pages_in_none_of_its_entropy_file(tmp_path):
         f" '--entropy-file', {str(ent)!r}, '--out', {str(tmp_path / 'x')!r}])\n"
         "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, preexec_fn=limit_address_space)
+    proc = _run_limited(1 << 30, ["-c", code], timeout=120)
     assert proc.stderr.startswith("error: pulses = 1e+09 expects "), proc.stderr
     exit_code, max_rss_mb = map(int, proc.stdout.split())
     assert exit_code == 2
@@ -603,6 +578,28 @@ def test_rates_rerun_is_byte_identical(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------- cascade
+
+
+def test_cascade_seeds_past_2_53_run_exactly(tmp_path, monkeypatch):
+    # the flag and the config file both keep the seed's last bit, so
+    # 2^53 + 1 writes itself in the header and draws its own keys
+    monkeypatch.chdir(tmp_path)
+    big = 2**53 + 1
+    (tmp_path / "big.cfg").write_text(f"seed = {big}\n")
+    runs = {
+        "flag": ["--seed", str(big)],
+        "file": ["--config", "big.cfg"],
+        "below": ["--seed", str(big - 1)],
+    }
+    for out, argv in runs.items():
+        assert cli.main(["cascade", "--n-bits", "1000", *argv, "--out", out, "--quiet"]) == 0
+    header = (tmp_path / "flag.cascade.txt").read_text().splitlines()
+    assert f"# seed={big}" in header
+    for suffix in ("cascade.txt", "transcript.bin"):
+        assert (tmp_path / f"flag.{suffix}").read_bytes() == (
+            tmp_path / f"file.{suffix}").read_bytes()
+        assert (tmp_path / f"flag.{suffix}").read_bytes() != (
+            tmp_path / f"below.{suffix}").read_bytes()
 
 
 def test_cascade_identical_keys_means_zero_corrections(tmp_path, monkeypatch):

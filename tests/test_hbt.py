@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spsqkd import hbt
+from spsqkd import _threads, hbt
 from spsqkd.config import MAX_EVENTS
 from spsqkd.hbt import (
     CorrelationHistogram,
@@ -105,7 +105,7 @@ def test_windows_give_the_same_bytes_on_one_thread(monkeypatch):
         monkeypatch.setattr(hbt, "_WINDOW_TAGS", window_tags)
         threaded = simulate_hbt(nv, 3_000_000, _rng(5, 7))
         with monkeypatch.context() as mp:
-            mp.setattr(hbt.threading, "Thread", _InlineThread)
+            mp.setattr(_threads.threading, "Thread", _InlineThread)
             inline = simulate_hbt(nv, 3_000_000, _rng(5, 7))
         assert len(threaded) > 80_000
         assert np.array_equal(threaded.times_ns, inline.times_ns)
@@ -179,7 +179,7 @@ class _Injected(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["hbt-worker", "MainThread"])
+@pytest.mark.parametrize("failing", ["spsqkd-worker", "MainThread"])
 def test_a_failed_window_is_raised_by_the_caller_after_the_join(monkeypatch, failing):
     sample = hbt.sample_photon_numbers
 

@@ -163,6 +163,23 @@ def test_importing_the_cli_loads_no_thread_pool_or_logging():
     assert proc.stdout.strip() == "[]"
 
 
+def test_only_the_thread_helper_starts_threads():
+    # _threads._on_two_threads starts, joins and re-raises the package's one
+    # worker thread; any other module goes through it
+    package = ROOT / "src" / "spsqkd"
+    sites = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites |= {
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "Thread"
+                 or getattr(node.func, "id", None) == "Thread")
+        }
+    assert sites and {site.split(":")[0] for site in sites} == {"_threads.py"}, sites
+
+
 def test_front_ends_leave_run_sizing_to_the_library():
     # run_experiment_detailed and simulate_hbt refuse their own sizes, so the
     # CLI and the scripts need nothing of the channel model but the link
