@@ -83,6 +83,11 @@ _SEARCH_BATCH = 1 << 14
 # ratio 0.71-0.84), but lost in one at 2^16 (1.08, against 0.76-0.77)
 _THREAD_FROM = 1 << 17
 
+# most raw words the confirmation stage draws and checks at once: a block of
+# rounds is 256 KiB, and a block of 2^18 words raised the peak RSS of a
+# 3e5-bit cascade by 1.5-3.4 MB
+_ROUND_BLOCK_WORDS = 1 << 15
+
 # parity queries as sent: each a 0x01 request frame (pass byte, lo, hi)
 # and its 0x02 reply frame, 20 bytes
 _QUERIES = np.dtype(
@@ -228,8 +233,9 @@ def _key_words(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def _parity(key_words: np.ndarray, subset_words: np.ndarray) -> int:
-    return int(np.bitwise_count(np.bitwise_xor.reduce(key_words & subset_words))) & 1
+def _parity(key_words: np.ndarray, subset_words: np.ndarray) -> np.ndarray:
+    # the subset parity of each round, one round per row of subset_words
+    return np.bitwise_count(np.bitwise_xor.reduce(key_words & subset_words, axis=-1)) & 1
 
 
 def _subset_positions(subset_words: np.ndarray, n: int) -> np.ndarray:
@@ -346,14 +352,19 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     notes each bisection and writes their queries and Alice's replies in
     batches of up to 2^14 bisections, in the order the blocks were taken.
 
-    A confirmation stage then compares random-subset parities one at a
-    time, each read from the keys packed into 64-bit words and a round's
-    random words, one random bit per key bit; a mismatch is bisected to its
+    A confirmation stage then compares random-subset parities, each read
+    from the keys packed into 64-bit words and a round's random words, one
+    random bit per key bit.  Rounds are drawn and checked in blocks of at
+    most 2^15 words (one round if a round is longer), and a block holds no
+    round past the streak that would end the stage or past
+    ``ROUND_BUDGET``.  The first mismatch in a block is bisected to its
     bit, its queries written after the rounds so far and before those of
     the drain it sets off (doubled blocks can hide an even number of errors
     from every pass, so this is what makes small hard patterns
-    correctable), and ``verify_bits`` consecutive agreements end the
-    protocol.
+    correctable), and the block's later rounds are checked against the
+    repaired key.  ``verify_bits`` consecutive agreements end the protocol.
+    PCG64 gives the same raw words drawn in blocks or a round at a time,
+    so the transcript is the same bytes either way.
 
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
@@ -501,29 +512,40 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
         agree_streak = 0
         while agree_streak < cfg.verify_bits:
-            if len(round_parities) >= ROUND_BUDGET:
+            # the rounds that may all be drawn: none past the streak that
+            # ends the stage or past the budget, and at most a block of words
+            rows = min(cfg.verify_bits - agree_streak, ROUND_BUDGET - len(round_parities),
+                       max(1, _ROUND_BLOCK_WORDS // alice_words.size))
+            if rows == 0:
                 verified = False
                 break
-            words = bitgen.random_raw(alice_words.size)
-            a_par = _parity(alice_words, words)
-            round_parities.append(a_par)
-            if a_par == _parity(bob_words, words):
-                agree_streak += 1
-                continue
-            agree_streak = 0
-            send_rounds()
-            # the subset hides an odd number of differences; bisect it in
-            # ascending-position order, then backtrack the pass blocks
-            positions = _subset_positions(words, n)
-            differs = np.packbits(alice[positions] != bob[positions], bitorder="little")
-            target = _odd_bit(int.from_bytes(differs.tobytes(), "little"), positions.size)
-            send(_search_frames(
-                [(_REPAIR_TAG, 0, positions.size - 1, target)],
-                {_REPAIR_TAG: _prefix_parities(alice[positions])},
-            ))
-            flip(int(positions[target]), cfg.n_passes)
-            drain(cfg.n_passes)
-            bob_words = _key_words(bob)
+            block = bitgen.random_raw(rows * alice_words.size).reshape(rows, -1)
+            a_par, b_par = _parity(alice_words, block), _parity(bob_words, block)
+            start = 0
+            while start < rows:
+                mismatch = np.flatnonzero(a_par[start:] != b_par[start:])
+                stop = start + int(mismatch[0]) + 1 if mismatch.size else rows
+                round_parities.extend(a_par[start:stop].tolist())
+                if not mismatch.size:
+                    agree_streak += stop - start
+                    break
+                agree_streak = 0
+                send_rounds()
+                # the subset hides an odd number of differences; bisect it in
+                # ascending-position order, then backtrack the pass blocks
+                positions = _subset_positions(block[stop - 1], n)
+                differs = np.packbits(alice[positions] != bob[positions], bitorder="little")
+                target = _odd_bit(int.from_bytes(differs.tobytes(), "little"), positions.size)
+                send(_search_frames(
+                    [(_REPAIR_TAG, 0, positions.size - 1, target)],
+                    {_REPAIR_TAG: _prefix_parities(alice[positions])},
+                ))
+                flip(int(positions[target]), cfg.n_passes)
+                drain(cfg.n_passes)
+                bob_words = _key_words(bob)
+                # the block's later rounds are checked against the repaired key
+                start = stop
+                b_par[start:] = _parity(bob_words, block[start:])
         send_rounds()
         payload = struct.pack("<QH", cfg.shuffle_seed, len(round_parities))
         payload += np.packbits(np.asarray(round_parities, dtype=np.uint8)).tobytes()

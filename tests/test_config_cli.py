@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -108,12 +109,48 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
     cfg.write_text(f"{setting.key} = {text}\n")
 
     def hash_of(argv):
-        args = cli.build_parser().parse_args([command, *argv])
+        args = cli.build_parser([command, *argv]).parse_args([command, *argv])
         file_cfg = load_config_file(args.config) if args.config else {}
         return config_hash(cli._effective(command, cli._resolve(command, args, file_cfg)))
 
     by_flag = hash_of([flag] if setting.kind is bool else [flag, text])
     assert by_flag == hash_of(["--config", str(cfg)]) != hash_of([])
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        parser.parse_args(argv)
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def _flags(command):
+    return ["--config", "--out", "--quiet"] + [
+        "--" + dest.replace("_", "-") for dest in cli._SCHEMAS[command]
+    ]
+
+
+def test_program_help_lists_every_command(capsys):
+    text = _help_text(cli.build_parser(["--help"]), ["--help"], capsys)
+    for command, (_, help_line, _) in cli._COMMANDS.items():
+        assert re.search(rf"^ +{command} +{re.escape(help_line)}$", text, re.M), command
+
+
+@pytest.mark.parametrize("command", cli._SCHEMAS)
+def test_command_help_names_every_flag(command, capsys):
+    text = _help_text(cli.build_parser([command, "--help"]), [command, "--help"], capsys)
+    for flag in _flags(command):
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), flag
+
+
+@pytest.mark.parametrize("command", cli._SCHEMAS)
+def test_only_the_command_being_run_gets_flags(command, capsys):
+    # the other commands' help lists no flag but its own --help
+    parser = cli.build_parser([command])
+    for other in cli._SCHEMAS:
+        text = _help_text(parser, [other, "--help"], capsys)
+        flags = set(re.findall(r"(?<![\w-])--[\w-]+", text)) - {"--help"}
+        assert flags == (set(_flags(command)) if other == command else set()), other
 
 
 @pytest.mark.parametrize(

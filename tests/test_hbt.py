@@ -1,5 +1,6 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -83,6 +84,18 @@ def test_same_seed_same_stream():
     assert np.array_equal(a.times_ns, b.times_ns)
     assert np.array_equal(a.detectors, b.detectors)
     assert not np.array_equal(a.times_ns, c.times_ns)
+
+
+def test_a_one_window_stream_keeps_its_bytes():
+    # siv80 expects 28,750 tags from 1e7 pulses, one window: the run returns
+    # that window's arrays, the same bytes as when it was copied into a
+    # reserved stream
+    stream = simulate_hbt(get_preset("siv80"), 10_000_000, _rng(7, 1))
+    assert len(stream) == 28_586 < hbt._WINDOW_TAGS
+    data = stream.times_ns.tobytes() + stream.detectors.tobytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "195de7e138ac9b13c75a9f5c1396237e8f6040cc767877678f036128d83e1d72"
+    )
 
 
 class _InlineThread:

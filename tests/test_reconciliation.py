@@ -278,14 +278,19 @@ def _stacked_errors_keys():
     return alice, bob
 
 
-def _assert_matches_the_replay(alice, bob, cfg, batch=reconciliation._SEARCH_BATCH):
-    # batch: the most searches a drain writes at once.  Both ways of building
+def _assert_matches_the_replay(
+    alice, bob, cfg, batch=reconciliation._SEARCH_BATCH,
+    block_words=reconciliation._ROUND_BLOCK_WORDS,
+):
+    # batch: the most searches a drain writes at once; block_words: the most
+    # raw words the confirmation stage draws at once.  Both ways of building
     # the tables are checked: inline, and with passes 3 and later shuffled on
     # the second thread (its cut-over patched down to the smallest key)
     transcript, key, leaked, corrections, verified = _replay_cascade(alice, bob, cfg)
     for thread_from in (reconciliation._THREAD_FROM, 8):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reconciliation, "_SEARCH_BATCH", batch)
+            mp.setattr(reconciliation, "_ROUND_BLOCK_WORDS", block_words)
             mp.setattr(reconciliation, "_THREAD_FROM", thread_from)
             out = cascade(alice, bob, cfg)
         assert out.transcript == transcript
@@ -328,6 +333,65 @@ def test_cascade_matches_a_block_by_block_replay(
 def test_cascade_matches_the_replay_on_crafted_keys(keys, est):
     alice, bob = keys()
     _assert_matches_the_replay(alice, bob, ReconciliationConfig(est_qber=est))
+
+
+def _mismatched_rounds(transcript):
+    # the index of each confirmation round that set off a repair: the last
+    # round sent before a run of 0xFF repair queries
+    requests = [p for t, p in iter_transcript(transcript) if t == MSG_PARITY_REQUEST]
+    rounds, last = [], None
+    for before, payload in zip([b"\0"] + requests, requests):
+        if payload[0] == 0xFE:
+            last = struct.unpack_from("<I", payload, 1)[0]
+        elif payload[0] == 0xFF and before[0] != 0xFF:
+            rounds.append(last)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "keys, cfg, block_words, mismatched",
+    [
+        # one word a round, four rounds a block: round 1 of rounds 0-3
+        (_blind_pattern_keys, ReconciliationConfig(est_qber=0.06), 4, [1]),
+        # 47 words a round, three rounds a block: rounds 3 and 4 both
+        # mismatch in rounds 3-5, so round 4 is checked against a key
+        # repaired after the block was drawn
+        (lambda: _keys_with_errors(3000, 0.3, 0),
+         ReconciliationConfig(est_qber=0.03, n_passes=2), 3 * 47, [3, 4]),
+    ],
+    ids=["pass-blind", "two-in-a-block"],
+)
+def test_confirmation_blocks_repair_a_mismatch_in_mid_block(keys, cfg, block_words, mismatched):
+    alice, bob = keys()
+    rows = block_words // -(-alice.size // 64)
+    found = _mismatched_rounds(cascade(alice, bob, cfg).transcript)
+    assert found[: len(mismatched)] == mismatched
+    assert mismatched[0] % rows != rows - 1
+    _assert_matches_the_replay(alice, bob, cfg, block_words=block_words)
+
+
+@pytest.mark.parametrize("block_words", [3, 20])
+def test_confirmation_blocks_run_out_mid_streak(block_words):
+    # 400 bits, 7 words a round, and no round mismatches: 3 words still draw
+    # one round a block, 20 draw two, and the streak runs on across 25 blocks
+    alice, bob = _stacked_errors_keys()
+    cfg = ReconciliationConfig(est_qber=0.03)
+    out = cascade(alice, bob, cfg)
+    assert out.verified_equal and _mismatched_rounds(out.transcript) == []
+    _assert_matches_the_replay(alice, bob, cfg, block_words=block_words)
+
+
+def test_confirmation_blocks_stop_at_the_round_budget():
+    # a round must mismatch to repair the pass-blind pair, so a streak of
+    # ROUND_BUDGET rounds cannot be met: blocks of four rounds run until the
+    # budget clips the last one to three
+    alice, bob = _blind_pattern_keys()
+    cfg = ReconciliationConfig(est_qber=0.06, verify_bits=reconciliation.ROUND_BUDGET)
+    _assert_matches_the_replay(alice, bob, cfg, block_words=4)
+    out = cascade(alice, bob, cfg)
+    _, parities, replies, _ = _confirmation_frames(out.transcript)
+    assert not out.verified_equal
+    assert parities.size == len(replies) == reconciliation.ROUND_BUDGET
 
 
 class _Injected(Exception):
