@@ -106,8 +106,7 @@ def simulate_hbt(
     Window 0 draws from ``rng`` and window w from the w-th generator
     ``rng.spawn`` gives, so a run of one window draws as an unwindowed run
     would, and a seed pins the stream whichever thread builds a window: the
-    calling thread and one more share the windows.  A run of one window
-    returns that window's arrays; finished windows of a longer run are
+    calling thread and one more share the windows.  Finished windows are
     appended in window order to one stream reserved for the expected tag
     count.  A delay can carry a tag past the next window's first ones; that
     stretch is merged by a stable sort, so each tag keeps its detector.
@@ -150,20 +149,15 @@ def simulate_hbt(
         times = times[: np.searchsorted(times, duration)]
         return times, (rngs[w].random(times.size) >= splitter_ratio).view(np.uint8)
 
-    # a run of one window is that window's arrays.  A longer run's stream is
-    # reserved for the mean tag count and _RESERVE_SIGMAS Poisson sigmas
-    # more, and grown by an eighth if the run draws past that
+    # the stream is reserved for the mean tag count and _RESERVE_SIGMAS
+    # Poisson sigmas more, and grown by an eighth if a run draws past that
     expected = n_pulses * rate
-    reserve = expected + _RESERVE_SIGMAS * math.sqrt(expected) if n_windows > 1 else 0
-    times = np.empty(max(0, math.ceil(reserve)))
+    times = np.empty(max(0, math.ceil(expected + _RESERVE_SIGMAS * math.sqrt(expected))))
     dets = np.empty(times.size, dtype=np.uint8)
     filled = 0
 
     def append(part_times: np.ndarray, part_dets: np.ndarray) -> None:
         nonlocal times, dets, filled
-        if n_windows == 1:
-            times, dets, filled = part_times, part_dets, part_times.size
-            return
         b, e = filled, filled + part_times.size
         if e > times.size:
             times, dets = np.resize(times, e + e // 8), np.resize(dets, e + e // 8)

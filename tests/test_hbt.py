@@ -87,9 +87,7 @@ def test_same_seed_same_stream():
 
 
 def test_a_one_window_stream_keeps_its_bytes():
-    # siv80 expects 28,750 tags from 1e7 pulses, one window: the run returns
-    # that window's arrays, the same bytes as when it was copied into a
-    # reserved stream
+    # siv80 expects 28,750 tags from 1e7 pulses, one window
     stream = simulate_hbt(get_preset("siv80"), 10_000_000, _rng(7, 1))
     assert len(stream) == 28_586 < hbt._WINDOW_TAGS
     data = stream.times_ns.tobytes() + stream.detectors.tobytes()
