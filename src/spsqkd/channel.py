@@ -31,7 +31,9 @@ def fibre_transmission(
     """Power transmission of ``distance_km`` of fibre, a float or an array."""
     if np.any(np.less(distance_km, 0)):
         raise ValueError("distance_km must be non-negative")
-    return 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
+    # a loss past the float range is -inf dB, whose transmission is 0
+    with np.errstate(over="ignore"):
+        return 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
 
 
 @dataclass(frozen=True)

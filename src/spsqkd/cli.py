@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._threads import _on_two_threads
 from .channel import LinkSpec
 from .config import (
     check_events,
@@ -401,17 +402,20 @@ def cmd_g2(settings: dict, meta: dict, out: str, quiet: bool) -> int:
         splitter_ratio=settings["splitter_ratio"],
         detection_eff=settings["detection_eff"],
     )
-    hist = correlation_histogram(
-        stream,
-        bin_width_ns=settings["bin_width_ns"],
-        window_periods=settings["window_periods"],
-    )
+
+    def lifetime() -> tuple[float, float, bool]:
+        try:
+            fit = fit_lifetime(stream, bin_width_ns=settings["bin_width_ns"])
+        except InsufficientDataError:
+            return float("nan"), float("nan"), False
+        return fit.tau_ns, fit.sigma_ns, fit.reliable
+
+    # the estimators read the stream apart: the fit runs on a second thread,
+    # the histogram on this one, so its refusals are the ones reported
+    (tau, sigma, reliable), hist = _on_two_threads(lifetime, lambda: correlation_histogram(
+        stream, bin_width_ns=settings["bin_width_ns"], window_periods=settings["window_periods"],
+    ))
     g2 = g2_at_zero(hist)
-    try:
-        fit = fit_lifetime(stream, bin_width_ns=settings["bin_width_ns"])
-        tau, sigma, reliable = fit.tau_ns, fit.sigma_ns, fit.reliable
-    except InsufficientDataError:
-        tau, sigma, reliable = float("nan"), float("nan"), False
 
     hist_meta = {**meta, "rep_period_ns": f"{source.rep_period_ns:.6g}"}
     columns = {"tau_ns": hist.tau_centers_ns, "counts": hist.counts}

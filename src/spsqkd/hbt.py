@@ -46,11 +46,15 @@ _BIN_WIDTH_NS = 1.0
 _PAIR_CHUNK = 1 << 20
 
 # expected tags per window of simulate_hbt, each window drawn from its own
-# stream; from this many tags up the estimators also split their tag passes
-# over two threads.  On 2 cores a g2-nv op (3e7 pulses, 870k tags) took
-# 0.78 of its unwindowed time at 2^15, 0.69 at 2^16 and 0.70 at 2^17 (12
-# paired runs; 2^16 beat 2^15 in 11), with peak RSS 62-65 MB against 75
+# stream.  On 2 cores a g2-nv op (3e7 pulses, 870k tags) took 0.78 of its
+# unwindowed time at 2^15, 0.69 at 2^16 and 0.70 at 2^17 (12 paired runs;
+# 2^16 beat 2^15 in 11), with peak RSS 62-65 MB against 75
 _WINDOW_TAGS = 1 << 16
+
+# tags fit_lifetime histograms at once.  A g2 run at the tag cap (nv, 5.7e8
+# pulses) read 344 MB max RSS with blocks of 2^16 or 2^18, 355 with 2^20
+# and 420 with one block over the whole stream
+_PHASE_BLOCK = 1 << 18
 
 # sigmas of room over the mean tag count reserved for a windowed stream
 _RESERVE_SIGMAS = 6.0
@@ -254,7 +258,6 @@ def correlation_histogram(
     either detector.  The pairs are then expanded and histogrammed over
     runs of detector-0 tags holding at most ``_PAIR_CHUNK`` pairs each, so
     memory grows with the chunk and the bins, not with the pair count.
-    From ``_WINDOW_TAGS`` tags up, the two window searches run on two threads.
     """
     if window_periods < 5:
         raise ValueError("window_periods must be at least 5 to cover the side peaks")
@@ -283,11 +286,8 @@ def correlation_histogram(
     t1 = np.compress(one, times)
     del times, one, keep
 
-    lo, per_tag = _on_two_threads(
-        lambda: np.searchsorted(t1, t0 - window, side="left"),
-        lambda: np.searchsorted(t1, t0 + window, side="right"),
-        threaded=stream.times_ns.size >= _WINDOW_TAGS,
-    )
+    lo = np.searchsorted(t1, t0 - window, side="left")
+    per_tag = np.searchsorted(t1, t0 + window, side="right")
     per_tag -= lo
     # pairs before each tag; the last entry is the total
     before = np.zeros(t0.size + 1, dtype=np.intp)
@@ -361,24 +361,19 @@ def fit_lifetime(
     the fitted constant is not comfortably inside the repetition period,
     since phase wraparound then flattens the decay.
 
-    The two halves of the stream are histogrammed apart and their integer
-    counts added, on two threads from ``_WINDOW_TAGS`` tags up.
+    The phases are histogrammed in blocks of ``_PHASE_BLOCK`` tags, so
+    memory grows with the block, not with the stream.
     """
     period = stream.rep_period_ns
     n_bins = max(4, _bin_count(period, bin_width_ns, "bin_width_ns", bin_width_ns))
-    times, dets = stream.times_ns, stream.detectors
-
-    def phase_histogram(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        phases = np.compress(dets[part] == 0, times[part]) % period
-        return np.histogram(phases, bins=n_bins, range=(0.0, period))
-
-    half = times.size // 2
-    (counts, edges), (rest, _) = _on_two_threads(
-        lambda: phase_histogram(slice(0, half)),
-        lambda: phase_histogram(slice(half, None)),
-        threaded=times.size >= _WINDOW_TAGS,
-    )
-    counts += rest
+    # the edges np.histogram gives over range=(0, period)
+    edges = np.linspace(0.0, period, n_bins + 1)
+    counts = np.zeros(n_bins, dtype=np.intp)
+    for start in range(0, len(stream), _PHASE_BLOCK):
+        block = slice(start, start + _PHASE_BLOCK)
+        phases = stream.times_ns[block][stream.detectors[block] == 0]
+        phases %= period
+        counts += np.histogram(phases, bins=n_bins, range=(0.0, period))[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     peak = int(np.argmax(counts))

@@ -60,8 +60,9 @@ _ROUND_TAG = 0xFE
 _REPAIR_TAG = 0xFF
 
 # hard ceiling on confirmation rounds, set by the u16 round count in the
-# 0x04 frame; a run that needs this many rounds is hopeless, and a longer
-# agreement streak could never be met, so verify_bits is capped by it
+# 0x04 frame.  Every round counts, mismatching ones too, so the agreeing
+# streak must fit in the rounds left after the last mismatch; a run that
+# needs this many rounds is hopeless, and verify_bits is capped by it
 ROUND_BUDGET = 0xFFFF
 
 # the pass number is the u8 pass byte of a request, below the reserved tags
@@ -113,8 +114,10 @@ class ReconciliationConfig:
     followed by a confirmation stage: random-subset parities are compared
     one at a time, a mismatching subset is bisected to a correction (with
     backtracking into the pass blocks), and the keys are declared equal
-    after ``verify_bits`` consecutive agreements.  Every disclosed parity,
-    confirmation rounds included, is charged to the leakage.
+    after ``verify_bits`` consecutive agreements.  All rounds share the
+    ``ROUND_BUDGET`` of 65535, so the agreeing streak must fit in the rounds
+    left after the last mismatch.  Every disclosed parity, confirmation
+    rounds included, is charged to the leakage.
     """
 
     est_qber: float
@@ -207,11 +210,11 @@ def _as_bits(key, name: str) -> np.ndarray:
     return arr
 
 
-def _prefix_parities(bits: np.ndarray) -> bytes:
-    # byte i is the parity of bits[:i], so a range parity is two lookups
+def _prefix_parities(bits: np.ndarray) -> np.ndarray:
+    # entry i is the parity of bits[:i], so a range parity is two lookups
     prefix = np.zeros(bits.size + 1, dtype=np.uint8)
     np.bitwise_xor.accumulate(bits, out=prefix[1:])
-    return prefix.tobytes()
+    return prefix
 
 
 def _shuffle_tables(alice: np.ndarray, natural: np.ndarray, seed: int, p: int):
@@ -268,17 +271,17 @@ def _halvings(lo: np.ndarray, hi: np.ndarray, goes_left) -> tuple[np.ndarray, ..
     return q_lo[asked], q_mid[asked], asked.sum(axis=1), lo
 
 
-def _bisect_all(
-    lo: np.ndarray, hi: np.ndarray, diff_prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bisect(pass_byte: int, lo: np.ndarray, hi: np.ndarray, a_prefix: np.ndarray,
+            diff_prefix: np.ndarray) -> tuple[bytes, np.ndarray]:
     # bisect ranges that each hold an odd number of bit differences, where
     # diff_prefix[i] is the parity of the first i of them: every half whose
-    # differences are odd holds the bit.  Returns every query (lo, mid) in
-    # (range, level) order and the bit each range ends on
+    # differences are odd holds the bit.  Returns the queries and Alice's
+    # replies, from her prefix parities a_prefix in the same coordinates, in
+    # (range, level) order, and the bit each range ends on
     q_lo, q_mid, _, final = _halvings(
         lo, hi, lambda lo, mid: diff_prefix[mid + 1] != diff_prefix[lo]
     )
-    return q_lo, q_mid, final
+    return _query_frames(pass_byte, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo]), final
 
 
 def _odd_bit(mask: int, width: int) -> int:
@@ -318,8 +321,7 @@ def _search_frames(searches: list[tuple[int, int, int, int]], prefixes) -> bytes
     # the passes as a set: np.unique's first call alone adds 1.6 MB of RSS
     for p in set(pass_byte.tolist()):
         mine = q_pass == p
-        a_prefix = np.frombuffer(prefixes[p], dtype=np.uint8)
-        parity[mine] = a_prefix[q_mid[mine] + 1] ^ a_prefix[q_lo[mine]]
+        parity[mine] = prefixes[p][q_mid[mine] + 1] ^ prefixes[p][q_lo[mine]]
     return _query_frames(q_pass, q_lo, q_mid, parity)
 
 
@@ -406,7 +408,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     perm_at, inv_at = [memoryview(natural)], [memoryview(natural)]
     bob_at = memoryview(bob)
 
-    def add_pass(perm: np.ndarray, inv: np.ndarray, prefix: bytes) -> None:
+    def add_pass(perm: np.ndarray, inv: np.ndarray, prefix: np.ndarray) -> None:
         inv_perms.append(inv)
         alice_prefix.append(prefix)
         perm_at.append(memoryview(perm))
@@ -462,15 +464,15 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         # every block parity of the pass at once, both parties
         starts = np.arange(0, n, block_size[p])
         ends = np.minimum(starts + block_size[p], n)
-        a_prefix = np.frombuffer(alice_prefix[p], dtype=np.uint8)
+        a_prefix = alice_prefix[p]
         send(_query_frames(p, starts, ends - 1, a_prefix[ends] ^ a_prefix[starts]))
         if p == 0:
             # pass 1 runs in natural order, so one prefix of the
             # differences answers every half Bob compares, in every block
-            diff = np.frombuffer(_prefix_parities(alice ^ bob), dtype=np.uint8)
+            diff = _prefix_parities(alice ^ bob)
             odd = diff[ends] != diff[starts]
-            q_lo, q_mid, final = _bisect_all(starts[odd], ends[odd] - 1, diff)
-            send(_query_frames(0, q_lo, q_mid, a_prefix[q_mid + 1] ^ a_prefix[q_lo]))
+            frames, final = _bisect(0, starts[odd], ends[odd] - 1, a_prefix, diff)
+            send(frames)
             bob[final] ^= 1
             corrections += final.size
             return
@@ -500,21 +502,12 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     if cfg.verify_bits > 0:
         bitgen = np.random.PCG64(np.random.SeedSequence([cfg.shuffle_seed, _VERIFY_STREAM]))
         alice_words, bob_words = _key_words(alice), _key_words(bob)
-        round_parities: list[int] = []
-        sent = 0  # rounds whose queries are in the transcript
-
-        def send_rounds() -> None:
-            # the rounds since the last repair, each a query of its index
-            nonlocal sent
-            rounds = np.arange(sent, len(round_parities))
-            send(_query_frames(_ROUND_TAG, rounds, 0, round_parities[sent:]))
-            sent = len(round_parities)
-
-        agree_streak = 0
+        round_parities = np.empty(ROUND_BUDGET, dtype=np.uint8)
+        rounds = agree_streak = 0
         while agree_streak < cfg.verify_bits:
             # the rounds that may all be drawn: none past the streak that
             # ends the stage or past the budget, and at most a block of words
-            rows = min(cfg.verify_bits - agree_streak, ROUND_BUDGET - len(round_parities),
+            rows = min(cfg.verify_bits - agree_streak, ROUND_BUDGET - rounds,
                        max(1, _ROUND_BLOCK_WORDS // alice_words.size))
             if rows == 0:
                 verified = False
@@ -525,30 +518,31 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
             while start < rows:
                 mismatch = np.flatnonzero(a_par[start:] != b_par[start:])
                 stop = start + int(mismatch[0]) + 1 if mismatch.size else rows
-                round_parities.extend(a_par[start:stop].tolist())
+                # each round is sent as it is recorded, a query of its index
+                recorded = np.arange(rounds, rounds + stop - start)
+                round_parities[recorded] = a_par[start:stop]
+                send(_query_frames(_ROUND_TAG, recorded, 0, a_par[start:stop]))
+                rounds += recorded.size
                 if not mismatch.size:
-                    agree_streak += stop - start
+                    agree_streak += recorded.size
                     break
                 agree_streak = 0
-                send_rounds()
                 # the subset hides an odd number of differences; bisect it in
                 # ascending-position order, then backtrack the pass blocks
                 positions = _subset_positions(block[stop - 1], n)
-                differs = np.packbits(alice[positions] != bob[positions], bitorder="little")
-                target = _odd_bit(int.from_bytes(differs.tobytes(), "little"), positions.size)
-                send(_search_frames(
-                    [(_REPAIR_TAG, 0, positions.size - 1, target)],
-                    {_REPAIR_TAG: _prefix_parities(alice[positions])},
-                ))
+                a_sub = alice[positions]
+                frames, (target,) = _bisect(
+                    _REPAIR_TAG, np.array([0]), np.array([a_sub.size - 1]),
+                    _prefix_parities(a_sub), _prefix_parities(a_sub ^ bob[positions]))
+                send(frames)
                 flip(int(positions[target]), cfg.n_passes)
                 drain(cfg.n_passes)
                 bob_words = _key_words(bob)
                 # the block's later rounds are checked against the repaired key
                 start = stop
                 b_par[start:] = _parity(bob_words, block[start:])
-        send_rounds()
-        payload = struct.pack("<QH", cfg.shuffle_seed, len(round_parities))
-        payload += np.packbits(np.asarray(round_parities, dtype=np.uint8)).tobytes()
+        payload = struct.pack("<QH", cfg.shuffle_seed, rounds)
+        payload += np.packbits(round_parities[:rounds]).tobytes()
         transcript.append(_frame(MSG_VERIFY, payload))
 
     return ReconciliationOutcome(

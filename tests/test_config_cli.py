@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +615,22 @@ def test_rates_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert (tmp_path / "x.rates.csv").read_bytes() == (tmp_path / "y.rates.csv").read_bytes()
 
 
+def test_rates_past_the_float_range_of_loss_read_zero_quietly(tmp_path):
+    # 1e308 dB/km times 5 km overflows to -inf dB: a transmission of 0,
+    # computed without numpy's overflow warning on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "spsqkd.cli", "rates", "--wcp", "--decoy", "--ideal95",
+         "--attenuation-db-per-km", "1e308", "--dmax", "10", "--step", "5", "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = (tmp_path / "rates.rates.csv").read_text().splitlines()
+    rows = np.loadtxt([l for l in lines if not l.startswith("#")][1:], delimiter=",")
+    assert rows[:, 0].tolist() == [0.0, 5.0, 10.0]
+    assert (rows[0, 1:] > 0).all() and not rows[1:, 1:].any()
+
+
 # ---------------------------------------------------------------- cascade
 
 
@@ -985,6 +1002,79 @@ def test_g2_source_overrides_are_validated(tmp_path, monkeypatch, capsys):
     # Poissonian presets admit no g2 dial
     assert cli.main(["g2", "--preset", "wcp", "--g2-zero", "0.1"]) == 2
     assert cli.main(["g2", "--preset", "nv", "--mu", "-0.5"]) == 2
+
+
+@pytest.mark.parametrize("last", ["fit_lifetime", "correlation_histogram"])
+def test_g2_estimators_write_the_same_bytes_in_either_order(last, tmp_path, monkeypatch):
+    # the two estimators run side by side; held until the other has
+    # returned, either one still gives the files of a run left alone
+    monkeypatch.chdir(tmp_path)
+    argv = ["g2", "--preset", "nv", "--pulses", "300000", "--seed", "4", "--quiet"]
+    assert cli.main([*argv, "--out", "free"]) == 0
+    first = "fit_lifetime" if last == "correlation_histogram" else "correlation_histogram"
+    returned = threading.Event()
+    run_first, run_last = getattr(cli, first), getattr(cli, last)
+
+    def signals(*args, **kwargs):
+        result = run_first(*args, **kwargs)
+        returned.set()
+        return result
+
+    def waits(*args, **kwargs):
+        assert returned.wait(timeout=60)
+        return run_last(*args, **kwargs)
+
+    monkeypatch.setattr(cli, first, signals)
+    monkeypatch.setattr(cli, last, waits)
+    assert cli.main([*argv, "--out", "held"]) == 0
+    for suffix in ("hist.csv", "g2.txt"):
+        assert (tmp_path / f"held.{suffix}").read_bytes() == \
+            (tmp_path / f"free.{suffix}").read_bytes()
+
+
+def test_g2_fit_failure_is_raised_after_the_join(tmp_path, monkeypatch):
+    class Injected(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise Injected
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "fit_lifetime", fail)
+    live = threading.active_count()
+    with pytest.raises(Injected):
+        cli.main(["g2", "--preset", "nv", "--pulses", "300000", "--quiet"])
+    assert threading.active_count() == live
+
+
+def test_g2_reports_the_histogram_refusal_over_the_fit(tmp_path, monkeypatch, capsys):
+    # 1e-4-ns bins are refused by both estimators: the fit over nv's
+    # 1000-ns period needs 1e7 of them, the histogram over ten periods 1e8.
+    # The histogram waits until the fit has refused; its refusal is printed
+    monkeypatch.chdir(tmp_path)
+    refusals, refused = [], threading.Event()
+    fit, hist = cli.fit_lifetime, cli.correlation_histogram
+
+    def fit_refuses(*args, **kwargs):
+        try:
+            return fit(*args, **kwargs)
+        except ValueError as exc:
+            refusals.append(str(exc))
+            refused.set()
+            raise
+
+    def hist_after_the_fit(*args, **kwargs):
+        assert refused.wait(timeout=60)
+        return hist(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_lifetime", fit_refuses)
+    monkeypatch.setattr(cli, "correlation_histogram", hist_after_the_fit)
+    argv = ["g2", "--preset", "nv", "--pulses", "100000", "--bin-width-ns", "1e-4"]
+    assert cli.main(argv) == 2
+    assert len(refusals) == 1 and "needs 1e+07 bins" in refusals[0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin_width_ns = 0.0001 needs 1e+08 bins")
+    assert not list(tmp_path.iterdir())
 
 
 def test_g2_rerun_is_byte_identical(tmp_path, monkeypatch):

@@ -207,29 +207,32 @@ def test_a_failed_window_is_raised_by_the_caller_after_the_join(monkeypatch, fai
     assert threading.active_count() == live
 
 
-def test_split_estimators_match_one_pass(monkeypatch):
-    # a stream over one window's worth of tags splits its passes over two
-    # threads; integer counts add exactly, so one pass gives the same numbers
-    stream = simulate_hbt(get_preset("nv"), 3_000_000, _rng(10, 1))
-    assert len(stream) >= hbt._WINDOW_TAGS
-    halves = []
+def test_lifetime_phase_blocks_add_up_to_one_pass(monkeypatch):
+    # blocks of 7 tags: integer counts add exactly, so the fit is that of
+    # one block over the stream, and the counts those of every detector-0 phase
+    stream = simulate_hbt(get_preset("nv"), 1_000_000, _rng(10, 1))
+    assert 7 < len(stream) < hbt._PHASE_BLOCK
+    whole = fit_lifetime(stream)
+    blocks = []
 
     def keep_counts(*args, **kwargs):
         counts, edges = histogram(*args, **kwargs)
-        halves.append(counts.copy())
+        blocks.append(counts.copy())
         return counts, edges
 
     histogram = np.histogram
+    monkeypatch.setattr(hbt, "_PHASE_BLOCK", 7)
     with mock.patch.object(np, "histogram", keep_counts):
-        fit = fit_lifetime(stream)
+        assert fit_lifetime(stream) == whole
     period = stream.rep_period_ns
     phases = stream.times_ns[stream.detectors == 0] % period
-    whole = histogram(phases, bins=int(period), range=(0.0, period))[0]
-    assert len(halves) == 2 and np.array_equal(halves[0] + halves[1], whole)
-    hist = correlation_histogram(stream)
-    monkeypatch.setattr(hbt, "_WINDOW_TAGS", len(stream) + 1)
-    assert np.array_equal(correlation_histogram(stream).counts, hist.counts)
-    assert fit_lifetime(stream) == fit
+    oracle = histogram(phases, bins=int(period), range=(0.0, period))[0]
+    assert len(blocks) == -(-len(stream) // 7)
+    assert np.array_equal(np.sum(blocks, axis=0), oracle)
+    # no block at all: empty counts, refused like any sparse stream
+    empty = TimeTagStream(np.zeros(0), np.zeros(0, dtype=np.uint8), 1e6, period)
+    with pytest.raises(InsufficientDataError, match="100 counts"):
+        fit_lifetime(empty)
 
 
 @pytest.mark.parametrize(

@@ -63,16 +63,13 @@ def _bisect_blocks(alice, bob):
     b = np.asarray(bob, dtype=np.uint8)
     n = a.size
     diff = np.concatenate(([0], np.bitwise_xor.accumulate(a ^ b)))
-    q_lo, q_mid, final = reconciliation._bisect_all(np.array([0]), np.array([n - 1]), diff)
+    a_prefix = np.concatenate(([0], np.bitwise_xor.accumulate(a))).astype(np.uint8)
+    frames, final = reconciliation._bisect(1, np.array([0]), np.array([n - 1]), a_prefix, diff)
     mask = sum(1 << int(i) for i in np.flatnonzero(a != b))
     target = reconciliation._odd_bit(mask, n)
-    a_prefix = np.concatenate(([0], np.bitwise_xor.accumulate(a))).astype(np.uint8)
-    frames = reconciliation._search_frames([(1, 0, n - 1, target)], [b"", a_prefix.tobytes()])
-    parities = a_prefix[q_mid + 1] ^ a_prefix[q_lo]
-    expected = reconciliation._query_frames(1, q_lo, q_mid, parities)
     assert target == final[0]
-    assert frames == expected
-    return int(final[0]), int(q_lo.size)
+    assert frames == reconciliation._search_frames([(1, 0, n - 1, target)], {1: a_prefix})
+    return int(final[0]), len(frames) // reconciliation._QUERIES.itemsize
 
 
 def test_binary_bisect_examples():
@@ -154,14 +151,15 @@ def test_pass1_matches_a_block_by_block_replay(n, qber, est, seed):
     )
     calls = []
 
-    def spy(*args):
-        result = bisect_all(*args)
-        calls.append(result[2].tolist())
+    def spy(pass_byte, *args):
+        result = bisect(pass_byte, *args)
+        if pass_byte == 0:  # the confirmation repairs bisect too
+            calls.append(result[1].tolist())
         return result
 
-    bisect_all = reconciliation._bisect_all
+    bisect = reconciliation._bisect
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reconciliation, "_bisect_all", spy)
+        mp.setattr(reconciliation, "_bisect", spy)
         out = cascade(alice, bob, cfg)
     frames, fixed = _replay_pass1(alice, bob, cfg.initial_block)
     assert _pass1_frames(out.transcript) == frames
