@@ -371,7 +371,9 @@ def fit_lifetime(
     counts = np.zeros(n_bins, dtype=np.intp)
     for start in range(0, len(stream), _PHASE_BLOCK):
         block = slice(start, start + _PHASE_BLOCK)
-        phases = stream.times_ns[block][stream.detectors[block] == 0]
+        # a take through the indices, not a boolean-mask gather, which pays a
+        # branch miss per tag
+        phases = stream.times_ns[block].take(np.flatnonzero(stream.detectors[block] == 0))
         phases %= period
         counts += np.histogram(phases, bins=n_bins, range=(0.0, period))[0]
     centers = 0.5 * (edges[:-1] + edges[1:])

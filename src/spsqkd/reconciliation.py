@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -77,12 +78,16 @@ _SHUFFLE_BUDGET = 4 * MAX_EVENTS
 _SEARCH_BATCH = 1 << 14
 
 # keys from this many bits up have passes 3 and later shuffled on a second
-# thread while passes 1 and 2 run.  Below it the saving is a few ms, about
+# thread while the earlier passes run.  Below it the saving is a few ms, about
 # what the thread loses waiting up to the 5 ms GIL switch interval to take
-# the lock back from the drains after each table kernel: on 2 cores at 3%
-# errors it won in each of four paired curves from 2^17 bits up (time
-# ratio 0.71-0.84), but lost in one at 2^16 (1.08, against 0.76-0.77)
-_THREAD_FROM = 1 << 17
+# the lock back from the drains after each table kernel.  A paired curve of
+# threaded against inline calls (nproc=2, 3% errors, 4 passes, 10 pairs a
+# size) read time ratios of 1.55 at 2^12 and 1.52 at 4,611 bits (a 25 km nv
+# session's key), 1.34 at 2^13 and 1.07 at 2^14, threaded winning 0, 0, 0
+# and 2 pairs; 0.93 at 2^15 (9 won, but 4 of 12 in a rerun), then 0.83 at
+# 45,775 bits (a 1e6-pulse wcp session's key, 12 of 12), 0.79 at 2^16, 0.82
+# at 2^17 and 0.72 at 2^18 (10, 10 and 9 of 10)
+_THREAD_FROM = 1 << 15
 
 # most raw words the confirmation stage draws and checks at once: a block of
 # rounds is 256 KiB, and a block of 2^18 words raised the peak RSS of a
@@ -372,11 +377,12 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
     Every pass's shuffle is held until the call returns, so
     ``check_shuffle_budget`` caps the key bits times ``n_passes``.  Each
-    pass is shuffled as it starts, except from ``_THREAD_FROM`` (2^17) key
-    bits up: there passes 3 and later are shuffled ahead, in one go on a
-    second thread, on the second core, while passes 1 and 2 are
-    reconciled.  Each pass draws from its own stream, so the transcript is
-    the same bytes either way.
+    pass is shuffled as it starts, except from ``_THREAD_FROM`` (2^15) key
+    bits up: there passes 3 and later are shuffled ahead, in pass order on
+    a second thread, on the second core, while the earlier passes are
+    reconciled, and each pass starts as soon as its own tables are built.
+    Each pass draws from its own stream, so the transcript is the same
+    bytes either way.
     """
     alice = _as_bits(alice_key, "alice_key")
     bob = _as_bits(bob_key, "bob_key").copy()
@@ -485,18 +491,33 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         drain(p + 1)
 
     # from _THREAD_FROM key bits up, passes 3 and later are shuffled ahead on
-    # a second thread while passes 1 and 2 run: each table kernel releases
-    # the GIL, so the shuffles run beside the drains
+    # a second thread while the earlier passes run: each table kernel releases
+    # the GIL, so the shuffles run beside the drains.  Each pass has its own
+    # event, set as its tables are built (or, all at once, if the thread
+    # fails), so a pass waits only for its own tables
     ahead = range(2, cfg.n_passes if n >= _THREAD_FROM else 2)
-    later, _ = _on_two_threads(
-        lambda: [_shuffle_tables(alice, natural, cfg.shuffle_seed, p) for p in ahead],
-        lambda: [run_pass(p) for p in range(2)],
-        threaded=bool(ahead),
-    )
-    for tables in later:
-        add_pass(*tables)
-    for p in range(2, cfg.n_passes):
-        run_pass(p)
+    built = {}
+    ready = {p: threading.Event() for p in ahead}
+
+    def shuffle_ahead() -> None:
+        try:
+            for p in ahead:
+                built[p] = _shuffle_tables(alice, natural, cfg.shuffle_seed, p)
+                ready[p].set()
+        finally:
+            for event in ready.values():
+                event.set()
+
+    def run_passes() -> None:
+        for p in range(cfg.n_passes):
+            if p in ready:
+                ready[p].wait()
+                if p not in built:  # the thread failed; the helper raises its error
+                    return
+                add_pass(*built.pop(p))
+            run_pass(p)
+
+    _on_two_threads(shuffle_ahead, run_passes, threaded=bool(ahead))
 
     verified = True
     if cfg.verify_bits > 0:

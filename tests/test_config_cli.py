@@ -784,6 +784,9 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
           "71e33d7a4ddcf53f7cb2b830d7e8ded629a2c97ddd75e4124ee3ce0167a9957d",
           "session.bits.csv":
           "83a017860aadaa02a4e45ad745368842faf50c6b27bfe170ff92e39403ee5ebb"}),
+        (["session", "--preset", "wcp", "--pulses", "1000000", "--seed", "7"],
+         {"session.summary.txt":
+          "f89e502fafcfdb502936cad3503842a989f6b2969ce2e61f459b312cac0e8e2a"}),
         (["session", "--preset", "nv", "--pulses", "1000000", "--seed", "7", "--bits-csv"],
          {"session.summary.txt":
           "c373afbc7c86184fa8f6383e4505d8235299ccc8854e1c6153b799acd4269c6d",
@@ -815,7 +818,7 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
          {"g2.g2.txt":
           "84e73dda39fb51fbce47cce6ddf28cf2d9934a17dab34e348ce448d67c9696cc"}),
     ],
-    ids=["session-wcp-disclose", "session-nv", "session-decoy", "session-siv",
+    ids=["session-wcp-disclose", "session-wcp", "session-nv", "session-decoy", "session-siv",
          "session-ideal95-10km", "cascade-n10000", "g2-nv-3e6",
          "g2-siv-half-ns", "g2-ideal10-1e6", "g2-siv80"],
 )

@@ -478,6 +478,33 @@ def test_a_failure_mid_pass_still_joins_the_thread(monkeypatch):
     assert sorted(p for p, _, _ in calls) == [1, 2, 3]
 
 
+def test_each_pass_starts_once_its_own_shuffle_is_built(monkeypatch):
+    # six passes, the last one's shuffle held on the thread until pass 4's
+    # parities are sent, which is after pass 3's drain: a pass waits for its
+    # own tables, not for every later pass's
+    monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
+    alice, bob = _keys_with_errors(20_000, 0.03, 6)
+    cfg = ReconciliationConfig(est_qber=0.03, n_passes=6)
+    expected = cascade(alice, bob, cfg)
+    release, released = threading.Event(), []
+    calls = _spy_shuffles(monkeypatch, lambda p: p < 5 or released.append(release.wait(30)))
+    query_frames = reconciliation._query_frames
+
+    def spy(pass_byte, *args):
+        # a pass opens with one pass byte for all its block parities (the
+        # drains send an array of them)
+        if isinstance(pass_byte, int) and pass_byte == 3:
+            release.set()
+        return query_frames(pass_byte, *args)
+
+    monkeypatch.setattr(reconciliation, "_query_frames", spy)
+    out = cascade(alice, bob, cfg)
+    assert released == [True]
+    assert sorted(p for p, _, _ in calls) == [1, 2, 3, 4, 5]
+    assert out.transcript == expected.transcript
+    assert np.array_equal(out.corrected_bob_key, expected.corrected_bob_key)
+
+
 def test_threaded_cascades_agree_with_inline_under_fast_switching():
     # several callers at once, each with its own table thread, more threads
     # than cores, and the GIL handed over every 10 us: every transcript must
