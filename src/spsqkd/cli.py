@@ -1,5 +1,7 @@
 """Command-line front end: sessions, rate sweeps, reconciliation, g2 runs.
 
+Each command resolves its settings, makes one library call and writes what
+it returns: the CLI starts no thread, draws no number and runs no estimator.
 Settings resolve in three layers: built-in defaults, then a `--config`
 key = value file, then explicit flags.  Exit codes: 0 success, 2 bad
 configuration, arguments or an unwritable output file, 3 insufficient data
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._threads import _on_two_threads
 from .channel import LinkSpec
 from .config import (
-    check_events,
+    MAX_EVENTS,
     coerce_value,
     config_hash,
     format_csv,
@@ -32,17 +32,15 @@ from .config import (
     format_value,
     load_config_file,
 )
-from .hbt import (
-    InsufficientDataError,
-    correlation_histogram,
-    fit_lifetime,
-    g2_at_zero,
-    simulate_hbt,
-)
-from .pipeline import EST_QBER_FLOOR, derive_seed, run_experiment_detailed
-from .rates import RIVALS, binary_entropy, crossover_distance, distance_grid, sweep_variants
-from .reconciliation import ROUND_BUDGET, ReconciliationConfig, cascade, check_shuffle_budget
+from .hbt import InsufficientDataError
+from .pipeline import run_cascade_trial, run_experiment_detailed, run_g2
+from .rates import RIVALS, crossover_distance, distance_grid, sweep_variants
+from .reconciliation import ROUND_BUDGET, ReconciliationConfig
 from .sources import get_preset
+
+# never called here: the benchmark's tracer patches these names on this module
+from .hbt import correlation_histogram, fit_lifetime, g2_at_zero, simulate_hbt  # noqa: F401
+from .reconciliation import cascade  # noqa: F401
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -66,11 +64,13 @@ _RECON = {
     dest: Setting(f"recon.{dest}", int, getattr(ReconciliationConfig, dest))
     for dest in ("n_passes", "verify_bits")
 }
-# the session's, sweep's and g2 run's own defaults, read where the library declares them
+# the library calls' own parameters: their defaults are the settings' defaults,
+# and a setting named like a parameter is passed to it by that name
+_LINKSPEC = inspect.signature(LinkSpec).parameters
 _SESSION = inspect.signature(run_experiment_detailed).parameters
 _RATES = inspect.signature(sweep_variants).parameters
-_HBT = {**inspect.signature(simulate_hbt).parameters,
-        **inspect.signature(correlation_histogram).parameters}
+_CASCADE = inspect.signature(run_cascade_trial).parameters
+_G2 = inspect.signature(run_g2).parameters
 
 # command -> dest -> setting; each dest is also the flag `--dest-with-dashes`
 _SCHEMAS = {
@@ -97,7 +97,7 @@ _SCHEMAS = {
         ),
     },
     "rates": {
-        "preset": Setting("source.preset", str, "nv"),
+        "preset": Setting("source.preset", str, "nv", "a preset, or several joined by commas"),
         "dmax": Setting("rates.dmax_km", float, 30.0, "sweep end in km"),
         "step": Setting("rates.step_km", float, 0.1, "sweep step in km"),
         "rep_rate": Setting("rates.rep_rate_hz", float, _RATES["rep_rate_hz"].default),
@@ -124,10 +124,10 @@ _SCHEMAS = {
         "g2_zero": Setting("source.g2_zero", float, None),
         "lifetime_ns": Setting("source.lifetime_ns", float, None),
         "rep_rate": Setting("source.rep_rate_hz", float, None),
-        "splitter_ratio": Setting("g2.splitter_ratio", float, _HBT["splitter_ratio"].default),
-        "detection_eff": Setting("g2.detection_eff", float, _HBT["detection_eff"].default),
-        "bin_width_ns": Setting("g2.bin_width_ns", float, _HBT["bin_width_ns"].default),
-        "window_periods": Setting("g2.window_periods", int, _HBT["window_periods"].default),
+        "splitter_ratio": Setting("g2.splitter_ratio", float, _G2["splitter_ratio"].default),
+        "detection_eff": Setting("g2.detection_eff", float, _G2["detection_eff"].default),
+        "bin_width_ns": Setting("g2.bin_width_ns", float, _G2["bin_width_ns"].default),
+        "window_periods": Setting("g2.window_periods", int, _G2["window_periods"].default),
     },
 }
 # every subcommand takes the master seed
@@ -207,8 +207,8 @@ def _metadata(command: str, settings: dict) -> dict:
     return meta
 
 
-def _link_from(settings: dict, distance: float = 0.0) -> LinkSpec:
-    return LinkSpec(distance_km=distance, **{dest: settings[dest] for dest in _LINK})
+def _by_name(params, settings: dict) -> dict:
+    return {name: settings[name] for name in params if name in settings}
 
 
 def _emit(quiet: bool, message: str) -> None:
@@ -216,11 +216,18 @@ def _emit(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _regular_file(what: str, path: str) -> Path:
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    if not p.is_file():
+        raise ValueError(f"{what} is not a regular file: {path}")
+    return p
+
+
 def _load_protocol_bits(path: str, n_pulses: int) -> np.ndarray:
     """The packed bytes holding three protocol bits per pulse, still packed."""
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"entropy file not found: {path}")
+    p = _regular_file("entropy file", path)
     need = -(-3 * n_pulses // 8)
     have = p.stat().st_size
     if have < need:
@@ -233,40 +240,36 @@ def _load_protocol_bits(path: str, n_pulses: int) -> np.ndarray:
     return np.memmap(p, dtype=np.uint8, mode="r", shape=(need,))
 
 
-def _load_key_file(path: str) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"key file not found: {path}")
-    if not p.is_file():
-        raise ValueError(f"key file is not a regular file: {path}")
+def _load_key_file(name: str, path: str) -> np.ndarray:
+    """The bits of the 0/1 text file that setting ``name`` gives."""
+    blocks, count = [], 0
     try:
-        text = "".join(p.read_text(encoding="utf-8").split())
+        with _regular_file("key file", path).open(encoding="utf-8") as f:
+            while block := f.read(1 << 20):  # an oversized file is never read whole
+                bits = "".join(block.split())
+                ones_and_zeros = bits.count("0") + bits.count("1")
+                count += ones_and_zeros
+                if count > MAX_EVENTS:
+                    raise ValueError(f"{name} = {path} holds over {MAX_EVENTS} key bits")
+                if ones_and_zeros < len(bits):
+                    raise ValueError(f"key file must hold only 0/1 characters: {path}")
+                blocks.append(bits)
     except UnicodeDecodeError:
         raise ValueError(f"key file is not UTF-8 text: {path}") from None
-    if not text:
+    if not count:
         raise ValueError(f"key file is empty: {path}")
-    if set(text) - {"0", "1"}:
-        raise ValueError(f"key file must hold only 0/1 characters: {path}")
-    return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+    return np.frombuffer("".join(blocks).encode(), dtype=np.uint8) - ord("0")
 
 
 def cmd_session(settings: dict, meta: dict, out: str, quiet: bool) -> int:
     source = get_preset(settings["preset"])
-    link = _link_from(settings, distance=settings["distance_km"])
+    link = LinkSpec(**_by_name(_LINKSPEC, settings))
     protocol_bits = None
     if settings["entropy_file"]:
         protocol_bits = _load_protocol_bits(settings["entropy_file"], settings["pulses"])
     summary, session = run_experiment_detailed(
-        source,
-        link,
-        settings["pulses"],
-        master_seed=settings["seed"],
-        disclose_fraction=settings["disclose_fraction"],
-        double_click_policy=settings["double_click_policy"],
-        n_passes=settings["n_passes"],
-        verify_bits=settings["verify_bits"],
-        safety_margin=settings["safety_margin"],
-        protocol_bits=protocol_bits,
+        source, link, settings["pulses"], master_seed=settings["seed"],
+        protocol_bits=protocol_bits, **_by_name(_SESSION, settings),
     )
     Path(f"{out}.summary.txt").write_text(format_report(meta, dataclasses.asdict(summary)))
     if settings["bits_csv"]:
@@ -291,20 +294,15 @@ def cmd_session(settings: dict, meta: dict, out: str, quiet: bool) -> int:
 
 def cmd_rates(settings: dict, meta: dict, out: str, quiet: bool) -> int:
     distances = distance_grid(settings["dmax"], settings["step"])
-    link = _link_from(settings)
+    link = LinkSpec(**_by_name(_LINKSPEC, settings))  # at 0 km: the sweep sets distances
 
-    # a preset that is also set by its ideal flag is one curve
-    names = [settings["preset"]] + [n for n in ("ideal10", "ideal95") if settings[n]]
+    # a preset named twice, or also set by its ideal flag, is one curve
+    names = settings["preset"].split(",") + [n for n in ("ideal10", "ideal95") if settings[n]]
     sources = {name: get_preset(name) for name in names}
     rivals = tuple(rival for rival in RIVALS if settings[rival])
     curves = sweep_variants(
-        sources,
-        rivals,
-        distances,
-        link,
-        rep_rate_hz=settings["rep_rate"],
-        f_ec=settings["f_ec"],
-        flat_error=settings["flat_error"],
+        sources, rivals, distances, link, rep_rate_hz=settings["rep_rate"],
+        **_by_name(_RATES, settings),
     )
     for name in sources:
         for rival in rivals:
@@ -319,69 +317,32 @@ def cmd_rates(settings: dict, meta: dict, out: str, quiet: bool) -> int:
 
 
 def cmd_cascade(settings: dict, meta: dict, out: str, quiet: bool) -> int:
-    qber = settings["qber"]
-    if not (math.isfinite(qber) and 0.0 <= qber < 0.5):
-        raise ValueError(f"qber must be finite and in [0, 0.5), got {qber}")
-    if bool(settings["alice_file"]) != bool(settings["bob_file"]):
+    alice_file, bob_file = settings["alice_file"], settings["bob_file"]
+    if bool(alice_file) != bool(bob_file):
         raise ValueError("provide both --alice-file and --bob-file, or neither")
-    # the reconciliation settings are refused before any key is drawn
-    est = settings["est_qber"]
-    if est is None:
-        est = max(qber, EST_QBER_FLOOR)
-    cfg = ReconciliationConfig(
-        est_qber=est,
-        n_passes=settings["n_passes"],
-        shuffle_seed=derive_seed(settings["seed"], 2),
-        verify_bits=settings["verify_bits"],
+
+    def read_keys():
+        return _load_key_file("alice_file", alice_file), _load_key_file("bob_file", bob_file)
+
+    summary, outcome = run_cascade_trial(
+        master_seed=settings["seed"], read_keys=read_keys if alice_file else None,
+        **_by_name(_CASCADE, settings),
     )
-    if settings["alice_file"]:
-        alice = _load_key_file(settings["alice_file"])
-        check_events("alice_file", alice.size, alice.size, "key bits")
-        bob = _load_key_file(settings["bob_file"])
-        qber_true = float("nan")
-    else:
-        if settings["n_bits"] < 8:
-            raise ValueError(f"n_bits must be at least 8, got {settings['n_bits']}")
-        check_events("n_bits", settings["n_bits"], settings["n_bits"], "key bits")
-        check_shuffle_budget(settings["n_bits"], cfg.n_passes)
-        rng_a = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
-        rng_b = np.random.default_rng(np.random.SeedSequence([settings["seed"], 1]))
-        alice = rng_a.integers(0, 2, settings["n_bits"], dtype=np.uint8)
-        flips = (rng_b.random(settings["n_bits"]) < qber).astype(np.uint8)
-        bob = alice ^ flips
-        qber_true = float(flips.mean())
-
-    outcome = cascade(alice, bob, cfg)
-    residual = float(np.mean(alice != outcome.corrected_bob_key))
-    n = alice.size
-    shannon = n * binary_entropy(qber_true) if qber_true > 0 else float("nan")
-    ratio = outcome.leaked_bits / shannon if shannon > 0 else float("nan")
-
-    report = {
-        "n_bits": n,
-        "true_qber": qber_true,
-        "est_qber": est,
-        "corrections_made": outcome.corrections_made,
-        "leaked_bits": outcome.leaked_bits,
-        "shannon_ratio": ratio,
-        "verified": outcome.verified_equal,
-        "residual_error_rate": residual,
-    }
-    Path(f"{out}.cascade.txt").write_text(format_report(meta, report))
+    Path(f"{out}.cascade.txt").write_text(format_report(meta, dataclasses.asdict(summary)))
     Path(f"{out}.transcript.bin").write_bytes(outcome.transcript)
     _emit(
         quiet,
-        f"corrected {outcome.corrections_made} errors, leaked {outcome.leaked_bits} bits, "
-        f"verified={outcome.verified_equal} -> {out}.cascade.txt",
+        f"corrected {summary.corrections_made} errors, leaked {summary.leaked_bits} bits, "
+        f"verified={summary.verified} -> {out}.cascade.txt",
     )
-    if not outcome.verified_equal:
+    if not summary.verified:
         # the only way a confirmation stage ends unverified: its round count
         # is a u16, and the agreeing streak did not fit in it
-        differ = int(np.count_nonzero(alice != outcome.corrected_bob_key))
+        differ = round(summary.residual_error_rate * summary.n_bits)
         print(
             f"verification failed: the {ROUND_BUDGET}-round confirmation budget ran out "
-            f"before verify_bits = {cfg.verify_bits} rounds in a row agreed; "
-            f"{differ} of {n} bits still differ",
+            f"before verify_bits = {settings['verify_bits']} rounds in a row agreed; "
+            f"{differ} of {summary.n_bits} bits still differ",
             file=sys.stderr,
         )
         return 3
@@ -394,48 +355,17 @@ def cmd_g2(settings: dict, meta: dict, out: str, quiet: bool) -> int:
               "rep_rate": "rep_rate_hz"}
     overrides = {f: settings[d] for d, f in fields.items() if settings[d] is not None}
     source = dataclasses.replace(get_preset(settings["preset"]), **overrides)
-    rng = np.random.default_rng(np.random.SeedSequence([settings["seed"], 0]))
-    stream = simulate_hbt(
-        source,
-        settings["pulses"],
-        rng,
-        splitter_ratio=settings["splitter_ratio"],
-        detection_eff=settings["detection_eff"],
+    summary, hist = run_g2(
+        source, settings["pulses"], master_seed=settings["seed"], **_by_name(_G2, settings)
     )
-
-    def lifetime() -> tuple[float, float, bool]:
-        try:
-            fit = fit_lifetime(stream, bin_width_ns=settings["bin_width_ns"])
-        except InsufficientDataError:
-            return float("nan"), float("nan"), False
-        return fit.tau_ns, fit.sigma_ns, fit.reliable
-
-    # the estimators read the stream apart: the fit runs on a second thread,
-    # the histogram on this one, so its refusals are the ones reported
-    (tau, sigma, reliable), hist = _on_two_threads(lifetime, lambda: correlation_histogram(
-        stream, bin_width_ns=settings["bin_width_ns"], window_periods=settings["window_periods"],
-    ))
-    g2 = g2_at_zero(hist)
-
     hist_meta = {**meta, "rep_period_ns": f"{source.rep_period_ns:.6g}"}
     columns = {"tau_ns": hist.tau_centers_ns, "counts": hist.counts}
     Path(f"{out}.hist.csv").write_text(format_csv(hist_meta, columns, "%.6g,%d"))
-
-    rate_cps = len(stream) / (stream.duration_ns * 1e-9)
-    report = {
-        "n_tags": len(stream),
-        "duration_s": stream.duration_ns * 1e-9,
-        "count_rate_cps": rate_cps,
-        "g2_zero": g2,
-        "lifetime_ns": tau,
-        "lifetime_sigma_ns": sigma,
-        "lifetime_reliable": reliable,
-    }
-    Path(f"{out}.g2.txt").write_text(format_report(meta, report))
+    Path(f"{out}.g2.txt").write_text(format_report(meta, dataclasses.asdict(summary)))
     _emit(
         quiet,
-        f"g2(0) = {g2:.4f}  lifetime = {tau:.4g} ns  "
-        f"rate = {rate_cps / 1e3:.1f} kcps -> {out}.g2.txt",
+        f"g2(0) = {summary.g2_zero:.4f}  lifetime = {summary.lifetime_ns:.4g} ns  "
+        f"rate = {summary.count_rate_cps / 1e3:.1f} kcps -> {out}.g2.txt",
     )
     return 0
 

@@ -208,6 +208,9 @@ def test_only_the_command_being_run_gets_flags(command, capsys):
         # a preset that is also a rival would be one curve under two roles
         (["rates", "--preset", "wcp", "--wcp", "--dmax", "2"], "'wcp'"),
         (["rates", "--preset", "decoy", "--decoy", "--dmax", "2"], "'decoy'"),
+        # both file loaders make one check, so a directory is named alike
+        (["session", "--pulses", "1000", "--entropy-file", "."],
+         "entropy file is not a regular file: ."),
     ],
 )
 def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypatch, capsys):
@@ -230,7 +233,10 @@ def test_unwritable_out_is_refused_before_the_run(argv, compute, first, monkeypa
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{compute} ran before --out was checked")
 
-    monkeypatch.setattr(cli, compute, must_not_run)
+    # the command's library call, or the pipeline call, looks the name up
+    for module in (cli, pipeline):
+        if hasattr(module, compute):
+            monkeypatch.setattr(module, compute, must_not_run)
     assert cli.main(argv + ["--out", "/dev/null/x", "--quiet"]) == 2
     assert f"/dev/null/x.{first}" in capsys.readouterr().err
 
@@ -239,7 +245,7 @@ def test_unwritable_out_is_refused_before_the_run(argv, compute, first, monkeypa
     "argv, module, compute",
     [
         (["session", "--pulses", "1000"], pipeline, "run_session"),
-        (["cascade", "--n-bits", "1000"], cli, "cascade"),
+        (["cascade", "--n-bits", "1000"], pipeline, "cascade"),
     ],
     ids=["session", "cascade"],
 )
@@ -291,19 +297,20 @@ def test_commands_without_flags_pass_the_library_defaults(tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     calls = []
 
-    def spy(name):
-        real = getattr(cli, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def recorded(*args, **kwargs):
             calls.append((real, inspect.signature(real).bind(*args, **kwargs).arguments))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
 
     names = ["run_experiment_detailed", "sweep_variants", "simulate_hbt",
              "correlation_histogram", "fit_lifetime"]
     for name in names:
-        spy(name)
+        # the commands' own calls, and the estimators inside the g2 run
+        spy(cli if name in names[:2] else pipeline, name)
     for command in ("session", "rates", "g2"):
         assert cli.main([command, "--quiet"]) == 0
     assert sorted(real.__name__ for real, _ in calls) == sorted(names)
@@ -959,6 +966,22 @@ def test_session_over_the_shuffle_budget_exits_2_before_the_monte_carlo(
     assert not list(tmp_path.iterdir())
 
 
+def test_oversized_key_file_is_refused_by_name_in_bounded_memory(tmp_path):
+    # a 2 GiB file, sparse past its first 2^24 + 1 bits: it is read only
+    # until the bits pass the events cap, not whole, and bob_file is
+    # checked as alice_file is
+    (tmp_path / "a.key").write_text("01" * 64)
+    bob = tmp_path / "b.key"
+    bob.write_text("0" * ((1 << 24) + 1))
+    os.truncate(bob, 2 << 30)
+    proc = _run_limited(512 << 20, [
+        "-m", "spsqkd.cli", "cascade", "--alice-file", str(tmp_path / "a.key"),
+        "--bob-file", str(bob), "--out", str(tmp_path / "x"), "--quiet"], timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: bob_file = {bob} holds over 16777216 key bits\n"
+    assert not (tmp_path / "x.transcript.bin").exists()
+
+
 def test_cascade_key_files_over_the_events_cap_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name in ("a.key", "b.key"):
@@ -1016,7 +1039,7 @@ def test_g2_estimators_write_the_same_bytes_in_either_order(last, tmp_path, monk
     assert cli.main([*argv, "--out", "free"]) == 0
     first = "fit_lifetime" if last == "correlation_histogram" else "correlation_histogram"
     returned = threading.Event()
-    run_first, run_last = getattr(cli, first), getattr(cli, last)
+    run_first, run_last = getattr(pipeline, first), getattr(pipeline, last)
 
     def signals(*args, **kwargs):
         result = run_first(*args, **kwargs)
@@ -1027,8 +1050,8 @@ def test_g2_estimators_write_the_same_bytes_in_either_order(last, tmp_path, monk
         assert returned.wait(timeout=60)
         return run_last(*args, **kwargs)
 
-    monkeypatch.setattr(cli, first, signals)
-    monkeypatch.setattr(cli, last, waits)
+    monkeypatch.setattr(pipeline, first, signals)
+    monkeypatch.setattr(pipeline, last, waits)
     assert cli.main([*argv, "--out", "held"]) == 0
     for suffix in ("hist.csv", "g2.txt"):
         assert (tmp_path / f"held.{suffix}").read_bytes() == \
@@ -1043,7 +1066,7 @@ def test_g2_fit_failure_is_raised_after_the_join(tmp_path, monkeypatch):
         raise Injected
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "fit_lifetime", fail)
+    monkeypatch.setattr(pipeline, "fit_lifetime", fail)
     live = threading.active_count()
     with pytest.raises(Injected):
         cli.main(["g2", "--preset", "nv", "--pulses", "300000", "--quiet"])
@@ -1056,7 +1079,7 @@ def test_g2_reports_the_histogram_refusal_over_the_fit(tmp_path, monkeypatch, ca
     # The histogram waits until the fit has refused; its refusal is printed
     monkeypatch.chdir(tmp_path)
     refusals, refused = [], threading.Event()
-    fit, hist = cli.fit_lifetime, cli.correlation_histogram
+    fit, hist = pipeline.fit_lifetime, pipeline.correlation_histogram
 
     def fit_refuses(*args, **kwargs):
         try:
@@ -1070,8 +1093,8 @@ def test_g2_reports_the_histogram_refusal_over_the_fit(tmp_path, monkeypatch, ca
         assert refused.wait(timeout=60)
         return hist(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_lifetime", fit_refuses)
-    monkeypatch.setattr(cli, "correlation_histogram", hist_after_the_fit)
+    monkeypatch.setattr(pipeline, "fit_lifetime", fit_refuses)
+    monkeypatch.setattr(pipeline, "correlation_histogram", hist_after_the_fit)
     argv = ["g2", "--preset", "nv", "--pulses", "100000", "--bin-width-ns", "1e-4"]
     assert cli.main(argv) == 2
     assert len(refusals) == 1 and "needs 1e+07 bins" in refusals[0]

@@ -201,3 +201,33 @@ def test_front_ends_leave_run_sizing_to_the_library():
                 if name.startswith("spsqkd.channel") and name != "spsqkd.channel.LinkSpec"
             }
     assert not sites, f"channel imports in the front ends: {sorted(sites)}"
+
+
+def test_the_cli_only_resolves_and_writes():
+    # each command is one library call: cli.py starts no thread, draws no
+    # random number, and runs no estimator and no CASCADE of its own.  It
+    # may bind an estimator only while the benchmark's tracer patches that
+    # name on spsqkd.cli, and even then never calls it
+    library = {"cascade", "simulate_hbt", "correlation_histogram", "fit_lifetime",
+               "g2_at_zero", "binary_entropy", "derive_seed", "_on_two_threads",
+               "default_rng", "SeedSequence", "Thread"}
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    traced = {
+        node.elts[1].value
+        for node in ast.walk(spans)
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3
+        and all(isinstance(e, ast.Constant) for e in node.elts)
+        and node.elts[0].value == "spsqkd.cli"
+    }
+    tree = ast.parse((ROOT / "src" / "spsqkd" / "cli.py").read_text())
+    imported, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+    assert "_threads" not in imported and "threading" not in imported
+    assert not (imported & library) - traced, sorted((imported & library) - traced)
+    assert not called & library, sorted(called & library)

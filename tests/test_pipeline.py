@@ -9,7 +9,7 @@ import pytest
 from spsqkd import pipeline
 from spsqkd.channel import LinkSpec, exact_click_probability
 from spsqkd.config import MAX_EVENTS, format_report
-from spsqkd.pipeline import derive_seed, run_experiment_detailed
+from spsqkd.pipeline import derive_seed, run_cascade_trial, run_experiment_detailed, run_g2
 from spsqkd.sources import get_preset
 
 
@@ -122,3 +122,46 @@ def test_session_over_the_shuffle_budget_is_refused_before_sampling(monkeypatch)
                                 n_passes=253)
     assert calls == []
 
+
+
+@pytest.mark.parametrize(
+    "kwargs, setting",
+    [
+        ({"qber": float("nan")}, "qber"),
+        ({"qber": 0.5}, "qber"),
+        ({"est_qber": 0.6}, "est_qber"),
+        ({"n_passes": 1}, "n_passes"),
+        ({"verify_bits": 65536}, "verify_bits"),
+    ],
+)
+def test_cascade_trial_refuses_settings_before_reading_keys(kwargs, setting):
+    def read_keys():
+        raise AssertionError("the key pair was read before the settings were checked")
+
+    with pytest.raises(ValueError, match=setting):
+        run_cascade_trial(**{"n_bits": 1000, "qber": 0.03, "master_seed": 1, **kwargs},
+                          read_keys=read_keys)
+
+
+def test_cascade_trial_reconciles_a_given_pair():
+    rng = np.random.default_rng(3)
+    alice = rng.integers(0, 2, 2000, dtype=np.uint8)
+    bob = alice ^ (rng.random(alice.size) < 0.02).astype(np.uint8)
+    summary, outcome = run_cascade_trial(0, 0.0, master_seed=4, est_qber=0.02,
+                                         read_keys=lambda: (alice, bob))
+    assert summary.n_bits == alice.size and summary.verified
+    assert summary.corrections_made == int((alice != bob).sum())
+    assert summary.leaked_bits == outcome.leaked_bits and summary.residual_error_rate == 0
+    assert math.isnan(summary.true_qber) and math.isnan(summary.shannon_ratio)
+
+
+def test_g2_run_is_deterministic_and_reads_a_sparse_fit_as_nan():
+    nv = get_preset("nv")
+    a, hist = run_g2(nv, 300_000, master_seed=2)
+    b, _ = run_g2(nv, 300_000, master_seed=2)
+    assert a == b and a.n_tags > 0
+    assert a.count_rate_cps == a.n_tags / a.duration_s
+    assert int(hist.counts.sum()) > 0
+    # too few tags to fit a lifetime, enough for the histogram's side peaks
+    sparse, _ = run_g2(nv, 300_000, master_seed=2, detection_eff=0.05, window_periods=60)
+    assert math.isnan(sparse.lifetime_ns) and not sparse.lifetime_reliable
