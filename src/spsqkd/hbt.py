@@ -51,10 +51,11 @@ _PAIR_CHUNK = 1 << 20
 # 2^16 beat 2^15 in 11), with peak RSS 62-65 MB against 75
 _WINDOW_TAGS = 1 << 16
 
-# tags fit_lifetime histograms at once.  A g2 run at the tag cap (nv, 5.7e8
-# pulses) read 344 MB max RSS with blocks of 2^16 or 2^18, 355 with 2^20
-# and 420 with one block over the whole stream
-_PHASE_BLOCK = 1 << 18
+# tags fit_lifetime bins at once.  On 2 cores a g2 run at the tag cap (nv,
+# 5.7e8 pulses) read 342-344 MB max RSS with blocks of 2^16 and 350 with
+# 2^18, and g2-nv ops, beside the histogram's two threaded searches, 61 MB
+# peak RSS against 71-74
+_PHASE_BLOCK = 1 << 16
 
 # sigmas of room over the mean tag count reserved for a windowed stream
 _RESERVE_SIGMAS = 6.0
@@ -255,9 +256,11 @@ def correlation_histogram(
     Only tags with a neighbour inside the window are searched: since the
     times are sorted, a tag whose next and previous tags both lie outside
     it (by the same float tests the searches make) has no partner on
-    either detector.  The pairs are then expanded and histogrammed over
-    runs of detector-0 tags holding at most ``_PAIR_CHUNK`` pairs each, so
-    memory grows with the chunk and the bins, not with the pair count.
+    either detector.  The two searches, for each detector-0 tag's first
+    and last partner, run one on each of two threads.  The pairs are then
+    expanded and histogrammed over runs of detector-0 tags holding at most
+    ``_PAIR_CHUNK`` pairs each, so memory grows with the chunk and the
+    bins, not with the pair count.
     """
     if window_periods < 5:
         raise ValueError("window_periods must be at least 5 to cover the side peaks")
@@ -286,8 +289,10 @@ def correlation_histogram(
     t1 = np.compress(one, times)
     del times, one, keep
 
-    lo = np.searchsorted(t1, t0 - window, side="left")
-    per_tag = np.searchsorted(t1, t0 + window, side="right")
+    lo, per_tag = _on_two_threads(
+        lambda: np.searchsorted(t1, t0 - window, side="left"),
+        lambda: np.searchsorted(t1, t0 + window, side="right"),
+    )
     per_tag -= lo
     # pairs before each tag; the last entry is the total
     before = np.zeros(t0.size + 1, dtype=np.intp)
@@ -350,6 +355,56 @@ class LifetimeFit:
     reliable: bool
 
 
+def _phase_counts(stream: TimeTagStream, n_bins: int) -> np.ndarray:
+    """``np.histogram`` counts of the detector-0 phases ``t % period`` in ``n_bins``.
+
+    A tag is binned as ``floor(t * n_bins / period) mod n_bins``, a
+    multiply and a floor in place of the remainder and the search.  Only a
+    tag whose product lies within ``eps`` of a whole number, next to a bin
+    edge, takes the remainder and ``np.histogram``: on the 3e7 nv pulses of
+    the g2-nv benchmark about one tag in five thousand.  The tags are read
+    in blocks of ``_PHASE_BLOCK``, and the edge tags histogrammed once a
+    block of them is held, so memory grows with the block, not the stream.
+    """
+    period = stream.rep_period_ns
+    counts = np.zeros(n_bins, dtype=np.intp)
+    # With U = t * n_bins / period exact and u its float product, |u - U|
+    # is two roundings, about 2^-52 * U; linspace's edge i, in bins, lies
+    # within about 2^-52 * n_bins of i, and np.histogram bins a phase by
+    # those edges.  So a product farther than their sum from a whole number
+    # has floor(u) = floor(U), and floor(U) mod n_bins is the bin of the
+    # exact phase t - k * period by the float edges.  eps is that sum with
+    # 16 times the room, t bounded by the duration; when eps >= 1/2 every
+    # tag takes the remainder
+    scale = n_bins / period
+    eps = 16 * 2.0**-52 * (stream.duration_ns * scale + n_bins)
+    held: list[np.ndarray] = []
+    n_held = 0
+    for start in range(0, len(stream), _PHASE_BLOCK):
+        block = slice(start, start + _PHASE_BLOCK)
+        # a take through the indices, not a boolean-mask gather, which pays a
+        # branch miss per tag
+        phases = stream.times_ns[block].take(np.flatnonzero(stream.detectors[block] == 0))
+        if eps < 0.5:
+            u = phases * scale
+            bins = u.astype(np.intp)  # the floor, since u >= 0
+            bins %= n_bins
+            u -= np.rint(u)
+            np.abs(u, out=u)
+            edge = np.flatnonzero(u < eps)
+            counts += np.bincount(bins, minlength=n_bins)
+            counts -= np.bincount(bins[edge], minlength=n_bins)
+            phases = phases[edge]
+        held.append(phases)
+        n_held += phases.size
+        if n_held >= _PHASE_BLOCK or start + _PHASE_BLOCK >= len(stream):
+            phases = np.concatenate(held)
+            phases %= period
+            counts += np.histogram(phases, bins=n_bins, range=(0.0, period))[0]
+            held, n_held = [], 0
+    return counts
+
+
 def fit_lifetime(
     stream: TimeTagStream,
     bin_width_ns: float = _BIN_WIDTH_NS,
@@ -359,23 +414,15 @@ def fit_lifetime(
     Log-linear least squares on the decaying flank, starting one bin past
     the peak and stopping at the first sparse bin.  Flagged unreliable when
     the fitted constant is not comfortably inside the repetition period,
-    since phase wraparound then flattens the decay.
-
-    The phases are histogrammed in blocks of ``_PHASE_BLOCK`` tags, so
-    memory grows with the block, not with the stream.
+    since phase wraparound then flattens the decay.  The histogram is
+    ``_phase_counts``: the counts of ``t % period`` by ``np.histogram``,
+    most tags binned by a multiply and a floor.
     """
     period = stream.rep_period_ns
     n_bins = max(4, _bin_count(period, bin_width_ns, "bin_width_ns", bin_width_ns))
+    counts = _phase_counts(stream, n_bins)
     # the edges np.histogram gives over range=(0, period)
     edges = np.linspace(0.0, period, n_bins + 1)
-    counts = np.zeros(n_bins, dtype=np.intp)
-    for start in range(0, len(stream), _PHASE_BLOCK):
-        block = slice(start, start + _PHASE_BLOCK)
-        # a take through the indices, not a boolean-mask gather, which pays a
-        # branch miss per tag
-        phases = stream.times_ns[block].take(np.flatnonzero(stream.detectors[block] == 0))
-        phases %= period
-        counts += np.histogram(phases, bins=n_bins, range=(0.0, period))[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     peak = int(np.argmax(counts))

@@ -13,8 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spsqkd import cli, hbt, pipeline, rates
-from spsqkd.config import coerce_value, config_hash, load_config_file, parse_config_text
+from spsqkd import cli, config, hbt, pipeline, rates
+from spsqkd.config import (
+    coerce_value,
+    config_hash,
+    format_csv,
+    load_config_file,
+    parse_config_text,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,6 +100,32 @@ def test_config_hash_is_order_free_and_value_bound():
     assert config_hash(a) == config_hash(b)
     assert len(config_hash(a)) == 12
     assert config_hash(a) != config_hash({"x": 1, "y": 2.6})
+
+
+def _csv_one_row_at_a_time(metadata, columns, row_format):
+    """The table as format_csv once wrote it: one ``%`` per row."""
+    lines = [f"# {k}={v}" for k, v in metadata.items()]
+    lines.append(",".join(columns))
+    lines += [row_format % row for row in zip(*(c.tolist() for c in columns.values()))]
+    return "\n".join(lines) + "\n"
+
+
+_BLOCK = config._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n_rows, block", [
+    (0, _BLOCK), (1, _BLOCK), (_BLOCK - 1, _BLOCK), (_BLOCK, _BLOCK), (_BLOCK + 1, _BLOCK),
+    (23, 4),
+], ids=["0", "1", "block-1", "block", "block+1", "6-blocks-of-4"])
+def test_csv_blocks_match_the_row_writer(n_rows, block, monkeypatch):
+    rng = np.random.default_rng(n_rows)
+    columns = {"tau_ns": rng.normal(0.0, 1e3, n_rows), "counts": rng.integers(0, 10**6, n_rows),
+               "bit": rng.integers(0, 2, n_rows)}
+    metadata = {"config_hash": "deadbeef", "command": "g2"}
+    monkeypatch.setattr(config, "_CSV_BLOCK", block)
+    text = format_csv(metadata, columns, "%.6g,%d,%d")
+    assert text == _csv_one_row_at_a_time(metadata, columns, "%.6g,%d,%d")
+    assert text.count("\n") == len(metadata) + 1 + n_rows
 
 
 _ALL_SETTINGS = [(c, d) for c, schema in cli._SCHEMAS.items() for d in schema]
@@ -770,8 +802,12 @@ def test_rates_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
          "a856a84315a2d5a93a9c20ae9f449f2183cf5cd2c944d46d5141705a1c0b538b"),
         (["--preset", "siv80"],
          "3aa8d400f836dafa1791b26f45092a1ecafbe8f47d168f2e8e5962a389edc70b"),
+        # a period (1e9 / 3e6 ns) and a bin width that are not exact in binary
+        (["--preset", "nv", "--pulses", "5000000", "--rep-rate", "3e6",
+          "--bin-width-ns", "0.37"],
+         "748346c10e143ba97ed643955208c6952ece17f28580e7061f54d9fb68977dd8"),
     ],
-    ids=["nv-3e6", "siv-half-ns", "ideal10-1e6", "siv80"],
+    ids=["nv-3e6", "siv-half-ns", "ideal10-1e6", "siv80", "nv-3MHz-0.37ns"],
 )
 def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
     # digests of the histograms written one formatted row at a time: every
@@ -824,10 +860,14 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["g2", "--preset", "siv80"],
          {"g2.g2.txt":
           "84e73dda39fb51fbce47cce6ddf28cf2d9934a17dab34e348ce448d67c9696cc"}),
+        (["g2", "--preset", "nv", "--pulses", "5000000", "--rep-rate", "3e6",
+          "--bin-width-ns", "0.37"],
+         {"g2.g2.txt":
+          "dcd4af90f0a8599de02cb4725b0942095052939edee2078e824f2dfac2e27224"}),
     ],
     ids=["session-wcp-disclose", "session-wcp", "session-nv", "session-decoy", "session-siv",
          "session-ideal95-10km", "cascade-n10000", "g2-nv-3e6",
-         "g2-siv-half-ns", "g2-ideal10-1e6", "g2-siv80"],
+         "g2-siv-half-ns", "g2-ideal10-1e6", "g2-siv80", "g2-nv-3MHz-0.37ns"],
 )
 def test_report_files_are_pinned(argv, digests, tmp_path, monkeypatch):
     # every header line, report field and bit row is fixed: a change to the

@@ -207,32 +207,108 @@ def test_a_failed_window_is_raised_by_the_caller_after_the_join(monkeypatch, fai
     assert threading.active_count() == live
 
 
+def _reference_phase_counts(stream, n_bins):
+    """Every detector-0 phase by ``% period`` and one ``np.histogram``."""
+    period = stream.rep_period_ns
+    phases = stream.times_ns[stream.detectors == 0] % period
+    return np.histogram(phases, bins=n_bins, range=(0.0, period))[0]
+
+
+def _reference_fit(stream, bin_width_ns, monkeypatch):
+    """fit_lifetime on the reference counts: its LifetimeFit or its refusal."""
+    with monkeypatch.context() as mp:
+        mp.setattr(hbt, "_phase_counts", _reference_phase_counts)
+        try:
+            return fit_lifetime(stream, bin_width_ns)
+        except InsufficientDataError as exc:
+            return str(exc)
+
+
 def test_lifetime_phase_blocks_add_up_to_one_pass(monkeypatch):
     # blocks of 7 tags: integer counts add exactly, so the fit is that of
     # one block over the stream, and the counts those of every detector-0 phase
     stream = simulate_hbt(get_preset("nv"), 1_000_000, _rng(10, 1))
     assert 7 < len(stream) < hbt._PHASE_BLOCK
+    n_bins = int(stream.rep_period_ns)
+    oracle = _reference_phase_counts(stream, n_bins)
     whole = fit_lifetime(stream)
-    blocks = []
-
-    def keep_counts(*args, **kwargs):
-        counts, edges = histogram(*args, **kwargs)
-        blocks.append(counts.copy())
-        return counts, edges
-
-    histogram = np.histogram
+    assert whole == _reference_fit(stream, 1.0, monkeypatch)
+    assert np.array_equal(hbt._phase_counts(stream, n_bins), oracle)
     monkeypatch.setattr(hbt, "_PHASE_BLOCK", 7)
-    with mock.patch.object(np, "histogram", keep_counts):
+    with (mock.patch.object(np, "bincount", wraps=np.bincount) as binned,
+          mock.patch.object(np, "histogram", wraps=np.histogram) as exact):
+        assert np.array_equal(hbt._phase_counts(stream, n_bins), oracle)
         assert fit_lifetime(stream) == whole
-    period = stream.rep_period_ns
-    phases = stream.times_ns[stream.detectors == 0] % period
-    oracle = histogram(phases, bins=int(period), range=(0.0, period))[0]
-    assert len(blocks) == -(-len(stream) // 7)
-    assert np.array_equal(np.sum(blocks, axis=0), oracle)
+    # per block, one bincount of its tags and one of its edge tags taken
+    # back out, in each of the two passes (np.histogram's own bincount
+    # passes weights); the edge tags are histogrammed once 7 are held, so
+    # fewer than two blocks of them at a time
+    blocks = [c.args[0].size for c in binned.call_args_list if "weights" not in c.kwargs]
+    assert len(blocks) == 2 * 2 * -(-len(stream) // 7) and max(blocks) <= 7
+    assert max(c.args[0].size for c in exact.call_args_list) < 2 * 7
     # no block at all: empty counts, refused like any sparse stream
+    period = stream.rep_period_ns
     empty = TimeTagStream(np.zeros(0), np.zeros(0, dtype=np.uint8), 1e6, period)
     with pytest.raises(InsufficientDataError, match="100 counts"):
         fit_lifetime(empty)
+
+
+def _edge_stream(period, n_bins, duration, rng):
+    """Tags on every float bin edge of pulses spread up to ``duration``, and
+    one and two ulps either side, among tags decaying from the pulses."""
+    edges = np.linspace(0.0, period, n_bins + 1)
+    top = int(duration // period) - 2
+    pulses = np.unique(np.r_[0, 1, 2, np.geomspace(3, top, 30).astype(np.int64), top])
+    on = (pulses[:, None] * period + edges).ravel()
+    around = [on]
+    up = down = on
+    for _ in range(2):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        around += [up, down]
+    decay = rng.choice(pulses, 20_000) * period + rng.exponential(period / 8, 20_000)
+    times = np.concatenate([*around, decay])
+    times = times[(times >= 0) & (times < duration)]
+    order = np.argsort(times, kind="stable")
+    dets = rng.integers(0, 2, times.size).astype(np.uint8)
+    return TimeTagStream(times[order], dets, duration, period)
+
+
+def test_lifetime_counts_are_exact_at_the_bin_edges(monkeypatch):
+    # tags at and next to the float edges np.histogram bins by, up to the
+    # 5.7e11-ns tag cap, for periods exact and not exact in binary
+    rng = _rng(10, 2)
+    misbinned = 0
+    for period in (1000.0, 12.5, 1e9 / 3e6):
+        for width in (1.0, 0.37, period / 7):
+            n_bins = max(4, int(round(period / width)))
+            stream = _edge_stream(period, n_bins, 5.7e11, rng)
+            oracle = _reference_phase_counts(stream, n_bins)
+            assert np.array_equal(hbt._phase_counts(stream, n_bins), oracle)
+            with monkeypatch.context() as mp:
+                mp.setattr(hbt, "_PHASE_BLOCK", 1 << 10)
+                assert np.array_equal(hbt._phase_counts(stream, n_bins), oracle)
+            try:
+                fit = fit_lifetime(stream, width)
+            except InsufficientDataError as exc:
+                fit = str(exc)
+            assert fit == _reference_fit(stream, width, monkeypatch)
+            # the stream reaches where the product alone bins wrong
+            zero = stream.times_ns[stream.detectors == 0]
+            naive = np.floor(zero * (n_bins / period)).astype(np.int64) % n_bins
+            misbinned += not np.array_equal(np.bincount(naive, minlength=n_bins), oracle)
+    assert misbinned > 0
+
+
+def test_lifetime_counts_take_the_remainder_when_the_product_is_too_coarse():
+    # over 2^48 ns of 1-ns bins a product's rounding reaches half a bin, so
+    # every detector-0 tag takes the remainder and np.histogram
+    period = 1000.0
+    stream = _edge_stream(period, 1000, 2.0**48, _rng(10, 3))
+    with mock.patch.object(np, "histogram", wraps=np.histogram) as exact:
+        counts = hbt._phase_counts(stream, 1000)
+    assert np.array_equal(counts, _reference_phase_counts(stream, 1000))
+    assert sum(c.args[0].size for c in exact.call_args_list) == \
+        np.count_nonzero(stream.detectors == 0)
 
 
 @pytest.mark.parametrize(
