@@ -11,12 +11,11 @@ lifetime by a log-linear fit to the decaying flank of the phase histogram.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import _on_two_threads
+from ._threads import _in_order, _on_two_threads
 from .config import check_events
 from .sources import SourceSpec, sample_photon_numbers
 
@@ -110,11 +109,12 @@ def simulate_hbt(
 
     Window 0 draws from ``rng`` and window w from the w-th generator
     ``rng.spawn`` gives, so a run of one window draws as an unwindowed run
-    would, and a seed pins the stream whichever thread builds a window: the
-    calling thread and one more share the windows.  Finished windows are
-    appended in window order to one stream reserved for the expected tag
-    count.  A delay can carry a tag past the next window's first ones; that
-    stretch is merged by a stable sort, so each tag keeps its detector.
+    would, and a seed pins the stream whichever thread builds a window:
+    ``_threads._in_order`` makes the windows on the calling thread and one
+    more, and the calling thread appends them in window order to one stream
+    reserved for the expected tag count.  A delay can carry a tag past the
+    next window's first ones; that stretch is merged by a stable sort, so
+    each tag keeps its detector.
 
     The tags come out of the pulse order nearly sorted, since a delay
     rarely reaches the next pulse, so a stable sort (a timsort merge of
@@ -178,35 +178,7 @@ def simulate_hbt(
             times[lo:hi] = times[lo:hi][order]
             dets[lo:hi] = dets[lo:hi][order]
 
-    # each thread claims the next window until none is left, and a window is
-    # appended once every window before it is, so only the windows finished
-    # ahead of order wait beside the stream.  A failure leaves the rest
-    # unclaimed, so the other thread stops after its window
-    claims = iter(range(n_windows))
-    finished: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    appended = 0
-    lock = threading.Lock()
-
-    def run_windows() -> None:
-        nonlocal claims, appended
-        try:
-            while True:
-                with lock:
-                    w = next(claims, None)
-                if w is None:
-                    return
-                part = window(w)
-                with lock:
-                    finished[w] = part
-                    while appended in finished:
-                        append(*finished.pop(appended))
-                        appended += 1
-        except BaseException:
-            with lock:
-                claims = iter(())
-            raise
-
-    _on_two_threads(run_windows, run_windows, threaded=n_windows > 1)
+    _in_order(n_windows, window, lambda w, part: append(*part))
     return TimeTagStream(times[:filled], dets[:filled], duration, period)
 
 

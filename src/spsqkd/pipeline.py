@@ -256,9 +256,9 @@ def run_g2(
 ) -> tuple[G2Summary, CorrelationHistogram]:
     """One HBT run to g2(0) and the lifetime, and the delay histogram.
 
-    The fit runs on a second thread beside the histogram, so when both
-    refuse, the histogram's refusal is raised; a stream too sparse to fit
-    reads a nan lifetime.  The tags are dropped when this returns.
+    The fit and the histogram run side by side, and when both refuse, the
+    histogram's refusal is raised; a stream too sparse to fit reads a nan
+    lifetime.  The tags are dropped when this returns.
     """
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
     stream = simulate_hbt(source, n_pulses, rng, splitter_ratio, detection_eff)
@@ -269,9 +269,9 @@ def run_g2(
         except InsufficientDataError:
             return LifetimeFit(float("nan"), float("nan"), False)
 
-    fit, hist = _on_two_threads(lifetime, lambda: correlation_histogram(
+    hist, fit = _on_two_threads(lambda: correlation_histogram(
         stream, bin_width_ns=bin_width_ns, window_periods=window_periods,
-    ))
+    ), lifetime)
     duration_s = stream.duration_ns * 1e-9
     summary = G2Summary(
         n_tags=len(stream),

@@ -27,13 +27,12 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ._threads import _on_two_threads
+from ._threads import _in_order
 from .config import MAX_EVENTS
 from .rates import binary_entropy
 
@@ -77,16 +76,17 @@ _SHUFFLE_BUDGET = 4 * MAX_EVENTS
 # about 60 bytes per query, so it stays under 10 MB whatever the key size
 _SEARCH_BATCH = 1 << 14
 
-# keys from this many bits up have passes 3 and later shuffled on a second
-# thread while the earlier passes run.  Below it the saving is a few ms, about
-# what the thread loses waiting up to the 5 ms GIL switch interval to take
-# the lock back from the drains after each table kernel.  A paired curve of
-# threaded against inline calls (nproc=2, 3% errors, 4 passes, 10 pairs a
-# size) read time ratios of 1.55 at 2^12 and 1.52 at 4,611 bits (a 25 km nv
-# session's key), 1.34 at 2^13 and 1.07 at 2^14, threaded winning 0, 0, 0
-# and 2 pairs; 0.93 at 2^15 (9 won, but 4 of 12 in a rerun), then 0.83 at
-# 45,775 bits (a 1e6-pulse wcp session's key, 12 of 12), 0.79 at 2^16, 0.82
-# at 2^17 and 0.72 at 2^18 (10, 10 and 9 of 10)
+# keys from this many bits up have their pass tables built on two threads
+# while the passes run.  Below it the saving is a few ms, about what the
+# thread loses waiting up to the 5 ms GIL switch interval to take the lock
+# back from the drains after each table kernel.  A paired curve of threaded
+# against inline calls, when passes 3 and later were shuffled ahead on the
+# thread (nproc=2, 3% errors, 4 passes, 10 pairs a size) read time ratios
+# of 1.55 at 2^12 and 1.52 at 4,611 bits (a 25 km nv session's key), 1.34
+# at 2^13 and 1.07 at 2^14, threaded winning 0, 0, 0 and 2 pairs; 0.93 at
+# 2^15 (9 won, but 4 of 12 in a rerun), then 0.83 at 45,775 bits (a
+# 1e6-pulse wcp session's key, 12 of 12), 0.79 at 2^16, 0.82 at 2^17 and
+# 0.72 at 2^18 (10, 10 and 9 of 10)
 _THREAD_FROM = 1 << 15
 
 # most raw words the confirmation stage draws and checks at once: a block of
@@ -378,11 +378,12 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     Every pass's shuffle is held until the call returns, so
     ``check_shuffle_budget`` caps the key bits times ``n_passes``.  Each
     pass is shuffled as it starts, except from ``_THREAD_FROM`` (2^15) key
-    bits up: there passes 3 and later are shuffled ahead, in pass order on
-    a second thread, on the second core, while the earlier passes are
-    reconciled, and each pass starts as soon as its own tables are built.
-    Each pass draws from its own stream, so the transcript is the same
-    bytes either way.
+    bits up: there ``_threads._in_order`` builds the tables on the calling
+    thread and a second one, in pass order, while the calling thread runs
+    the passes in order, each as soon as its own tables are built; while
+    they are not, it builds the next unbuilt pass's itself.  Each pass
+    draws from its own stream, so the transcript is the same bytes either
+    way.
     """
     alice = _as_bits(alice_key, "alice_key")
     bob = _as_bits(bob_key, "bob_key").copy()
@@ -410,15 +411,8 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     # shuffled order, appended in pass order (pass 1 keeps the natural
     # order).  The drains read the shuffles and flip Bob's bits through
     # memoryviews: a scalar access costs a third of a numpy index
-    inv_perms, alice_prefix = [natural], [_prefix_parities(alice)]
-    perm_at, inv_at = [memoryview(natural)], [memoryview(natural)]
+    inv_perms, alice_prefix, perm_at, inv_at = [], [], [], []
     bob_at = memoryview(bob)
-
-    def add_pass(perm: np.ndarray, inv: np.ndarray, prefix: np.ndarray) -> None:
-        inv_perms.append(inv)
-        alice_prefix.append(prefix)
-        perm_at.append(memoryview(perm))
-        inv_at.append(memoryview(inv))
 
     corrections = 0
     # masks[r][block id]: the offsets in that pass-r block where the keys
@@ -463,14 +457,21 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         if searches:
             send(_search_frames(searches, alice_prefix))
 
-    def run_pass(p: int) -> None:
+    def pass_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if p == 0:
+            return natural, natural, _prefix_parities(alice)
+        return _shuffle_tables(alice, natural, cfg.shuffle_seed, p)
+
+    def run_pass(p: int, tables: tuple) -> None:
         nonlocal corrections
-        if p == len(alice_prefix):  # not shuffled ahead
-            add_pass(*_shuffle_tables(alice, natural, cfg.shuffle_seed, p))
+        perm, inv, a_prefix = tables
+        inv_perms.append(inv)
+        alice_prefix.append(a_prefix)
+        perm_at.append(memoryview(perm))
+        inv_at.append(memoryview(inv))
         # every block parity of the pass at once, both parties
         starts = np.arange(0, n, block_size[p])
         ends = np.minimum(starts + block_size[p], n)
-        a_prefix = alice_prefix[p]
         send(_query_frames(p, starts, ends - 1, a_prefix[ends] ^ a_prefix[starts]))
         if p == 0:
             # pass 1 runs in natural order, so one prefix of the
@@ -490,34 +491,10 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
         drain(p + 1)
 
-    # from _THREAD_FROM key bits up, passes 3 and later are shuffled ahead on
-    # a second thread while the earlier passes run: each table kernel releases
-    # the GIL, so the shuffles run beside the drains.  Each pass has its own
-    # event, set as its tables are built (or, all at once, if the thread
-    # fails), so a pass waits only for its own tables
-    ahead = range(2, cfg.n_passes if n >= _THREAD_FROM else 2)
-    built = {}
-    ready = {p: threading.Event() for p in ahead}
-
-    def shuffle_ahead() -> None:
-        try:
-            for p in ahead:
-                built[p] = _shuffle_tables(alice, natural, cfg.shuffle_seed, p)
-                ready[p].set()
-        finally:
-            for event in ready.values():
-                event.set()
-
-    def run_passes() -> None:
-        for p in range(cfg.n_passes):
-            if p in ready:
-                ready[p].wait()
-                if p not in built:  # the thread failed; the helper raises its error
-                    return
-                add_pass(*built.pop(p))
-            run_pass(p)
-
-    _on_two_threads(shuffle_ahead, run_passes, threaded=bool(ahead))
+    # from _THREAD_FROM key bits up, the tables are built on two threads
+    # while the passes run: each table kernel releases the GIL, so the
+    # shuffles run beside the drains
+    _in_order(cfg.n_passes, pass_tables, run_pass, threaded=n >= _THREAD_FROM)
 
     verified = True
     if cfg.verify_bits > 0:

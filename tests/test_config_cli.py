@@ -734,8 +734,8 @@ def test_cascade_seeded_run_corrects_everything(tmp_path, monkeypatch):
         (["--n-bits", "20000", "--qber", "0.05", "--n-passes", "2", "--verify-bits", "0",
           "--seed", "6"],
          "bbcc244b5d3a155396f0fe252b2e77ae9764200f7f9ba01a1d6ed374189fed3f"),
-        # above reconciliation._THREAD_FROM: passes 3 and 4 shuffled on a
-        # second thread
+        # above reconciliation._THREAD_FROM: the pass tables built on two
+        # threads
         (["--n-bits", "262144", "--qber", "0.03", "--seed", "7"],
          "4f6007ad91f8478f607c051c07457851ffbeafadf1cc6ad7f73ece386c7cd1c2"),
     ],

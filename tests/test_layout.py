@@ -154,7 +154,7 @@ def test_no_imports_inside_functions():
 def test_importing_the_cli_loads_no_thread_pool_or_logging():
     # every command pays for its imports first: concurrent.futures, with the
     # logging it imports, would add about 7 ms to a 0.12 s start.  numpy
-    # already loads threading, which is all the CASCADE table thread needs
+    # already loads threading, which is all the package's one thread needs
     code = ("import sys, spsqkd.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -164,10 +164,11 @@ def test_importing_the_cli_loads_no_thread_pool_or_logging():
 
 
 def test_only_the_thread_helper_starts_threads():
-    # _threads._on_two_threads starts, joins and re-raises the package's one
-    # worker thread; any other module goes through it
+    # _threads._in_order starts, joins and re-raises the package's one
+    # worker thread, and holds its only lock; any other module goes through
+    # it and imports no threading of its own
     package = ROOT / "src" / "spsqkd"
-    sites = set()
+    sites, importers = set(), set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         sites |= {
@@ -177,7 +178,17 @@ def test_only_the_thread_helper_starts_threads():
             and (getattr(node.func, "attr", None) == "Thread"
                  or getattr(node.func, "id", None) == "Thread")
         }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            if names & {"threading", "_thread", "concurrent"}:
+                importers.add(f"{path.name}:{node.lineno}")
     assert sites and {site.split(":")[0] for site in sites} == {"_threads.py"}, sites
+    assert {site.split(":")[0] for site in importers} == {"_threads.py"}, importers
 
 
 def test_front_ends_leave_run_sizing_to_the_library():
@@ -209,7 +220,7 @@ def test_the_cli_only_resolves_and_writes():
     # may bind an estimator only while the benchmark's tracer patches that
     # name on spsqkd.cli, and even then never calls it
     library = {"cascade", "simulate_hbt", "correlation_histogram", "fit_lifetime",
-               "g2_at_zero", "binary_entropy", "derive_seed", "_on_two_threads",
+               "g2_at_zero", "binary_entropy", "derive_seed", "_in_order", "_on_two_threads",
                "default_rng", "SeedSequence", "Thread"}
     spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     traced = {

@@ -11,6 +11,7 @@ import math
 import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -282,8 +283,8 @@ def _assert_matches_the_replay(
 ):
     # batch: the most searches a drain writes at once; block_words: the most
     # raw words the confirmation stage draws at once.  Both ways of building
-    # the tables are checked: inline, and with passes 3 and later shuffled on
-    # the second thread (its cut-over patched down to the smallest key)
+    # the tables are checked: inline, and on two threads (the cut-over
+    # patched down to the smallest key)
     transcript, key, leaked, corrections, verified = _replay_cascade(alice, bob, cfg)
     for thread_from in (reconciliation._THREAD_FROM, 8):
         with pytest.MonkeyPatch.context() as mp:
@@ -412,7 +413,8 @@ def _spy_shuffles(monkeypatch, before=None):
     return calls
 
 
-def test_shuffles_start_one_thread_at_most_and_only_from_the_cut_over(monkeypatch):
+def test_shuffles_start_one_thread_at_most_and_only_from_the_cut_over(monkeypatch,
+                                                                     started_threads):
     # the 2^18-bit CLI pin in test_config_cli runs the threaded path
     assert reconciliation._THREAD_FROM <= 1 << 18
     calls = _spy_shuffles(monkeypatch)
@@ -420,87 +422,158 @@ def test_shuffles_start_one_thread_at_most_and_only_from_the_cut_over(monkeypatc
     live = threading.active_count()
     for n, n_passes, threaded in [
         (reconciliation._THREAD_FROM - 1, 4, False),
-        (reconciliation._THREAD_FROM, 2, False),
+        (reconciliation._THREAD_FROM, 2, True),
         (reconciliation._THREAD_FROM, 3, True),
         (reconciliation._THREAD_FROM, 9, True),
     ]:
-        calls.clear()
         alice, bob = _keys_with_errors(n, 0.03, n_passes)
-        out = cascade(alice, bob, ReconciliationConfig(est_qber=0.03, n_passes=n_passes))
+        cfg = ReconciliationConfig(est_qber=0.03, n_passes=n_passes)
+        with monkeypatch.context() as mp:
+            mp.setattr(reconciliation, "_THREAD_FROM", n + 1)
+            inline = cascade(alice, bob, cfg)
+        assert started_threads == []
+        calls.clear()
+        out = cascade(alice, bob, cfg)
         assert out.verified_equal
-        threads = {p: thread for p, thread, _ in calls}
-        assert sorted(threads) == list(range(1, n_passes))
-        # pass 2 on the calling thread; passes 3 and later all on one thread
-        assert threads.pop(1) is main
-        assert len(set(threads.values())) <= 1
-        assert all((thread is not main) == threaded for thread in threads.values())
+        assert out.transcript == inline.transcript
+        # each pass shuffled once, on the calling thread or the one started
+        assert sorted(p for p, _, _ in calls) == list(range(1, n_passes))
+        assert len(started_threads) == threaded
+        assert {thread for _, thread, _ in calls} <= {main, *started_threads}
         assert max(count for _, _, count in calls) <= live + threaded
+        assert not any(thread.is_alive() for thread in started_threads)
         assert threading.active_count() == live
+        started_threads.clear()
 
 
 def test_a_failed_shuffle_on_the_thread_is_raised_by_the_caller(monkeypatch):
+    # the thread's shuffles fail; the caller's wait, up to 30 s, until the
+    # thread has failed one
     monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
+    main = threading.current_thread()
+    failed = threading.Event()
 
-    def fail_later(p):
-        if p >= 2:
+    def fail_on_the_thread(p):
+        if threading.current_thread() is main:
+            assert failed.wait(timeout=30)
+        else:
+            failed.set()
             raise _Injected(p)
 
-    calls = _spy_shuffles(monkeypatch, fail_later)
+    calls = _spy_shuffles(monkeypatch, fail_on_the_thread)
     alice, bob = _keys_with_errors(4096, 0.03, 2)
     live = threading.active_count()
-    with pytest.raises(_Injected):
+    with pytest.raises(_Injected) as raised:
         cascade(alice, bob, ReconciliationConfig(est_qber=0.03))
-    assert [thread is threading.current_thread() for p, thread, _ in calls if p == 2] == [False]
+    assert raised.value.args[0] in {p for p, thread, _ in calls if thread is not main}
     assert threading.active_count() == live
 
 
-def test_a_failure_mid_pass_still_joins_the_thread(monkeypatch):
-    # _search_frames first runs in pass 2's drain, while the thread is held
-    # in its first shuffle; it fails there, and only then is the thread let go
+def _hold_the_thread(monkeypatch, release_after=lambda p: False):
+    # the thread's first shuffle waits, up to 30 s, until hold.release is
+    # set, which release_after(p) true after the caller has built pass p's
+    # shuffle also does; the caller's shuffles wait, up to 30 s, until the
+    # thread is in one.  Records the pass the thread held, whether it was
+    # let go in time, and the pass of every shuffle begun and finished
+    shuffle_tables = reconciliation._shuffle_tables
+    main = threading.current_thread()
+    hold = SimpleNamespace(release=threading.Event(), entered=threading.Event(),
+                           held=[], released=[], begun=[], finished=[])
+
+    def spy(alice, natural, seed, p):
+        hold.begun.append(p)
+        if threading.current_thread() is main:
+            assert hold.entered.wait(timeout=30)
+        elif not hold.held:
+            hold.held.append(p)
+            hold.entered.set()
+            hold.released.append(hold.release.wait(timeout=30))
+        tables = shuffle_tables(alice, natural, seed, p)
+        hold.finished.append(p)
+        if threading.current_thread() is main and release_after(p):
+            hold.release.set()
+        return tables
+
+    monkeypatch.setattr(reconciliation, "_shuffle_tables", spy)
+    return hold
+
+
+def test_a_failure_mid_pass_still_joins_the_thread(monkeypatch, started_threads):
+    # pass 1 fails while the thread may be held in its first shuffle, and
+    # only then lets it go.  The failure stops further claims, so of the
+    # five shuffles only those begun by then are built
     monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
-    release = threading.Event()
-    calls = _spy_shuffles(monkeypatch, lambda p: p < 2 or release.wait(timeout=30))
+    hold = _hold_the_thread(monkeypatch)
     live = threading.active_count()
     seen = []
 
-    def fail(searches, prefixes):
+    def fail(*args):
         seen.append(threading.active_count())
-        release.set()
+        hold.release.set()
         raise _Injected
 
-    monkeypatch.setattr(reconciliation, "_search_frames", fail)
+    monkeypatch.setattr(reconciliation, "_bisect", fail)
     alice, bob = _keys_with_errors(4096, 0.03, 3)
     with pytest.raises(_Injected):
-        cascade(alice, bob, ReconciliationConfig(est_qber=0.03))
+        cascade(alice, bob, ReconciliationConfig(est_qber=0.03, n_passes=6))
     assert seen == [live + 1]
+    assert len(started_threads) == 1 and not started_threads[0].is_alive()
     assert threading.active_count() == live
-    # the thread was joined, not abandoned: it finished its shuffles
-    assert sorted(p for p, _, _ in calls) == [1, 2, 3]
+    # the thread was joined, not abandoned: every shuffle begun was finished
+    assert sorted(hold.finished) == sorted(hold.begun)
+    assert len(hold.begun) < 5
+
+
+def _open_spy(monkeypatch):
+    # the passes whose block parities have been sent, in order
+    query_frames, opened = reconciliation._query_frames, []
+
+    def spy(pass_byte, *args):
+        # a pass opens with one pass byte for all its block parities (the
+        # drains send an array of them); pass 1's bisection repeats byte 0
+        if isinstance(pass_byte, int) and pass_byte not in opened[-1:]:
+            opened.append(pass_byte)
+        return query_frames(pass_byte, *args)
+
+    monkeypatch.setattr(reconciliation, "_query_frames", spy)
+    return opened
 
 
 def test_each_pass_starts_once_its_own_shuffle_is_built(monkeypatch):
-    # six passes, the last one's shuffle held on the thread until pass 4's
-    # parities are sent, which is after pass 3's drain: a pass waits for its
-    # own tables, not for every later pass's
+    # six passes, the thread held in its first shuffle until the caller has
+    # built the four others: by then every pass before the held one has
+    # run and none after it, since a pass waits for its own tables only
     monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
     alice, bob = _keys_with_errors(20_000, 0.03, 6)
     cfg = ReconciliationConfig(est_qber=0.03, n_passes=6)
     expected = cascade(alice, bob, cfg)
-    release, released = threading.Event(), []
-    calls = _spy_shuffles(monkeypatch, lambda p: p < 5 or released.append(release.wait(30)))
-    query_frames = reconciliation._query_frames
+    opened, at_release = _open_spy(monkeypatch), []
 
-    def spy(pass_byte, *args):
-        # a pass opens with one pass byte for all its block parities (the
-        # drains send an array of them)
-        if isinstance(pass_byte, int) and pass_byte == 3:
-            release.set()
-        return query_frames(pass_byte, *args)
+    def all_others_built(p):
+        if len(hold.finished) == cfg.n_passes - 2:
+            at_release.append(list(opened))
+            return True
+        return False
 
-    monkeypatch.setattr(reconciliation, "_query_frames", spy)
+    hold = _hold_the_thread(monkeypatch, all_others_built)
     out = cascade(alice, bob, cfg)
-    assert released == [True]
-    assert sorted(p for p, _, _ in calls) == [1, 2, 3, 4, 5]
+    assert hold.released == [True]
+    assert at_release == [list(range(hold.held[0]))]
+    assert out.transcript == expected.transcript
+    assert np.array_equal(out.corrected_bob_key, expected.corrected_bob_key)
+
+
+def test_the_caller_builds_later_shuffles_while_the_thread_is_held(monkeypatch):
+    # six passes above the cut-over, the thread held in its first shuffle
+    # until the caller has itself built a shuffle of pass 3 or later: the
+    # caller builds the next unbuilt shuffle rather than wait on the thread
+    alice, bob = _keys_with_errors(20_000, 0.03, 7)
+    cfg = ReconciliationConfig(est_qber=0.03, n_passes=6)
+    expected = cascade(alice, bob, cfg)
+    monkeypatch.setattr(reconciliation, "_THREAD_FROM", 8)
+    hold = _hold_the_thread(monkeypatch, lambda p: p >= 2)
+    out = cascade(alice, bob, cfg)
+    assert hold.released == [True]
     assert out.transcript == expected.transcript
     assert np.array_equal(out.corrected_bob_key, expected.corrected_bob_key)
 
