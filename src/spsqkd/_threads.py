@@ -2,6 +2,7 @@
 
 numpy releases the GIL inside its sorting, searching, sampling and
 shuffling kernels, so two items made of such kernels are made on two cores.
+At most one worker thread is alive: no make or take calls ``_in_order`` again.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import _in_order, _on_two_threads
+from ._threads import _in_order
 from .config import check_events
 from .sources import SourceSpec, sample_photon_numbers
 
@@ -52,8 +52,7 @@ _WINDOW_TAGS = 1 << 16
 
 # tags fit_lifetime bins at once.  On 2 cores a g2 run at the tag cap (nv,
 # 5.7e8 pulses) read 342-344 MB max RSS with blocks of 2^16 and 350 with
-# 2^18, and g2-nv ops, beside the histogram's two threaded searches, 61 MB
-# peak RSS against 71-74
+# 2^18, and g2-nv ops, beside the histogram, 61 MB peak RSS against 71-74
 _PHASE_BLOCK = 1 << 16
 
 # sigmas of room over the mean tag count reserved for a windowed stream
@@ -136,7 +135,7 @@ def simulate_hbt(
     rate = source.mu * detection_eff
     size = max(1, math.floor(_WINDOW_TAGS / rate)) if rate > 0 else n_pulses
     n_windows = -(-n_pulses // size)
-    rngs = [rng, *rng.spawn(n_windows - 1)] if n_windows > 1 else [rng]
+    rngs = [rng, *rng.spawn(n_windows - 1)]
 
     def window(w: int) -> tuple[np.ndarray, np.ndarray]:
         start = w * size
@@ -228,8 +227,8 @@ def correlation_histogram(
     Only tags with a neighbour inside the window are searched: since the
     times are sorted, a tag whose next and previous tags both lie outside
     it (by the same float tests the searches make) has no partner on
-    either detector.  The two searches, for each detector-0 tag's first
-    and last partner, run one on each of two threads.  The pairs are then
+    either detector.  Two searches, run one after the other, find each
+    detector-0 tag's first and last partner.  The pairs are then
     expanded and histogrammed over runs of detector-0 tags holding at most
     ``_PAIR_CHUNK`` pairs each, so memory grows with the chunk and the
     bins, not with the pair count.
@@ -255,16 +254,13 @@ def correlation_histogram(
     keep = np.zeros(times.size, dtype=bool)
     keep[1:] = near
     keep[:-1] |= near
-    times = np.compress(keep, times)
-    one = np.compress(keep, dets) != 0
-    t0 = np.compress(~one, times)
-    t1 = np.compress(one, times)
-    del times, one, keep
+    one = dets != 0
+    t0 = times.take(np.flatnonzero(keep & ~one))
+    t1 = times.take(np.flatnonzero(keep & one))
+    del near, keep, one
 
-    lo, per_tag = _on_two_threads(
-        lambda: np.searchsorted(t1, t0 - window, side="left"),
-        lambda: np.searchsorted(t1, t0 + window, side="right"),
-    )
+    lo = np.searchsorted(t1, t0 - window, side="left")
+    per_tag = np.searchsorted(t1, t0 + window, side="right")
     per_tag -= lo
     # pairs before each tag; the last entry is the total
     before = np.zeros(t0.size + 1, dtype=np.intp)

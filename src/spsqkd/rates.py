@@ -164,7 +164,8 @@ def _tagged_rate(p_click, multiphoton, e, rep_rate_hz: float, f_ec: float):
         e_phase = e / (1.0 - delta)
     inner = -f_ec * _entropy(e) + (1.0 - delta) * (1.0 - _entropy(e_phase))
     alive = (p_click > 0.0) & (delta < 1.0) & (e_phase < 1.0)
-    return np.where(alive, _positive(np.asarray(_Q * rep_rate_hz * p_click * inner)), 0.0)
+    with np.errstate(over="ignore"):  # a huge f_ec reads -inf, which _positive floors to 0
+        return np.where(alive, _positive(np.asarray(_Q * rep_rate_hz * p_click * inner)), 0.0)
 
 
 def _wcp_rate(eta, link: LinkSpec, rep_rate_hz: float, f_ec: float):
@@ -214,7 +215,8 @@ def _decoy_optimum(
         q1 = np.multiply(_MU_WEIGHT, y1, out=h)
         q1 *= secure1
         p += q1
-        rate = _positive(np.multiply(p, _Q * rep_rate_hz, out=p))
+        with np.errstate(over="ignore"):  # -inf, floored to 0 as in _tagged_rate
+            rate = _positive(np.multiply(p, _Q * rep_rate_hz, out=p))
         top = rate.argmax(axis=0)
         best_rate[c : c + width] = rate[top, np.arange(eta_c.size)]
         best_mu[c : c + width] = _MU_GRID[top]

@@ -670,6 +670,18 @@ def test_rates_past_the_float_range_of_loss_read_zero_quietly(tmp_path):
     assert (rows[0, 1:] > 0).all() and not rows[1:, 1:].any()
 
 
+def test_rates_past_the_float_range_of_f_ec_read_zero_quietly(tmp_path, monkeypatch):
+    # f_ec = 1e308 overflows the rate to -inf, floored to 0 without numpy's
+    # overflow warning, which the suite turns into an error
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["rates", "--f-ec", "1e308", "--wcp", "--decoy", "--ideal95",
+                     "--dmax", "10", "--step", "5", "--quiet"]) == 0
+    lines = (tmp_path / "rates.rates.csv").read_text().splitlines()
+    rows = np.loadtxt([l for l in lines if not l.startswith("#")][1:], delimiter=",")
+    assert rows[:, 0].tolist() == [0.0, 5.0, 10.0]
+    assert rows.shape == (3, 5) and not rows[:, 1:].any()
+
+
 # ---------------------------------------------------------------- cascade
 
 
@@ -1150,3 +1162,21 @@ def test_g2_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert cli.main(argv + ["--out", "q", "--quiet"]) == 0
     assert (tmp_path / "p.hist.csv").read_bytes() == (tmp_path / "q.hist.csv").read_bytes()
     assert (tmp_path / "p.g2.txt").read_bytes() == (tmp_path / "q.g2.txt").read_bytes()
+
+
+# ---------------------------------------------------------------- README
+
+
+def test_the_readme_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    # each "$ spsqkd ..." line the README follows with an output line
+    monkeypatch.chdir(tmp_path)
+    readme = (ROOT / "README.md").read_text().splitlines()
+    shown = {}
+    for line, following in zip(readme, readme[1:]):
+        if line.startswith("$ spsqkd ") and following and following != "```":
+            shown[line] = following
+    assert {line.split()[2] for line in shown} == {"session", "g2"}
+    for line, expected in shown.items():
+        capsys.readouterr()
+        assert cli.main(line.split()[2:]) == 0
+        assert capsys.readouterr().out.splitlines() == [expected], line

@@ -3,9 +3,13 @@
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+from spsqkd import _threads, pipeline, reconciliation
 from spsqkd._threads import _in_order, _on_two_threads
+from spsqkd.hbt import correlation_histogram, simulate_hbt
+from spsqkd.sources import get_preset
 
 
 class _Failed(Exception):
@@ -181,3 +185,61 @@ def test_two_calls_give_both_results_and_the_first_error():
     with pytest.raises(_Failed) as raised:
         _on_two_threads(fail("first"), fail("second"))
     assert raised.value.where == "first"
+
+
+@pytest.fixture
+def one_at_a_time(monkeypatch, started_threads):
+    """``started_threads``, each start failing while an earlier one is alive."""
+
+    class OneAtATime(_threads.threading.Thread):
+        def start(self):
+            alive = [thread for thread in started_threads if thread.is_alive()]
+            assert not alive, f"a worker started beside {alive}"
+            super().start()
+
+    monkeypatch.setattr(_threads.threading, "Thread", OneAtATime)
+    return started_threads
+
+
+def test_g2_runs_one_worker_at_a_time(monkeypatch, one_at_a_time):
+    # the fit, on the worker, is held until the histogram, on the caller,
+    # has returned, so a thread the histogram starts meets a live worker
+    histogram, fit = pipeline.correlation_histogram, pipeline.fit_lifetime
+    histogram_done = threading.Event()
+
+    def held_histogram(*args, **kwargs):
+        try:
+            return histogram(*args, **kwargs)
+        finally:
+            histogram_done.set()
+
+    def held_fit(*args, **kwargs):
+        assert histogram_done.wait(timeout=30)
+        return fit(*args, **kwargs)
+
+    expected, _ = pipeline.run_g2(get_preset("nv"), 300_000, master_seed=2)
+    one_at_a_time.clear()
+    monkeypatch.setattr(pipeline, "correlation_histogram", held_histogram)
+    monkeypatch.setattr(pipeline, "fit_lifetime", held_fit)
+    summary, _ = pipeline.run_g2(get_preset("nv"), 300_000, master_seed=2)
+    assert summary == expected
+    assert len(one_at_a_time) == 1 and not one_at_a_time[0].is_alive()
+
+
+def test_a_threaded_cascade_runs_one_worker(one_at_a_time):
+    n = reconciliation._THREAD_FROM
+    rng = np.random.default_rng(4)
+    alice = rng.integers(0, 2, n, dtype=np.uint8)
+    bob = alice ^ (rng.random(n) < 0.03).astype(np.uint8)
+    out = reconciliation.cascade(alice, bob, reconciliation.ReconciliationConfig(
+        est_qber=0.03, n_passes=6))
+    assert out.verified_equal
+    assert len(one_at_a_time) == 1 and not one_at_a_time[0].is_alive()
+
+
+def test_the_histogram_starts_no_thread(started_threads):
+    stream = simulate_hbt(get_preset("nv"), 3_000_000, np.random.default_rng(3))
+    started_threads.clear()
+    hist = correlation_histogram(stream)
+    assert hist.counts.sum() > 0
+    assert started_threads == []
