@@ -11,6 +11,7 @@ lifetime by a log-linear fit to the decaying flank of the phase histogram.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ __all__ = [
     "fit_lifetime",
 ]
 
-# histogram bins below this fraction of the peak end the lifetime fit region
+# the first bin past the phase histogram's peak holding fewer counts than
+# this ends the lifetime fit region
 _FIT_FLOOR_COUNTS = 5
 
 # most bins one histogram may hold (32 MiB of counts); a finer binning is a
@@ -40,9 +42,31 @@ _MAX_BINS = 1 << 22
 # the histogram bin both the g2 and the lifetime estimate default to
 _BIN_WIDTH_NS = 1.0
 
-# most tag pairs expanded at once (about 40 MB of index and delay arrays),
-# unless a single detector-0 tag has more
+# most tag-pair delays histogrammed at once (8 MB), and most held while the
+# pairs are counted
 _PAIR_CHUNK = 1 << 20
+
+# tags per block of the histogram's pair walk, so no array of a step holds
+# more.  On 2 cores the histogram of 3e7 nv pulses (870k tags) took 11.2 ms
+# at 2^16, 15.2 at 2^14 and 11.0-11.3 at 2^17-2^19, and of 4e6 ideal95
+# pulses 0.25 s, against 0.29-0.35 s at 2^17-2^19 (medians of 40 and of 3
+# interleaved calls)
+_WALK_BLOCK = 1 << 16
+
+# a block's walk reads its live tags through their indices, not as slices,
+# once fewer than one in _SPARSE is live.  Each read pays on one side: on
+# 2 cores the g2-nv benchmark (every block under 1 in 7 live after step 1)
+# ran 7.61e8 pulses/s against 6.96e8 with slices only (10 of 10 pairs),
+# and `g2 --preset ideal95 --pulses 8e6` (most tags live for several
+# steps) 0.85-1.55 s against 1.29-2.17 s with indices only (8 of 8 runs)
+_SPARSE = 4
+
+# offsets per tag, on the stream's average, the counting walk may step
+# through before the spans' searches count the pairs instead.  The walk
+# steps about 1.1 times per nv tag, 3.3 per wcp tag and 6 per ideal95 tag;
+# over a window wider than the stream it would step about as many times as
+# there are tags
+_WALK_BUDGET = 16
 
 # expected tags per window of simulate_hbt, each window drawn from its own
 # stream.  On 2 cores a g2-nv op (3e7 pulses, 870k tags) took 0.78 of its
@@ -213,6 +237,120 @@ def _bin_count(span_ns: float, bin_width_ns: float, setting: str, value: float) 
     return int(round(n_bins))
 
 
+def _offset_steps(
+    times: np.ndarray, dets: np.ndarray, window: float, start: int, stop: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The steps k = 1, 2, ... of the pair walk over tags i in [start, stop).
+
+    Step k yields ``(later, earlier, earlier_dets, pairs)``: the times of the
+    tags i + k and i, the detectors of the tags i, and which of them make a
+    cross-detector pair inside the window by the float tests the window
+    searches make, ``t1 <= t0 + window`` when detector 0's tag comes first
+    and ``t1 >= t0 - window`` when detector 1's does.  The times are sorted
+    and float rounding is monotone, so a tag i that passes neither test at
+    offset k passes neither at any later one; it is dropped, and the walk
+    stops when no tag is left.  The tags are read as slices until fewer than
+    one in ``_SPARSE`` is live, then through their indices.
+    """
+    n = times.size
+    live = None
+    k = 1
+    while True:
+        if live is None:
+            hi = min(stop, n - k)
+            if hi <= start:
+                return
+            earlier, later = times[start:hi], times[start + k:hi + k]
+            earlier_dets, later_dets = dets[start:hi], dets[start + k:hi + k]
+        else:
+            live = live[: np.searchsorted(live, n - k)]
+            earlier, later = times.take(live), times[k:].take(live)
+            earlier_dets, later_dets = dets.take(live), dets[k:].take(live)
+        up = later <= earlier + window
+        down = earlier >= later - window
+        pairs = up & (earlier_dets < later_dets)
+        pairs |= down & (earlier_dets > later_dets)
+        yield later, earlier, earlier_dets, pairs
+        up |= down
+        if live is None:
+            n_live = np.count_nonzero(up)
+            if n_live == 0:
+                return
+            if n_live * _SPARSE < up.size:
+                live = np.flatnonzero(up)
+                live += start
+        else:
+            live = live[up]
+            if live.size == 0:
+                return
+        k += 1
+
+
+def _delays(later: np.ndarray, earlier: np.ndarray, earlier_dets: np.ndarray,
+            pairs: np.ndarray) -> np.ndarray:
+    """t1 - t0 of the pairs of one walk step."""
+    index = np.flatnonzero(pairs)
+    taus = later.take(index)
+    taus -= earlier.take(index)
+    # negated, exactly, where detector 1's tag comes first
+    sign = earlier_dets.take(index) * -2.0
+    sign += 1.0
+    taus *= sign
+    return taus
+
+
+def _spans(
+    times: np.ndarray, dets: np.ndarray, window: float, side: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Detector ``side``'s tags, a block of the stream at a time, with the
+    span of the other detector's tags each pairs with.
+
+    Yields ``(tags, other, lo, hi)``: a tag ``tags[i]`` pairs with
+    ``other[lo[i]:hi[i]]``, the other detector's sorted tags.  A pair is
+    ``t1 >= t0 - window`` and ``t1 <= t0 + window``, the float tests the
+    offset walk makes.  From detector 0, t0 - window and t0 + window are
+    searched in detector 1's tags; from detector 1, t1 is searched in
+    detector 0's t0 + window and t0 - window, since t1 - window and
+    t1 + window would round differently.
+    """
+    other = times[dets != side]
+    if side == 0:
+        lower = upper = other
+        shift = window
+    else:
+        lower, upper = other + window, other - window
+        shift = 0.0
+    for start in range(0, times.size, _WALK_BLOCK):
+        block = slice(start, start + _WALK_BLOCK)
+        tags = times[block].take(np.flatnonzero(dets[block] == side))
+        lo = np.searchsorted(lower, tags - shift, side="left")
+        hi = np.searchsorted(upper, tags + shift, side="right")
+        yield tags, other, lo, hi
+
+
+def _span_steps(times: np.ndarray, dets: np.ndarray, window: float) -> Iterator[np.ndarray]:
+    """t1 - t0 of every cross-detector pair, by a walk through the spans.
+
+    Step j of a block takes each tag of the more numerous detector with the
+    j-th tag of its ``_spans`` span, and a tag leaves at the end of its
+    span; so the steps hold as many tags, over all, as there are pairs, and
+    a block's steps number the most pairs one of its tags makes with the
+    fewer detector's tags.
+    """
+    side = int(2 * np.count_nonzero(dets) > dets.size)
+    for tags, other, lo, hi in _spans(times, dets, window, side):
+        keep = np.flatnonzero(hi > lo)
+        while keep.size:
+            tags, lo, hi = tags.take(keep), lo.take(keep), hi.take(keep)
+            taus = other.take(lo)
+            taus -= tags
+            if side:
+                np.negative(taus, out=taus)
+            yield taus
+            lo += 1
+            keep = np.flatnonzero(lo < hi)
+
+
 def correlation_histogram(
     stream: TimeTagStream,
     bin_width_ns: float = _BIN_WIDTH_NS,
@@ -221,17 +359,24 @@ def correlation_histogram(
     """Histogram of t(detector 1) - t(detector 0) pair delays.
 
     Every cross-detector pair within +-window_periods repetition periods is
-    counted once.  Total counts therefore equal the number of such pairs,
-    which may not exceed ``MAX_EVENTS``.
+    counted once, and their number may not exceed ``MAX_EVENTS``.  A pair
+    whose delay rounds past +-window is counted but falls outside the bins,
+    so the counts can total a little less.
 
-    Only tags with a neighbour inside the window are searched: since the
-    times are sorted, a tag whose next and previous tags both lie outside
-    it (by the same float tests the searches make) has no partner on
-    either detector.  Two searches, run one after the other, find each
-    detector-0 tag's first and last partner.  The pairs are then
-    expanded and histogrammed over runs of detector-0 tags holding at most
-    ``_PAIR_CHUNK`` pairs each, so memory grows with the chunk and the
-    bins, not with the pair count.
+    The pairs are found by a walk over neighbour offsets of the sorted tags
+    (``_offset_steps``), in blocks of ``_WALK_BLOCK`` tags.  Every pair is
+    counted before any delay is histogrammed: the counting walk holds the
+    delays while they number at most ``_PAIR_CHUNK``, and if they number
+    more, the walk is made again after the count.  A walk that steps past
+    ``_WALK_BUDGET`` offsets a tag, a window wide for the stream, stops:
+    its near pairs may be mostly same-detector ones, which the cap does not
+    count.  Two searches per tag then count the cross pairs (``_spans``),
+    and after the count a walk through those spans (``_span_steps``) steps
+    once per cross pair.  The delays are histogrammed in batches of at most
+    ``_PAIR_CHUNK``, the held ones in one and the others a walk step at a
+    time, by ``np.histogram`` over ``range=(-window, window)``, whose bins
+    are the ``np.linspace`` edges; so memory grows with the block, the
+    batch and the bins, not with the pair count.
     """
     if window_periods < 5:
         raise ValueError("window_periods must be at least 5 to cover the side peaks")
@@ -245,49 +390,42 @@ def correlation_histogram(
     if n_one == 0 or n_one == dets.size:
         raise InsufficientDataError("need tags on both detectors")
 
-    # t[i + 1] <= t[i] + window is the upper search's test, and
-    # t[i] >= t[i + 1] - window the lower one's.  Float rounding is
-    # monotone, so a pair that passes a search passes its test at every
-    # step between its two tags, and both tags are kept
-    near = times[1:] <= times[:-1] + window
-    near |= times[:-1] >= times[1:] - window
-    keep = np.zeros(times.size, dtype=bool)
-    keep[1:] = near
-    keep[:-1] |= near
-    one = dets != 0
-    t0 = times.take(np.flatnonzero(keep & ~one))
-    t1 = times.take(np.flatnonzero(keep & one))
-    del near, keep, one
+    def walk():
+        for start in range(0, times.size - 1, _WALK_BLOCK):
+            yield from _offset_steps(times, dets, window, start, start + _WALK_BLOCK)
 
-    lo = np.searchsorted(t1, t0 - window, side="left")
-    per_tag = np.searchsorted(t1, t0 + window, side="right")
-    per_tag -= lo
-    # pairs before each tag; the last entry is the total
-    before = np.zeros(t0.size + 1, dtype=np.intp)
-    np.cumsum(per_tag, out=before[1:])
+    # n_steps counts the tags the walk has compared, over every offset
+    held: list[np.ndarray] | None = []
+    n_pairs = n_steps = 0
+    for step in walk():
+        n_steps += step[3].size
+        if n_steps > _WALK_BUDGET * times.size:
+            n_pairs = sum(int((hi - lo).sum()) for _, _, lo, hi in _spans(times, dets, window, 0))
+            break
+        n_found = int(np.count_nonzero(step[3]))
+        n_pairs += n_found
+        if n_pairs > _PAIR_CHUNK:
+            held = None
+        elif n_found:
+            held.append(_delays(*step))
     # a wide window over a bright stream pairs each tag with thousands;
-    # refuse by count before any pair array exists
-    check_events("window_periods", window_periods, int(before[-1]), "tag pairs")
+    # refuse by count before any delay is histogrammed
+    check_events("window_periods", window_periods, n_pairs, "tag pairs")
 
-    edges = np.linspace(-window, window, n_bins + 1)
+    if n_steps > _WALK_BUDGET * times.size:
+        delays = _span_steps(times, dets, window)
+    elif held is None:
+        delays = (_delays(*step) for step in walk())
+    else:
+        delays = [np.concatenate(held)] if held else []
     counts = np.zeros(n_bins, dtype=np.intp)
-    # pair k (numbered across all tags) of tag i pairs with t1[k + lo[i] - before[i]]
-    lo -= before[:-1]
-    start = 0
-    while start < t0.size:
-        # the longest run from start that holds at most _PAIR_CHUNK pairs
-        stop = int(np.searchsorted(before, before[start] + _PAIR_CHUNK, side="right")) - 1
-        stop = max(stop, start + 1)
-        n_pairs = per_tag[start:stop]
-        pairs = np.arange(before[start], before[stop])
-        pairs += np.repeat(lo[start:stop], n_pairs)
-        taus = t1[pairs]
-        taus -= np.repeat(t0[start:stop], n_pairs)
-        counts += np.histogram(taus, bins=edges)[0]
-        start = stop
+    for taus in delays:
+        for start in range(0, taus.size, _PAIR_CHUNK):
+            batch = taus[start:start + _PAIR_CHUNK]
+            counts += np.histogram(batch, bins=n_bins, range=(-window, window))[0]
     return CorrelationHistogram(
         counts=counts,
-        bin_edges_ns=edges,
+        bin_edges_ns=np.linspace(-window, window, n_bins + 1),
         bin_width_ns=bin_width_ns,
         window_periods=window_periods,
         rep_period_ns=stream.rep_period_ns,

@@ -453,9 +453,11 @@ def test_g2_at_the_tag_cap_runs_in_bounded_memory(tmp_path):
 
 
 def test_bright_g2_histograms_pairs_in_bounded_memory(tmp_path):
-    # 8e6 ideal95 pulses give 7.6e6 tags and 1.62e7 cross pairs.  Expanded
-    # over runs of at most 2^20 pairs the run fits in about 380 MiB of
-    # address space; one index and one delay array per pair needed over 768
+    # 8e6 ideal95 pulses give 7.6e6 tags and 1.62e7 cross pairs.  Walked in
+    # blocks of 2^16 tags and binned in batches of at most 2^20 delays, the
+    # run fits in 272 MiB of address space (448 MiB with two window searches
+    # and a pair expansion); one index and one delay array per pair needed
+    # over 768
     proc = _run_limited(512 << 20, [
         "-m", "spsqkd.cli", "g2", "--preset", "ideal95", "--pulses", "8000000",
         "--out", str(tmp_path / "bright"), "--quiet"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spsqkd import _threads, hbt
+from spsqkd import _threads, cli, hbt
 from spsqkd.config import MAX_EVENTS
 from spsqkd.hbt import (
     CorrelationHistogram,
@@ -374,25 +374,101 @@ def test_histogram_bins_are_capped():
             fit_lifetime(stream, bin_width_ns=width)
 
 
-def test_histogram_pairs_are_capped():
-    # 4097 tags per detector inside one nanosecond: every tag pairs with
-    # every other, 4097^2 > 2^24 pairs, refused before any pair array exists
+def _burst():
+    """4097 tags per detector inside one nanosecond: every tag pairs with
+    every other, 4097^2 > 2^24 pairs."""
     n = 4097
     times = np.arange(2 * n) / (2.0 * n)
     dets = np.tile(np.array([0, 1], dtype=np.uint8), n)
-    stream = TimeTagStream(times, dets, 10_000.0, 1000.0)
+    return TimeTagStream(times, dets, 10_000.0, 1000.0)
+
+
+def test_histogram_pairs_are_capped():
     with pytest.raises(ValueError, match="window_periods = 5 expects 1.68e[+]07 tag pairs"):
-        correlation_histogram(stream)
+        correlation_histogram(_burst())
+
+
+@pytest.mark.parametrize("run", ["burst", "cli-ideal95"])
+def test_a_refused_stream_histograms_no_delay(run, tmp_path, monkeypatch, capsys):
+    # both walks would step through thousands of offsets a tag, so the
+    # spans' searches count the pairs; the cap refuses before any delay is
+    # binned or any span walked
+    with (mock.patch.object(np, "histogram", wraps=np.histogram) as binned,
+          mock.patch.object(hbt, "_spans", wraps=hbt._spans) as searched):
+        if run == "burst":
+            with pytest.raises(ValueError, match="expects 1.68e[+]07 tag pairs"):
+                correlation_histogram(_burst())
+        else:
+            monkeypatch.chdir(tmp_path)
+            assert cli.main(["g2", "--preset", "ideal95", "--pulses", "100000",
+                             "--window-periods", "100000", "--quiet"]) == 2
+            assert "expects 2.25e+09 tag pairs" in capsys.readouterr().err
+    assert searched.call_count == 1
+    # no histogram over a delay window; the fit bins its phases over (0, period)
+    assert [c for c in binned.call_args_list if c.kwargs["range"][0] < 0] == []
+
+
+def _recording_walk(name="_offset_steps"):
+    """A stand-in for ``hbt._offset_steps`` (or ``hbt._span_steps``), and the
+    list in which it records, for each walk, the largest array of each step."""
+    walks = []
+    steps = getattr(hbt, name)
+
+    def recorded(*args):
+        walks.append([])
+        for step in steps(*args):
+            walks[-1].append(max(a.size for a in step) if isinstance(step, tuple) else step.size)
+            yield step
+
+    return recorded, walks
+
+
+def _brute_pair_count(stream, window):
+    t0 = stream.times_ns[stream.detectors == 0]
+    t1 = stream.times_ns[stream.detectors == 1]
+    return sum(int(np.sum(np.abs(t1 - t) <= window)) for t in t0)
 
 
 def test_histogram_counts_every_cross_pair_once():
     stream = simulate_hbt(get_preset("nv"), 200_000, _rng(202, 3))
     hist = correlation_histogram(stream)
-    t0 = stream.times_ns[stream.detectors == 0]
-    t1 = stream.times_ns[stream.detectors == 1]
     window = hist.window_periods * stream.rep_period_ns
-    brute = sum(int(np.sum(np.abs(t1 - t) <= window)) for t in t0)
-    assert int(hist.counts.sum()) == brute
+    assert int(hist.counts.sum()) == _brute_pair_count(stream, window)
+
+
+@pytest.mark.parametrize("preset, n_pulses, offsets",
+                         [("ideal95", 20_000, 7), ("wcp", 30_000, 10)])
+def test_dense_histograms_count_every_cross_pair_once(preset, n_pulses, offsets, monkeypatch):
+    # a tag per pulse, or a Poisson 0.31, keeps the walk going for several
+    # offsets past the nv stream's three
+    stream = simulate_hbt(get_preset(preset), n_pulses, _rng(202, 3))
+    recorded, walks = _recording_walk()
+    monkeypatch.setattr(hbt, "_offset_steps", recorded)
+    hist = correlation_histogram(stream)
+    window = hist.window_periods * stream.rep_period_ns
+    assert int(hist.counts.sum()) == _brute_pair_count(stream, window)
+    assert max(len(walk) for walk in walks) == offsets
+
+
+@pytest.mark.parametrize("ratio", [0.999, 0.001])
+def test_a_lopsided_wide_window_walks_in_step_with_its_pairs(ratio, monkeypatch):
+    # nearly every tag on one detector and a window over the whole stream:
+    # almost every near pair is on one detector, so the offset walk stops at
+    # its budget, and the span walk takes each cross pair once, stepping from
+    # the more numerous detector's tags as often as the fewer detector has tags
+    stream = simulate_hbt(get_preset("ideal95"), 20_000, _rng(202, 4), splitter_ratio=ratio)
+    offset_steps, offset_walks = _recording_walk()
+    span_steps, span_walks = _recording_walk("_span_steps")
+    monkeypatch.setattr(hbt, "_offset_steps", offset_steps)
+    monkeypatch.setattr(hbt, "_span_steps", span_steps)
+    hist = correlation_histogram(stream, window_periods=20_000)
+    n, n_one = len(stream), int(stream.detectors.sum())
+    pairs = _brute_pair_count(stream, hist.window_periods * stream.rep_period_ns)
+    assert int(hist.counts.sum()) == pairs
+    assert sum(map(sum, offset_walks)) <= hbt._WALK_BUDGET * n + hbt._WALK_BLOCK
+    [span_walk] = span_walks
+    assert sum(span_walk) == pairs
+    assert len(span_walk) <= min(n_one, n - n_one) < 50
 
 
 # a 2 ns lattice divides the 40 ns window of 5 periods, so lattice pairs
@@ -439,12 +515,21 @@ def _oracle(stream, edges, window):
     window_periods=st.integers(5, 7),
     bin_width=st.sampled_from([0.5, 1.0, 3.0]),
     chunk=st.sampled_from([1, 2, 5, 1 << 20]),
+    block=st.sampled_from([1, 2, 5, hbt._WALK_BLOCK]),
+    budget=st.sampled_from([0, hbt._WALK_BUDGET]),
 )
 # a pair exactly at each edge of the window, and equal times across detectors
 @example(
     stream=TimeTagStream(np.array([0.0, 100.0, 140.0, 180.0, 180.0, 1999.5]),
                          np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8), _DURATION, _PERIOD),
-    window_periods=5, bin_width=1.0, chunk=1,
+    window_periods=5, bin_width=1.0, chunk=1, block=hbt._WALK_BLOCK, budget=hbt._WALK_BUDGET,
+)
+# pairs straddling a block seam: in blocks of 2, the tags at 100 and 120
+# pair with the one at 130, the first tag of the next block
+@example(
+    stream=TimeTagStream(np.array([100.0, 120.0, 130.0]),
+                         np.array([0, 0, 1], dtype=np.uint8), _DURATION, _PERIOD),
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=2, budget=hbt._WALK_BUDGET,
 )
 # pairs inside the window by one neighbour test and not by the other.  Here
 # t1 <= t0 + w holds but t0 >= t1 - w does not, and t1 - t0 rounds to w, so
@@ -452,7 +537,8 @@ def _oracle(stream, edges, window):
 @example(
     stream=TimeTagStream(np.array([11.939645736564932, 51.939645736564934]),
                          np.array([0, 1], dtype=np.uint8), _DURATION, _PERIOD),
-    window_periods=5, bin_width=1.0, chunk=1 << 20,
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK,
+    budget=hbt._WALK_BUDGET,
 )
 # ... and here t1 >= t0 - w holds but t0 <= t1 + w does not (w = 40 + 2^-43
 # and t0 - t1 = w + 2^-43 are both ties, rounded to even).  Its delay lies
@@ -460,12 +546,32 @@ def _oracle(stream, edges, window):
 @example(
     stream=TimeTagStream(np.array([1024.0, 1064.0 + 2.0**-42]),
                          np.array([1, 0], dtype=np.uint8), _DURATION, 8.000000000000023),
-    window_periods=5, bin_width=1.0, chunk=1 << 20,
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK,
+    budget=hbt._WALK_BUDGET,
+)
+# ... and the same pairs through the spans, each walked from the detector
+# with more tags: from detector 1's search in t0 + w and t0 - w
+@example(
+    stream=TimeTagStream(np.array([11.939645736564932, 51.939645736564934, 1999.5]),
+                         np.array([0, 1, 0], dtype=np.uint8), _DURATION, _PERIOD),
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK, budget=0,
+)
+@example(
+    stream=TimeTagStream(np.array([1024.0, 1064.0 + 2.0**-42, 1999.5]),
+                         np.array([1, 0, 1], dtype=np.uint8), _DURATION, 8.000000000000023),
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK, budget=0,
 )
 @settings(max_examples=300, deadline=None)
-def test_histogram_matches_the_all_pairs_oracle(stream, window_periods, bin_width, chunk):
+def test_histogram_matches_the_all_pairs_oracle(stream, window_periods, bin_width, chunk,
+                                               block, budget):
     n_one = int(stream.detectors.sum())
-    with mock.patch.object(hbt, "_PAIR_CHUNK", chunk):
+    offset_steps, walks = _recording_walk()
+    span_steps, span_walks = _recording_walk("_span_steps")
+    with (mock.patch.object(hbt, "_PAIR_CHUNK", chunk),
+          mock.patch.object(hbt, "_WALK_BLOCK", block),
+          mock.patch.object(hbt, "_WALK_BUDGET", budget),
+          mock.patch.object(hbt, "_offset_steps", offset_steps),
+          mock.patch.object(hbt, "_span_steps", span_steps)):
         if n_one in (0, len(stream)):
             with pytest.raises(InsufficientDataError):
                 correlation_histogram(stream, bin_width, window_periods)
@@ -480,10 +586,11 @@ def test_histogram_matches_the_all_pairs_oracle(stream, window_periods, bin_widt
     # the cap sees the exact pair count, and the histogram every pair in range
     assert cap.call_args.args[2] == per_tag.sum()
     assert np.array_equal(hist.counts, counts)
-    # no run expands more pairs than the chunk, unless one tag has more
+    # every pair's delay is binned once, in batches of at most the chunk,
+    # and no step of either walk holds more tags than the block
     assert sum(c.args[0].size for c in runs.call_args_list) == per_tag.sum()
-    assert max((c.args[0].size for c in runs.call_args_list), default=0) <= max(
-        chunk, per_tag.max())
+    assert max((c.args[0].size for c in runs.call_args_list), default=0) <= chunk
+    assert max((size for walk in walks + span_walks for size in walk), default=0) <= block
 
 
 def test_one_detector_stream_has_no_histogram():
