@@ -432,24 +432,51 @@ def correlation_histogram(
     )
 
 
-def _peak_areas(hist: CorrelationHistogram) -> tuple[int, list[int]]:
+def _run_start(centers: np.ndarray, inside, index: np.ndarray) -> np.ndarray:
+    """First index of the sorted ``centers`` from which ``inside(centers)`` holds.
+
+    ``inside`` takes one centre per peak and, along the sorted centres, once
+    true stays true.  ``index`` is a guess the float rounding may have left a
+    bin or so off either way; each step moves every guess one bin toward the
+    first centre that passes the exact test.
+    """
+    last = centers.size - 1
+    while True:
+        back = (index > 0) & inside(centers[np.maximum(index - 1, 0)])
+        ahead = (index <= last) & ~inside(centers[np.minimum(index, last)])
+        if not (back.any() or ahead.any()):
+            return index
+        index = index - back + ahead
+
+
+def _peak_areas(hist: CorrelationHistogram) -> tuple[int, np.ndarray]:
+    """The centre-peak area, and the side-peak areas at +1, -1, +2, -2, ... periods.
+
+    The peak at x holds the bins whose centre c has ``|c - x| < period / 2``.
+    ``c - x`` rounds monotonically in c, so over the sorted centres each
+    peak is one run of bins: a search finds both ends of every run to within
+    the rounding, the exact test settles them, and one cumulative sum of the
+    counts gives every area.
+    """
     period = hist.rep_period_ns
     centers = hist.tau_centers_ns
     half = period / 2.0
-    center_area = int(hist.counts[np.abs(centers) < half].sum())
-    side_areas = []
     # outermost peaks sit on the window edge with clipped tails; skip them
-    for k in range(1, hist.window_periods):
-        for sign in (1, -1):
-            mask = np.abs(centers - sign * k * period) < half
-            side_areas.append(int(hist.counts[mask].sum()))
-    return center_area, side_areas
+    k = np.arange(1, hist.window_periods)
+    x = np.concatenate(([0.0], np.stack((k, -k), axis=1).ravel() * period))
+    lo = _run_start(centers, lambda c: c - x > -half,
+                    np.searchsorted(centers, x - half, side="right"))
+    hi = _run_start(centers, lambda c: c - x >= half,
+                    np.searchsorted(centers, x + half, side="left"))
+    sums = np.concatenate(([0], np.cumsum(hist.counts)))
+    areas = sums[hi] - sums[lo]
+    return int(areas[0]), areas[1:]
 
 
 def g2_at_zero(hist: CorrelationHistogram) -> float:
     """Center-peak area normalized by the mean full side-peak area."""
     center_area, side_areas = _peak_areas(hist)
-    if sum(1 for a in side_areas if a > 0) < 4:
+    if np.count_nonzero(side_areas) < 4:
         raise InsufficientDataError("need at least 4 side peaks with counts")
     return center_area / float(np.mean(side_areas))
 

@@ -80,13 +80,13 @@ _SEARCH_BATCH = 1 << 14
 # while the passes run.  Below it the saving is a few ms, about what the
 # thread loses waiting up to the 5 ms GIL switch interval to take the lock
 # back from the drains after each table kernel.  A paired curve of threaded
-# against inline calls, when passes 3 and later were shuffled ahead on the
-# thread (nproc=2, 3% errors, 4 passes, 10 pairs a size) read time ratios
-# of 1.55 at 2^12 and 1.52 at 4,611 bits (a 25 km nv session's key), 1.34
-# at 2^13 and 1.07 at 2^14, threaded winning 0, 0, 0 and 2 pairs; 0.93 at
-# 2^15 (9 won, but 4 of 12 in a rerun), then 0.83 at 45,775 bits (a
-# 1e6-pulse wcp session's key, 12 of 12), 0.79 at 2^16, 0.82 at 2^17 and
-# 0.72 at 2^18 (10, 10 and 9 of 10)
+# against inline calls with the packed-word prefixes and int64-indexed
+# tables (nproc=2, 3% errors, 4 passes, 10 pairs a size) read time ratios
+# of 1.68 at 2^12 and 1.31 at 4,611 bits (a 25 km nv session's key), 1.20
+# at 2^13 and 1.03 at 2^14, threaded winning 0, 0, 1 and 3 pairs; 1.00 at
+# 2^15 (4 won; 1.04 and 4 of 20 in a rerun), then 0.96 at 45,775 bits (a
+# 1e6-pulse wcp session's key), 0.94 at 2^16, 0.84 at 2^17 and 0.83 at
+# 2^18 (10 of 10 each)
 _THREAD_FROM = 1 << 15
 
 # most raw words the confirmation stage draws and checks at once: a block of
@@ -216,21 +216,37 @@ def _as_bits(key, name: str) -> np.ndarray:
 
 
 def _prefix_parities(bits: np.ndarray) -> np.ndarray:
-    # entry i is the parity of bits[:i], so a range parity is two lookups
-    prefix = np.zeros(bits.size + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate(bits, out=prefix[1:])
-    return prefix
+    # entry i is the parity of bits[:i], so a range parity is two lookups.
+    # Bit j of little-endian word w is bits[64 w + j], with one spare word so
+    # the n + 1 entries fit; six shift-xors leave bit j of each word the
+    # parity of its bits 0..j, so the top bit is the word's parity
+    n = bits.size
+    words = np.zeros(n // 64 + 1, dtype="<u8")
+    words.view(np.uint8)[: -(-n // 8)] = np.packbits(bits, bitorder="little")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    # all ones where the words before this one have odd parity: it flips
+    # every entry of the word, and becomes bit 0 as the entries move up one
+    odd = words.view("<i8") >> 63
+    carry = np.bitwise_xor.accumulate(odd)
+    carry ^= odd
+    words <<= 1
+    words ^= carry.view("<u8")
+    return np.unpackbits(words.view(np.uint8), count=n + 1, bitorder="little")
 
 
 def _shuffle_tables(alice: np.ndarray, natural: np.ndarray, seed: int, p: int):
     # pass p's shuffle, its inverse and Alice's prefix parities in shuffled
     # order.  The pass has its own stream, so any thread builds the same bytes;
-    # shuffling an int32 arange gives the same order, but slower
+    # shuffling an int32 arange gives the same order, but slower.  The scatter
+    # and the gather index through the int64 shuffle as drawn, which numpy
+    # reads without a cast; only the int32 copy is kept
     rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
-    perm = rng.permutation(alice.size).astype(np.int32)
+    perm = rng.permutation(alice.size)
     inv = np.empty(alice.size, dtype=np.int32)
     inv[perm] = natural
-    return perm, inv, _prefix_parities(alice[perm])
+    prefix = _prefix_parities(alice.take(perm))
+    return perm.astype(np.int32), inv, prefix
 
 
 def _key_words(bits: np.ndarray) -> np.ndarray:
@@ -487,7 +503,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         # batch of corrections); its odd blocks, ascending, are a heap
         errors = np.flatnonzero(alice != bob)
         for r in range(len(masks), p + 1):
-            masks.append(_block_masks(inv_perms[r][errors], block_size[r]))
+            masks.append(_block_masks(inv_perms[r].take(errors), block_size[r]))
         heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
         drain(p + 1)
 

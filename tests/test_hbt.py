@@ -643,6 +643,43 @@ def test_g2_estimate_tightens_with_more_pulses():
     assert g_coarse == pytest.approx(0.09, abs=0.04)
 
 
+def _masked_peak_areas(hist):
+    # one mask over every bin centre per peak, O(window x bins): the scan
+    # _peak_areas replaced, kept as its oracle
+    period = hist.rep_period_ns
+    centers = hist.tau_centers_ns
+    half = period / 2.0
+    center_area = int(hist.counts[np.abs(centers) < half].sum())
+    side_areas = []
+    for k in range(1, hist.window_periods):
+        for sign in (1, -1):
+            mask = np.abs(centers - sign * k * period) < half
+            side_areas.append(int(hist.counts[mask].sum()))
+    return center_area, side_areas
+
+
+@given(
+    period=st.sampled_from([12.5, 1e9 / 3e6]),
+    # bins a period: whole numbers give widths that divide the period
+    bins_per_period=st.sampled_from([2, 5, 8, 25, 2.5, 7.3, 12.5, 33.3]),
+    window_periods=st.integers(5, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(period=12.5, bins_per_period=12.5, window_periods=5, seed=0)
+@example(period=1e9 / 3e6, bins_per_period=33.3, window_periods=300, seed=1)
+@settings(max_examples=200, deadline=None)
+def test_peak_areas_match_the_mask_oracle(period, bins_per_period, window_periods, seed):
+    # edges as correlation_histogram lays them out; odd bin counts a period
+    # put centres on the peak boundaries, where the float test decides
+    window = window_periods * period
+    n_bins = int(round(2.0 * window / (period / bins_per_period)))
+    counts = np.random.default_rng(seed).integers(0, 4, n_bins)
+    hist = CorrelationHistogram(counts, np.linspace(-window, window, n_bins + 1),
+                                period / bins_per_period, window_periods, period)
+    center_area, side_areas = hbt._peak_areas(hist)
+    assert (center_area, side_areas.tolist()) == _masked_peak_areas(hist)
+
+
 def test_g2_needs_populated_side_peaks():
     # one coincident pair and nothing else: side peaks are all empty
     stream = TimeTagStream(

@@ -748,6 +748,52 @@ def test_confirmation_stage_repairs_pass_blind_pattern():
     assert out.corrections_made == 2
 
 
+def _accumulated_prefix(bits):
+    # the byte-wise prefix parities the packed kernel replaced, kept as its
+    # oracle: entry i is the parity of bits[:i]
+    prefix = np.zeros(bits.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=prefix[1:])
+    return prefix
+
+
+def test_prefix_parities_match_the_accumulate_at_every_short_length():
+    # every word seam up to 200 bits, on random and all-ones keys
+    rng = np.random.default_rng(200)
+    for n in range(201):
+        for bits in (rng.integers(0, 2, n, dtype=np.uint8), np.ones(n, dtype=np.uint8)):
+            prefix = reconciliation._prefix_parities(bits)
+            assert prefix.dtype == np.uint8
+            assert np.array_equal(prefix, _accumulated_prefix(bits)), n
+
+
+@given(st.integers(1, 1 << 16), st.sampled_from([0.001, 0.03, 0.5, 0.999]),
+       st.integers(0, 2**32 - 1))
+@example(1 << 16, 0.5, 0)
+@example((1 << 16) - 1, 0.999, 1)
+@settings(max_examples=200, deadline=None)
+def test_prefix_parities_match_the_accumulate(n, density, seed):
+    bits = (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
+    assert np.array_equal(reconciliation._prefix_parities(bits), _accumulated_prefix(bits))
+
+
+@pytest.mark.parametrize("n", [8, 4611, 1 << 15, 300_000])
+def test_shuffle_tables_match_the_int32_formula(n):
+    # the tables as built through int32 indices: the shuffle cast as drawn,
+    # its inverse scattered through it, Alice's bits gathered by it
+    alice = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    natural = np.arange(n, dtype=np.int32)
+    for seed, p in ((0, 1), (7, 3)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
+        perm = rng.permutation(n).astype(np.int32)
+        inv = np.empty(n, dtype=np.int32)
+        inv[perm] = natural
+        want = (perm, inv, _accumulated_prefix(alice[perm]))
+        got = reconciliation._shuffle_tables(alice, natural, seed, p)
+        for table, expected in zip(got, want):
+            assert table.dtype == expected.dtype
+            assert np.array_equal(table, expected)
+
+
 @pytest.mark.parametrize("n", [8, 63, 64, 65, 10001])
 def test_packed_subset_parity_matches_the_unpacked_positions(n):
     rng = np.random.default_rng(n)
