@@ -80,13 +80,14 @@ _SEARCH_BATCH = 1 << 14
 # while the passes run.  Below it the saving is a few ms, about what the
 # thread loses waiting up to the 5 ms GIL switch interval to take the lock
 # back from the drains after each table kernel.  A paired curve of threaded
-# against inline calls with the packed-word prefixes and int64-indexed
-# tables (nproc=2, 3% errors, 4 passes, 10 pairs a size) read time ratios
-# of 1.68 at 2^12 and 1.31 at 4,611 bits (a 25 km nv session's key), 1.20
-# at 2^13 and 1.03 at 2^14, threaded winning 0, 0, 1 and 3 pairs; 1.00 at
-# 2^15 (4 won; 1.04 and 4 of 20 in a rerun), then 0.96 at 45,775 bits (a
-# 1e6-pulse wcp session's key), 0.94 at 2^16, 0.84 at 2^17 and 0.83 at
-# 2^18 (10 of 10 each)
+# against inline calls with the list-mask drain (nproc=2, 3% errors, 4
+# passes, 10 pairs a size) read time ratios of 1.26 at 2^12, 1.24 at 4,611
+# bits (a 25 km nv session's key), 1.14 at 2^13, 1.10 at 2^14, 1.06 at 2^15
+# and at 45,775 bits (a 1e6-pulse wcp session's key), 1.01 at 2^16, 1.03 at
+# 2^17 and 1.05 at 2^18, threaded winning 0 to 2 pairs a size.  Its CPU
+# time equalled its wall time: no second core was free.  With one free, an
+# earlier curve read 0.96 at 45,775 bits and 0.83 to 0.94 at 2^16 to 2^18,
+# winning every pair
 _THREAD_FROM = 1 << 15
 
 # most raw words the confirmation stage draws and checks at once: a block of
@@ -320,22 +321,37 @@ def _odd_bit(mask: int, width: int) -> int:
     return base + mask.bit_length() - 1
 
 
-def _block_masks(coords: np.ndarray, size: int) -> dict[int, int]:
-    # block id -> bitmask of the offsets inside it, for positions coords in
-    # a partition into blocks of size bits
-    masks: dict[int, int] = {}
+def _block_masks(coords: np.ndarray, size: int, n: int) -> tuple[list[int], list[int]]:
+    # for positions coords in a partition of n bits into blocks of size bits:
+    # per block, the bitmask of the offsets inside it (0 for a block without
+    # one), and the ascending ids of the blocks holding an odd number.  Each
+    # offset is ORed into its block's 64-bit word, words_per_block words a
+    # block, word k holding offsets 64 k to 64 k + 63
+    n_blocks = -(-n // size)
     blocks, offsets = np.divmod(coords, size)
-    for block_id, offset in zip(blocks.tolist(), offsets.tolist()):
-        masks[block_id] = masks.get(block_id, 0) | 1 << offset
-    return masks
+    odd = np.flatnonzero(np.bincount(blocks, minlength=n_blocks) & 1).tolist()
+    words_per_block = -(-size // 64)
+    words = np.zeros(n_blocks * words_per_block, dtype=np.uint64)
+    bits = np.uint64(1) << (offsets & 63).astype(np.uint64)
+    np.bitwise_or.at(words, blocks * words_per_block + (offsets >> 6), bits)
+    if words_per_block == 1:
+        return words.tolist(), odd
+    # wider blocks join their nonzero words, most blocks having none
+    masks = [0] * n_blocks
+    nonzero = np.flatnonzero(words)
+    for w, word in zip(nonzero.tolist(), words[nonzero].tolist()):
+        block_id, k = divmod(w, words_per_block)
+        masks[block_id] |= word << 64 * k
+    return masks, odd
 
 
-def _search_frames(searches: list[tuple[int, int, int, int]], prefixes) -> bytes:
+def _search_frames(searches: list[int], prefixes) -> bytes:
     # the queries and Alice's replies of halving searches given in order as
-    # (pass byte, lo, hi, target): a search goes left exactly when the bit
-    # it ends on is <= mid, so its queries follow from that bit.
-    # prefixes[pass byte] holds Alice's prefix parities in its coordinates
-    pass_byte, lo, hi, target = np.array(searches, dtype=np.int64).T
+    # flat records of four ints (pass byte, lo, hi, target): a search goes
+    # left exactly when the bit it ends on is <= mid, so its queries follow
+    # from that bit.  prefixes[pass byte] holds Alice's prefix parities in
+    # its coordinates
+    pass_byte, lo, hi, target = np.array(searches, dtype=np.int64).reshape(-1, 4).T
     q_lo, q_mid, queries, _ = _halvings(lo, hi, lambda lo, mid: target <= mid)
     q_pass = np.repeat(pass_byte.astype(np.uint8), queries)
     parity = np.empty(q_lo.size, dtype=np.uint8)
@@ -366,14 +382,19 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     own block, so no backtracking runs between two pass-1 bisections: the
     odd pass-1 blocks are all bisected at once, level by level with numpy,
     and their queries are written in the order a block-by-block bisection
-    asks them.  From pass 2 on, every announced pass keeps, per block, a
-    bitmask of the offsets where the keys differ; a correction clears its
-    bit in every announced pass and queues a block whose popcount turns
-    odd, and a queued block is live exactly while its popcount is odd.  A
-    bisection's queries follow from the bit it ends on, which the mask
-    gives, so the queue is drained without numpy work per block: the drain
-    notes each bisection and writes their queries and Alice's replies in
-    batches of up to 2^14 bisections, in the order the blocks were taken.
+    asks them.  From pass 2 on, every announced pass keeps a list with one
+    entry per block: a bitmask of the offsets where the keys differ, 0
+    where they agree.  numpy opens a pass's list by ORing each differing
+    offset into its block's 64-bit words, and names its odd blocks from the
+    same data.  A correction clears its bit in every announced pass and
+    queues a block whose popcount turns odd, and a queued block is live
+    exactly while its popcount is odd.  A bisection's queries follow from
+    the bit it ends on, which the mask gives (its one set bit, or the end
+    of a walk over its halves when it has several), so the queue is drained
+    without numpy work per block: the drain notes each bisection as four
+    flat ints (pass, lo, hi, bit) and writes their queries and Alice's
+    replies in batches of up to 2^14 bisections, in the order the blocks
+    were taken.
 
     A confirmation stage then compares random-subset parities, each read
     from the keys packed into 64-bit words and a round's random words, one
@@ -432,44 +453,59 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
 
     corrections = 0
     # masks[r][block id]: the offsets in that pass-r block where the keys
-    # differ, as a bitmask (blocks without one are left out).  A block's
+    # differ, as a bitmask, 0 where they agree; one list a pass.  A block's
     # announced parities mismatch exactly when its popcount is odd; the heap
-    # orders those blocks by (pass, block) and may also hold blocks that
-    # have been made even since
-    masks: list[dict[int, int]] = []
-    heap: list[tuple[int, int]] = []
+    # holds those blocks as pass << 32 | block (block ids are below 2^31, so
+    # it orders them by (pass, block)) and may also hold blocks that have
+    # been made even since
+    masks: list[list[int]] = []
+    heap: list[int] = []
 
-    def flip(g: int, announced: int) -> None:
+    def drain(announced: int, g: int = -1) -> None:
+        # smallest pass first: cheapest blocks, fastest convergence.  A g of
+        # 0 or more is a bit the confirmation stage found, flipped first.
+        # Each search is noted as it is made, as four ints (pass, lo, hi,
+        # and the bit it ends on), and its queries are written in batches
         nonlocal corrections
-        bob_at[g] ^= 1
-        corrections += 1
-        # the flip clears g's bit in the containing block of every pass
-        # whose parities have been exchanged so far, including any block
-        # just bisected (now even again)
-        for r in range(announced):
-            block_id, offset = divmod(inv_at[r][g], block_size[r])
-            mask = masks[r].pop(block_id) ^ 1 << offset
-            if mask:
-                masks[r][block_id] = mask
+        pop, push = heapq.heappop, heapq.heappush
+        passes = [(r << 32, inv_at[r], block_size[r], masks[r]) for r in range(announced)]
+        batch = 4 * _SEARCH_BATCH
+        searches: list[int] = []
+        while True:
+            if g >= 0:
+                bob_at[g] ^= 1
+                corrections += 1
+                # the flip clears g's bit in the containing block of every
+                # pass whose parities have been exchanged so far, including
+                # any block just bisected (now even again)
+                for base, inv, size, pass_masks in passes:
+                    block_id, offset = divmod(inv[g], size)
+                    mask = pass_masks[block_id] ^ 1 << offset
+                    pass_masks[block_id] = mask
+                    if mask.bit_count() & 1:
+                        push(heap, base | block_id)
+            while heap:
+                key = pop(heap)
+                r = key >> 32
+                block_id = key & 0xFFFFFFFF
+                mask = masks[r][block_id]
                 if mask.bit_count() & 1:
-                    heapq.heappush(heap, (r, block_id))
-
-    def drain(announced: int) -> None:
-        # smallest pass first: cheapest blocks, fastest convergence.  Each
-        # search is noted as it is made and its queries written in batches
-        searches = []
-        while heap:
-            r, block_id = heapq.heappop(heap)
-            mask = masks[r].get(block_id, 0)
-            if mask.bit_count() & 1:
-                lo = block_id * block_size[r]
-                hi = min(lo + block_size[r], n) - 1
+                    break
+            else:
+                break
+            size = block_size[r]
+            lo = block_id * size
+            hi = min(lo + size, n) - 1
+            # a lone differing bit is where the search ends
+            if mask & (mask - 1):
                 target = lo + _odd_bit(mask, hi - lo + 1)
-                searches.append((r, lo, hi, target))
-                flip(perm_at[r][target], announced)
-                if len(searches) == _SEARCH_BATCH:
-                    send(_search_frames(searches, alice_prefix))
-                    searches.clear()
+            else:
+                target = lo + mask.bit_length() - 1
+            searches += r, lo, hi, target
+            g = perm_at[r][target]
+            if len(searches) == batch:
+                send(_search_frames(searches, alice_prefix))
+                searches.clear()
         if searches:
             send(_search_frames(searches, alice_prefix))
 
@@ -500,11 +536,13 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
             corrections += final.size
             return
         # the pass opens its masks (pass 1's open with pass 2's, after its
-        # batch of corrections); its odd blocks, ascending, are a heap
+        # batch of corrections, and have no odd block); the odd blocks of
+        # pass p, ascending, are a heap
         errors = np.flatnonzero(alice != bob)
         for r in range(len(masks), p + 1):
-            masks.append(_block_masks(inv_perms[r].take(errors), block_size[r]))
-        heap.extend(sorted((p, b) for b, mask in masks[p].items() if mask.bit_count() & 1))
+            pass_masks, odd = _block_masks(inv_perms[r].take(errors), block_size[r], n)
+            masks.append(pass_masks)
+        heap.extend([p << 32 | b for b in odd])
         drain(p + 1)
 
     # from _THREAD_FROM key bits up, the tables are built on two threads
@@ -549,8 +587,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
                     _REPAIR_TAG, np.array([0]), np.array([a_sub.size - 1]),
                     _prefix_parities(a_sub), _prefix_parities(a_sub ^ bob[positions]))
                 send(frames)
-                flip(int(positions[target]), cfg.n_passes)
-                drain(cfg.n_passes)
+                drain(cfg.n_passes, int(positions[target]))
                 bob_words = _key_words(bob)
                 # the block's later rounds are checked against the repaired key
                 start = stop

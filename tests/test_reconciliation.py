@@ -69,8 +69,34 @@ def _bisect_blocks(alice, bob):
     mask = sum(1 << int(i) for i in np.flatnonzero(a != b))
     target = reconciliation._odd_bit(mask, n)
     assert target == final[0]
-    assert frames == reconciliation._search_frames([(1, 0, n - 1, target)], {1: a_prefix})
+    assert frames == reconciliation._search_frames([1, 0, n - 1, target], {1: a_prefix})
     return int(final[0]), len(frames) // reconciliation._QUERIES.itemsize
+
+
+def _dict_block_masks(coords, size):
+    # block id -> bitmask of the offsets inside it, one Python int at a
+    # time: the loop the numpy opening of the masks replaced
+    masks = {}
+    blocks, offsets = np.divmod(coords, size)
+    for block_id, offset in zip(blocks.tolist(), offsets.tolist()):
+        masks[block_id] = masks.get(block_id, 0) | 1 << offset
+    return masks
+
+
+@pytest.mark.parametrize("size", [1, 25, 63, 64, 65, 128, 129, 200])
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "short-last"])
+@pytest.mark.parametrize("fraction", [0.0, 0.03, 0.5, 1.0])
+def test_block_masks_match_the_dict_loop(size, short, fraction):
+    # random coordinates, as the shuffles make them, over 9 blocks, the last
+    # one whole or cut short (size 1 has no short block)
+    n = 9 * size - (size // 3 + 1 if short and size > 1 else 0)
+    rng = np.random.default_rng([size, short, int(fraction * 100)])
+    coords = rng.permutation(n).astype(np.int32)[: round(fraction * n)]
+    masks, odd = reconciliation._block_masks(coords, size, n)
+    expected = _dict_block_masks(coords, size)
+    assert len(masks) == -(-n // size)
+    assert masks == [expected.get(b, 0) for b in range(len(masks))]
+    assert odd == [b for b, mask in enumerate(masks) if mask.bit_count() & 1]
 
 
 def test_binary_bisect_examples():
@@ -309,13 +335,20 @@ def _assert_matches_the_replay(
     batch=st.sampled_from([1, 3, reconciliation._SEARCH_BATCH]),
 )
 @example(n=3000, qber=0.3, est_ratio=0.1, n_passes=3, verify_bits=50, seed=1, batch=3)
+@example(n=3000, qber=0.0232, est_ratio=0.5, n_passes=4, verify_bits=50, seed=2, batch=3)
+@example(n=3000, qber=0.023, est_ratio=0.5, n_passes=4, verify_bits=50, seed=3, batch=3)
+@example(n=3000, qber=0.0226, est_ratio=0.5, n_passes=4, verify_bits=50, seed=4, batch=3)
+@example(n=3000, qber=0.046, est_ratio=0.5, n_passes=4, verify_bits=50, seed=5, batch=3)
 @settings(max_examples=60, deadline=None)
 def test_cascade_matches_a_block_by_block_replay(
     n, qber, est_ratio, n_passes, verify_bits, seed, batch
 ):
-    # the example: an estimate ten times too low, so blocks of 25 and up
-    # hold many errors, the later passes bisect multi-bit masks, and their
-    # drains write many small batches
+    # the first example: an estimate ten times too low, so blocks of 25 and
+    # up hold many errors, the later passes bisect multi-bit masks, and
+    # their drains write many small batches.  The others put block edges
+    # at the 64-bit words the masks open from: est_qber 0.0116, 0.0115,
+    # 0.0113 and 0.023 give first blocks of 63, 64, 65 and 32 bits, so
+    # later passes are 126, 128, 130 and 64 bits wide
     alice, bob = _keys_with_errors(n, qber, seed)
     est = min(max(qber * est_ratio, EST_QBER_FLOOR), 0.49)
     cfg = ReconciliationConfig(
@@ -332,6 +365,25 @@ def test_cascade_matches_a_block_by_block_replay(
 def test_cascade_matches_the_replay_on_crafted_keys(keys, est):
     alice, bob = keys()
     _assert_matches_the_replay(alice, bob, ReconciliationConfig(est_qber=est))
+
+
+def test_drains_write_their_searches_in_batches(monkeypatch):
+    # an estimate ten times too low leaves many searches to the drains: in
+    # batches of three, every write holds whole records of four ints and at
+    # most three searches, and most hold exactly three
+    alice, bob = _keys_with_errors(3000, 0.3, 1)
+    written = []
+    search_frames = reconciliation._search_frames
+
+    def spy(searches, prefixes):
+        written.append(len(searches))
+        return search_frames(searches, prefixes)
+
+    monkeypatch.setattr(reconciliation, "_search_frames", spy)
+    monkeypatch.setattr(reconciliation, "_SEARCH_BATCH", 3)
+    cascade(alice, bob, ReconciliationConfig(est_qber=0.03, n_passes=3))
+    assert all(size % 4 == 0 for size in written)
+    assert max(written) == 12 and written.count(12) > len(written) // 2
 
 
 def _mismatched_rounds(transcript):
