@@ -79,6 +79,14 @@ _WINDOW_TAGS = 1 << 16
 # 2^18, and g2-nv ops, beside the histogram, 61 MB peak RSS against 71-74
 _PHASE_BLOCK = 1 << 16
 
+# a window's tags copy its event index and insert the copies of its events
+# of several photons while fewer than one event in _FEW_MULTI has them, and
+# expand the index by np.repeat past that.  On 2 cores the insert took
+# 94 us of a 65k-tag nv window (0.13% of events) against 246 for the
+# repeat, and broke even at about one in 30 on Poisson windows (150
+# alternated calls a mean, 0.03 to 0.2)
+_FEW_MULTI = 32
+
 # sigmas of room over the mean tag count reserved for a windowed stream
 _RESERVE_SIGMAS = 6.0
 
@@ -125,10 +133,14 @@ def simulate_hbt(
     The run is cut into windows of whole pulses, each expecting
     ``_WINDOW_TAGS`` tags.  In a window, one draw gives the pulses with a
     detected photon, loss at ``detection_eff`` inside the photon-number
-    table, and how many each has.  Then one exponential emission delay per
-    photon; after the window's tags are sorted, each goes to detector 0
-    with ``splitter_ratio`` (the routing does not depend on the time, so
-    drawing it last spares a permutation).
+    table, and how many each has.  A window copies that event index once and
+    inserts the copies of its events of several photons, unless one in
+    ``_FEW_MULTI`` or more has several (then ``np.repeat`` expands it); the
+    times are made in the index's buffer.  Then one emission delay per
+    photon, drawn as ``lifetime * standard_exponential``, which are the
+    numbers ``exponential(lifetime)`` gives; after the window's tags are
+    sorted, each goes to detector 0 with ``splitter_ratio`` (the routing
+    does not depend on the time, so drawing it last spares a permutation).
 
     Window 0 draws from ``rng`` and window w from the w-th generator
     ``rng.spawn`` gives, so a run of one window draws as an unwindowed run
@@ -165,13 +177,29 @@ def simulate_hbt(
         start = w * size
         detected = sample_photon_numbers(
             source, min(size, n_pulses - start), rngs[w], detection_eff)
-        # built in place once the events are gone: a few arrays of tags at most
-        index = np.repeat(detected.pulse_index, detected.photons)
+        index, photons = detected.pulse_index, detected.photons
         del detected
+        # one tag per photon, np.repeat(index, photons).  With no dark
+        # counts every event holds a photon, so while few events hold more,
+        # their copies are inserted into one copy of the index instead
+        multi = np.flatnonzero(photons > 1)
+        if multi.size * _FEW_MULTI < index.size:
+            extra = photons[multi] - 1
+            index = np.insert(index, np.repeat(multi, extra), np.repeat(index[multi], extra))
+        else:
+            index = np.repeat(index, photons)
+        del photons, multi
         index += start
-        times = index * period
+        # the times take the index's buffer: cast in place, then scaled
+        times = index.view(np.float64)
+        np.copyto(times, index, casting="unsafe")
         del index
-        times += rngs[w].exponential(source.lifetime_ns, times.size)
+        times *= period
+        # lifetime * E, the numbers exponential(lifetime) gives
+        delays = rngs[w].standard_exponential(times.size)
+        delays *= source.lifetime_ns
+        times += delays
+        del delays
         times.sort(kind="stable")
         # a delay can spill past the end of the measurement window
         times = times[: np.searchsorted(times, duration)]
@@ -249,11 +277,32 @@ def _offset_steps(
     and ``t1 >= t0 - window`` when detector 1's does.  The times are sorted
     and float rounding is monotone, so a tag i that passes neither test at
     offset k passes neither at any later one; it is dropped, and the walk
-    stops when no tag is left.  The tags are read as slices until fewer than
-    one in ``_SPARSE`` is live, then through their indices.
+    stops when no tag is left.
+
+    Step 1 first takes as candidates the tags whose next one lies within
+    ``window`` and a few ulps of the largest time, by one subtraction; that
+    slack covers the rounding of both tests, so every tag that passes one
+    is a candidate.  If fewer than one in ``_SPARSE`` is, step 1 yields the
+    candidates alone, read through their indices, and so do the later
+    steps; otherwise the tags are read as slices until fewer than one in
+    ``_SPARSE`` is live, then through their indices.
     """
     n = times.size
+    hi = min(stop, n - 1)
+    if hi <= start:
+        return
+    # a tag that passes either test has later - earlier at most window and
+    # half an ulp of T + window, T the largest time compared; the
+    # subtraction and window + slack each round by at most half an ulp
+    # more, so with four ulps of slack every such tag is a candidate
+    slack = 4.0 * np.spacing(times[hi] + window)
+    near = times[start + 1:hi + 1] - times[start:hi]
+    near = near <= window + slack
     live = None
+    if np.count_nonzero(near) * _SPARSE < near.size:
+        live = np.flatnonzero(near)
+        live += start
+    del near
     k = 1
     while True:
         if live is None:
@@ -391,14 +440,19 @@ def correlation_histogram(
         raise InsufficientDataError("need tags on both detectors")
 
     def walk():
+        # each step with the tags it compared: step 1 compares the whole
+        # block, though a sparse block's yields only its candidates
         for start in range(0, times.size - 1, _WALK_BLOCK):
-            yield from _offset_steps(times, dets, window, start, start + _WALK_BLOCK)
+            steps = _offset_steps(times, dets, window, start, start + _WALK_BLOCK)
+            yield min(_WALK_BLOCK, times.size - 1 - start), next(steps)
+            for step in steps:
+                yield step[3].size, step
 
     # n_steps counts the tags the walk has compared, over every offset
     held: list[np.ndarray] | None = []
     n_pairs = n_steps = 0
-    for step in walk():
-        n_steps += step[3].size
+    for compared, step in walk():
+        n_steps += compared
         if n_steps > _WALK_BUDGET * times.size:
             n_pairs = sum(int((hi - lo).sum()) for _, _, lo, hi in _spans(times, dets, window, 0))
             break
@@ -415,7 +469,7 @@ def correlation_histogram(
     if n_steps > _WALK_BUDGET * times.size:
         delays = _span_steps(times, dets, window)
     elif held is None:
-        delays = (_delays(*step) for step in walk())
+        delays = (_delays(*step) for _, step in walk())
     else:
         delays = [np.concatenate(held)] if held else []
     counts = np.zeros(n_bins, dtype=np.intp)
@@ -492,7 +546,9 @@ def _phase_counts(stream: TimeTagStream, n_bins: int) -> np.ndarray:
     """``np.histogram`` counts of the detector-0 phases ``t % period`` in ``n_bins``.
 
     A tag is binned as ``floor(t * n_bins / period) mod n_bins``, a
-    multiply and a floor in place of the remainder and the search.  Only a
+    multiply and a floor in place of the remainder and the search, with the
+    mod folded as ``b - (b // n_bins) * n_bins``, a floor division by a
+    scalar being a multiply and a shift where the remainder divides.  Only a
     tag whose product lies within ``eps`` of a whole number, next to a bin
     edge, takes the remainder and ``np.histogram``: on the 3e7 nv pulses of
     the g2-nv benchmark about one tag in five thousand.  The tags are read
@@ -521,7 +577,12 @@ def _phase_counts(stream: TimeTagStream, n_bins: int) -> np.ndarray:
         if eps < 0.5:
             u = phases * scale
             bins = u.astype(np.intp)  # the floor, since u >= 0
-            bins %= n_bins
+            # bins mod n_bins by a floor division, which numpy runs by one
+            # multiply and shift for a scalar divisor, unlike the remainder
+            q = bins // n_bins
+            q *= n_bins
+            bins -= q
+            del q
             u -= np.rint(u)
             np.abs(u, out=u)
             edge = np.flatnonzero(u < eps)

@@ -47,6 +47,10 @@ _POISSON_MAX_TERMS = 512
 # most geometric gaps drawn at once
 _MAX_BATCH = 1 << 20
 
+# while batch * (n_pulses - last) is below this, a batch's sums cannot
+# wrap in int64, so they ascend and one search finds the first past the end
+_NO_WRAP = 1 << 62
+
 
 class SourceKind(enum.Enum):
     SUB_POISSONIAN = "sub_poissonian"
@@ -92,6 +96,10 @@ class SourceSpec:
             raise ValueError("lifetime_ns must be positive")
         if self.rep_rate_hz <= 0:
             raise ValueError("rep_rate_hz must be positive")
+        if not math.isfinite(self.rep_period_ns):
+            raise ValueError(
+                f"rep_rate_hz = {self.rep_rate_hz:g} gives an infinite repetition period"
+            )
         if self.kind is SourceKind.SUB_POISSONIAN:
             # mu = 1 with g2 = 0 is the ideal on-demand limit, still a valid
             # distribution, so the upper bound is inclusive
@@ -230,6 +238,13 @@ def sample_events(
     on class > 0.  Below p = 1/3 the gaps are the numbers
     ``rng.geometric(p)`` would give; from there up the law is the same but
     the stream is not.
+
+    Each batch's gaps are summed in place in one index array reserved for
+    the expected count and 6 sigmas more, grown by an eighth if a run draws
+    past that, and a batch ends the run at the ``np.searchsorted`` of
+    ``n_pulses`` in its sums.  The class uniforms are drawn a batch at a
+    time once every gap is drawn, so memory peaks near the index array and
+    one batch, and the draws are those of one ``rng.random`` over the run.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
@@ -239,11 +254,13 @@ def sample_events(
     if n_pulses == 0 or p <= 0.0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=class_type)
     expected = n_pulses * p
-    batch = int(min(expected + 6.0 * math.sqrt(expected) + 16.0, _MAX_BATCH))
+    reserve = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    batch = min(reserve, _MAX_BATCH)
     # numpy's geometric below p = 1/3, vectorized: ceil(E / -log1p(-p)), with
     # E its ziggurat exponential, in a true division as numpy does it
     scale = -math.log1p(-p) if p < 1.0 else math.inf
-    parts = []
+    index = np.empty(reserve, dtype=np.int64)
+    filled = 0
     last = -1  # index of the latest event drawn
     while True:
         gaps = rng.standard_exponential(batch)
@@ -251,33 +268,47 @@ def sample_events(
         np.ceil(gaps, out=gaps)
         # at least 1, also for p = 1 and an exponential of exactly 0; a gap
         # reaching past the last pulse ends the run, so clipping it there
-        # changes nothing and keeps the sums up to the end below 2 n_pulses
+        # changes nothing and bounds the batch's sums
         np.clip(gaps, 1.0, n_pulses - last, out=gaps)
-        index = gaps.astype(np.int64)
-        del gaps
-        np.cumsum(index, out=index)
-        index += last
-        past = index >= n_pulses
-        if past.any():
-            parts.append(index[: np.argmax(past)])
+        # summed where they are kept if the batch fits, else in its own
+        # buffer, cast in place (a forward one-dimensional copy)
+        fits = filled + batch <= index.size
+        sums = index[filled:filled + batch] if fits else gaps.view(np.int64)
+        np.copyto(sums, gaps, casting="unsafe")
+        sums[0] += last  # carried through the sums
+        np.cumsum(sums, out=sums)
+        if batch * (n_pulses - last) < _NO_WRAP:
+            kept = int(np.searchsorted(sums, n_pulses))
+        else:  # sums past the end may wrap, so only the first one past is sure
+            past = sums >= n_pulses
+            kept = int(np.argmax(past)) if past.any() else batch
+        if not fits:
+            if filled + kept > index.size:
+                grown = np.empty((filled + kept) * 9 // 8, dtype=np.int64)
+                grown[:filled] = index[:filled]
+                index = grown
+                del grown
+            index[filled:filled + kept] = sums[:kept]
+        del gaps, sums
+        filled += kept
+        if kept < batch:
             break
-        parts.append(index)
-        last = int(index[-1])
-    index = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    del parts
+        last = int(index[filled - 1])
+    index = index[:filled]
     # every event starts in the likeliest class; only the u outside its
     # interval [cdf[top - 1], cdf[top]) are searched, for the same class
     # searchsorted gives: the first with cdf > u
     cdf = np.cumsum(probs[1:])
     top = int(np.argmax(probs[1:]))
-    u = rng.random(index.size)
-    u *= cdf[-1]  # below cdf[-1], so past every class of nonzero probability
-    off = u >= cdf[top]
-    if top:
-        off |= u < cdf[top - 1]
-    off = np.flatnonzero(off)
     classes = np.full(index.size, top + 1, dtype=class_type)
-    classes[off] = np.searchsorted(cdf, u[off], side="right") + 1
+    for start in range(0, index.size, _MAX_BATCH):
+        u = rng.random(min(_MAX_BATCH, index.size - start))
+        u *= cdf[-1]  # below cdf[-1], so past every class of nonzero probability
+        off = u >= cdf[top]
+        if top:
+            off |= u < cdf[top - 1]
+        off = np.flatnonzero(off)
+        classes[off + start] = np.searchsorted(cdf, u[off], side="right") + 1
     return index, classes
 
 

@@ -252,6 +252,20 @@ def test_bad_input_exits_2_naming_the_setting(argv, setting, tmp_path, monkeypat
     assert err.startswith("error: ") and setting in err
 
 
+def test_a_rep_rate_with_no_finite_period_is_refused_before_sampling(tmp_path, monkeypatch,
+                                                                      capsys):
+    # 1e9 / 1e-300 overflows to an infinite period; it is named before a draw
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("photons were sampled for an infinite period")
+
+    monkeypatch.setattr(hbt, "sample_photon_numbers", must_not_sample)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["g2", "--rep-rate", "1e-300", "--quiet"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: rep_rate_hz = 1e-300") and "infinite" in err
+
+
 @pytest.mark.parametrize(
     "argv, compute, first",
     [

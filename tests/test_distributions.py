@@ -9,6 +9,7 @@ random words, so their bits are held to fair, independent coins here too.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +200,10 @@ def test_routing_matches_the_binomial_oracle(e, h, photon_type):
         ([0.7, 0.2, 0.1], 5_000_000),
         ([1.0, 0.0], 1_000),
         ([1.0, 1e-300], 10**12),
+        # every gap clipped to the run, 2^62 exactly, so a batch's int64 sums wrap
+        ([1.0, 1e-300], 2**62 - 1),
     ],
-    ids=["half", "every-pulse", "rare", "multi-batch", "never", "vanishing"],
+    ids=["half", "every-pulse", "rare", "multi-batch", "never", "vanishing", "wrapping"],
 )
 def test_event_indices_increase_within_the_run(probs, n):
     rng = np.random.default_rng(43)
@@ -334,6 +337,71 @@ def test_classes_off_the_likeliest_are_the_full_search():
     assert classes.dtype == np.uint8
     assert np.array_equal(classes, np.searchsorted(cdf, u * cdf[-1], "right") + 1)
     assert set(np.unique(classes)) == {1, 3, 5, 7}
+
+
+def _events_by_parts(probs, n_pulses, rng, max_batch):
+    """sample_events as batches in a list joined by np.concatenate, with
+    one uniform per event drawn at once: the same draws, held whole."""
+    probs = np.asarray(probs, dtype=np.float64)
+    p = min(1.0, float(probs[1:].sum()))
+    expected = n_pulses * p
+    batch = int(min(expected + 6.0 * math.sqrt(expected) + 16.0, max_batch))
+    scale = -math.log1p(-p) if p < 1.0 else math.inf
+    parts, last = [], -1
+    while True:
+        gaps = np.ceil(rng.standard_exponential(batch) / scale)
+        index = np.cumsum(np.clip(gaps, 1.0, n_pulses - last).astype(np.int64)) + last
+        past = index >= n_pulses
+        if past.any():
+            parts.append(index[: np.argmax(past)])
+            break
+        parts.append(index)
+        last = int(index[-1])
+    index = np.concatenate(parts)
+    cdf = np.cumsum(probs[1:])
+    u = rng.random(index.size) * cdf[-1]
+    classes = np.searchsorted(cdf, u, side="right") + 1
+    return index, classes.astype(np.min_scalar_type(probs.size))
+
+
+class _ShortGaps:
+    """A generator whose exponentials are 0.9 of its own, so a run draws
+    about 11% more events than the table expects."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_exponential(self, size):
+        gaps = self._rng.standard_exponential(size)
+        gaps *= 0.9
+        return gaps
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["reserved", "grown"])
+def test_event_memory_is_one_index_and_one_batch(short, monkeypatch):
+    # 2^12-gap batches over about 3e5 events.  With gaps drawn short the
+    # run passes its reserve (expected count and 6 sigmas) and grows it
+    batch = 1 << 12
+    monkeypatch.setattr(sources, "_MAX_BATCH", batch)
+    probs, n = np.array([0.7, 0.2, 0.1]), 1_000_000
+    wrap = _ShortGaps if short else (lambda rng: rng)
+    tracemalloc.start()
+    try:
+        index, classes = sample_events(probs, n, wrap(np.random.default_rng([73, 1])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    oracle = _events_by_parts(probs, n, wrap(np.random.default_rng([73, 1])), batch)
+    assert index.size > (320_000 if short else 290_000)  # the reserve is 303,303
+    assert np.array_equal(index, oracle[0]) and np.array_equal(classes, oracle[1])
+    assert classes.dtype == oracle[1].dtype
+    # the int64 index, its class bytes, and one float batch of gaps or
+    # uniforms with its masks; while it grows, the old index is live too
+    held = 8 * index.size * (2.2 if short else 1.0) + index.size + 32 * batch
+    assert peak < held + 100_000
 
 
 def test_negative_pulse_count_is_refused():

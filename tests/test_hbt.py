@@ -148,16 +148,17 @@ def test_windows_give_the_same_bytes_under_fast_switching(monkeypatch):
     assert all(np.array_equal(r, e) for r, e in zip(results, expected))
 
 
-def _windows_alone(source, n_pulses, rng, window_tags, splitter_ratio):
+def _windows_alone(source, n_pulses, rng, window_tags, splitter_ratio, detection_eff=1.0):
     """Each window's sorted tags and their detectors, built alone from its
     own generator, joined in window order."""
     period = source.rep_period_ns
     duration = n_pulses * period
-    size = max(1, math.floor(window_tags / source.mu))
+    size = max(1, math.floor(window_tags / (source.mu * detection_eff)))
     starts = range(0, n_pulses, size)
     times, dets = [], []
     for start, gen in zip(starts, [rng, *rng.spawn(len(starts) - 1)]):
-        events = hbt.sample_photon_numbers(source, min(size, n_pulses - start), gen)
+        events = hbt.sample_photon_numbers(
+            source, min(size, n_pulses - start), gen, detection_eff)
         t = (np.repeat(events.pulse_index, events.photons) + start) * period
         t = np.sort(t + gen.exponential(source.lifetime_ns, t.size), kind="stable")
         t = t[t < duration]
@@ -184,6 +185,33 @@ def test_tags_spilled_across_windows_keep_their_detectors(monkeypatch, reserve_s
     assert np.all(np.diff(stream.times_ns) >= 0)
     assert np.array_equal(stream.times_ns, joined[order])
     assert np.array_equal(stream.detectors, dets[order])
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.3])
+@pytest.mark.parametrize("eff", [1.0, 0.37])
+@pytest.mark.parametrize("preset", ["nv", "siv", "siv80", "ideal10", "ideal95", "wcp", "decoy"])
+def test_windows_are_the_repeated_index_and_its_delays(preset, eff, ratio, monkeypatch):
+    # about 8,000 tags in windows of 2^8: the few-photon windows insert the
+    # copies of their multiphoton events, the Poisson ones repeat the index,
+    # and both must give the tags of np.repeat and exponential(lifetime)
+    source = get_preset(preset)
+    n = math.ceil(8_000 / (source.mu * eff))
+    monkeypatch.setattr(hbt, "_WINDOW_TAGS", 1 << 8)
+    stream = simulate_hbt(source, n, _rng(8, 2), splitter_ratio=ratio, detection_eff=eff)
+    joined, dets = _windows_alone(source, n, _rng(8, 2), 1 << 8, ratio, eff)
+    order = np.argsort(joined, kind="stable")
+    assert len(stream) > 7_000
+    assert np.array_equal(stream.times_ns, joined[order])
+    assert np.array_equal(stream.detectors, dets[order])
+
+
+@pytest.mark.parametrize("lifetime", [0.1, 0.8, 3.0, 28.5])
+def test_scaled_standard_exponentials_are_numpys_exponentials(lifetime):
+    # the windows draw their delays as lifetime * E; numpy's exponential
+    # makes the same product from the same draws
+    scaled = _rng(8, 3).standard_exponential(100_000)
+    scaled *= lifetime
+    assert np.array_equal(scaled, _rng(8, 3).exponential(lifetime, 100_000))
 
 
 class _Injected(Exception):
@@ -297,6 +325,18 @@ def test_lifetime_counts_are_exact_at_the_bin_edges(monkeypatch):
             naive = np.floor(zero * (n_bins / period)).astype(np.int64) % n_bins
             misbinned += not np.array_equal(np.bincount(naive, minlength=n_bins), oracle)
     assert misbinned > 0
+
+
+@pytest.mark.parametrize("period, width", [(1000.0, 1.0), (1e9 / 3e6, 0.37), (12.5, 0.37)])
+def test_lifetime_counts_fold_products_past_two_to_the_31(period, width):
+    # products t * n_bins / period up to 2^33, past the int32 range, with
+    # bin counts that divide the period and that do not
+    n_bins = int(round(period / width))
+    stream = _edge_stream(period, n_bins, 2.0**33 * period / n_bins, _rng(10, 4))
+    products = stream.times_ns * (n_bins / period)
+    assert products.max() > 2.0**32 and np.count_nonzero(products > 2.0**31) > 1000
+    assert np.array_equal(hbt._phase_counts(stream, n_bins),
+                          _reference_phase_counts(stream, n_bins))
 
 
 def test_lifetime_counts_take_the_remainder_when_the_product_is_too_coarse():
@@ -471,6 +511,23 @@ def test_a_lopsided_wide_window_walks_in_step_with_its_pairs(ratio, monkeypatch)
     assert len(span_walk) <= min(n_one, n - n_one) < 50
 
 
+def test_the_walk_budget_counts_step_one_over_the_whole_block(monkeypatch):
+    # step 1 compares every tag of an nv stream (one block) with its next,
+    # though only about one in seven is a candidate it yields; at a budget
+    # of one step a tag, step 2 trips the budget, and the spans count the pairs
+    stream = simulate_hbt(get_preset("nv"), 2_000_000, _rng(202, 5))
+    offset_steps, walks = _recording_walk()
+    span_steps, span_walks = _recording_walk("_span_steps")
+    monkeypatch.setattr(hbt, "_offset_steps", offset_steps)
+    monkeypatch.setattr(hbt, "_span_steps", span_steps)
+    monkeypatch.setattr(hbt, "_WALK_BUDGET", 1)
+    hist = correlation_histogram(stream)
+    [walk] = walks
+    assert len(stream) < hbt._WALK_BLOCK and walk[0] * 4 < len(stream)
+    assert len(walk) == 2 and len(span_walks) == 1
+    assert int(hist.counts.sum()) == _brute_pair_count(stream, 5 * stream.rep_period_ns)
+
+
 # a 2 ns lattice divides the 40 ns window of 5 periods, so lattice pairs
 # land exactly on +-window; lonely tags sit at the ends, far outside it
 _PERIOD, _DURATION, _LONELY = 8.0, 2000.0, (0.0, 1999.5)
@@ -545,6 +602,22 @@ def _oracle(stream, edges, window):
 # past -w, as it must for any such pair, so only the pair count shows it
 @example(
     stream=TimeTagStream(np.array([1024.0, 1064.0 + 2.0**-42]),
+                         np.array([1, 0], dtype=np.uint8), _DURATION, 8.000000000000023),
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK,
+    budget=hbt._WALK_BUDGET,
+)
+# pairs whose delay t1 - t0 rounds past w while one neighbour test passes:
+# step 1's filter by the subtraction alone, with no slack, would drop them.
+# Here t0 + w rounds up to t1 ...
+@example(
+    stream=TimeTagStream(np.array([509.1733452896346, 549.1733452896347]),
+                         np.array([0, 1], dtype=np.uint8), _DURATION, _PERIOD),
+    window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK,
+    budget=hbt._WALK_BUDGET,
+)
+# ... and here t0 - w rounds down to t1, detector 1's tag coming first
+@example(
+    stream=TimeTagStream(np.array([1677.1225282239693, 1717.1225282239695]),
                          np.array([1, 0], dtype=np.uint8), _DURATION, 8.000000000000023),
     window_periods=5, bin_width=1.0, chunk=1 << 20, block=hbt._WALK_BLOCK,
     budget=hbt._WALK_BUDGET,

@@ -187,6 +187,7 @@ def test_poisson_multiphoton_matches_table(mu):
         ),
         (dict(kind=SourceKind.SUB_POISSONIAN, mu=0.1, g2_zero=float("nan")), "finite"),
         (dict(kind=SourceKind.POISSONIAN, mu=0.3, lifetime_ns=float("inf")), "finite"),
+        (dict(kind=SourceKind.POISSONIAN, mu=0.3, rep_rate_hz=1e-300), "rep_rate_hz = 1e-300"),
     ],
 )
 def test_source_spec_validation(kwargs, match):
