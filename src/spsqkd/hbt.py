@@ -79,14 +79,6 @@ _WINDOW_TAGS = 1 << 16
 # 2^18, and g2-nv ops, beside the histogram, 61 MB peak RSS against 71-74
 _PHASE_BLOCK = 1 << 16
 
-# a window's tags copy its event index and insert the copies of its events
-# of several photons while fewer than one event in _FEW_MULTI has them, and
-# expand the index by np.repeat past that.  On 2 cores the insert took
-# 94 us of a 65k-tag nv window (0.13% of events) against 246 for the
-# repeat, and broke even at about one in 30 on Poisson windows (150
-# alternated calls a mean, 0.03 to 0.2)
-_FEW_MULTI = 32
-
 # sigmas of room over the mean tag count reserved for a windowed stream
 _RESERVE_SIGMAS = 6.0
 
@@ -134,9 +126,8 @@ def simulate_hbt(
     ``_WINDOW_TAGS`` tags.  In a window, one draw gives the pulses with a
     detected photon, loss at ``detection_eff`` inside the photon-number
     table, and how many each has.  A window copies that event index once and
-    inserts the copies of its events of several photons, unless one in
-    ``_FEW_MULTI`` or more has several (then ``np.repeat`` expands it); the
-    times are made in the index's buffer.  Then one emission delay per
+    inserts the copies of its events of several photons; the times are made
+    in the index's buffer.  Then one emission delay per
     photon, drawn as ``lifetime * standard_exponential``, which are the
     numbers ``exponential(lifetime)`` gives; after the window's tags are
     sorted, each goes to detector 0 with ``splitter_ratio`` (the routing
@@ -180,15 +171,12 @@ def simulate_hbt(
         index, photons = detected.pulse_index, detected.photons
         del detected
         # one tag per photon, np.repeat(index, photons).  With no dark
-        # counts every event holds a photon, so while few events hold more,
-        # their copies are inserted into one copy of the index instead
+        # counts every event holds a photon, so the copies of the events
+        # that hold more are inserted into one copy of the index
         multi = np.flatnonzero(photons > 1)
-        if multi.size * _FEW_MULTI < index.size:
-            extra = photons[multi] - 1
-            index = np.insert(index, np.repeat(multi, extra), np.repeat(index[multi], extra))
-        else:
-            index = np.repeat(index, photons)
-        del photons, multi
+        extra = photons[multi] - 1
+        index = np.insert(index, np.repeat(multi, extra), np.repeat(index[multi], extra))
+        del photons, multi, extra
         index += start
         # the times take the index's buffer: cast in place, then scaled
         times = index.view(np.float64)
@@ -279,7 +267,8 @@ def _offset_steps(
     offset k passes neither at any later one; it is dropped, and the walk
     stops when no tag is left.
 
-    Step 1 first takes as candidates the tags whose next one lies within
+    Where the tags lie further apart than ``window`` on the block's mean,
+    step 1 first takes as candidates the tags whose next one lies within
     ``window`` and a few ulps of the largest time, by one subtraction; that
     slack covers the rounding of both tests, so every tag that passes one
     is a candidate.  If fewer than one in ``_SPARSE`` is, step 1 yields the
@@ -291,18 +280,22 @@ def _offset_steps(
     hi = min(stop, n - 1)
     if hi <= start:
         return
-    # a tag that passes either test has later - earlier at most window and
-    # half an ulp of T + window, T the largest time compared; the
-    # subtraction and window + slack each round by at most half an ulp
-    # more, so with four ulps of slack every such tag is a candidate
-    slack = 4.0 * np.spacing(times[hi] + window)
-    near = times[start + 1:hi + 1] - times[start:hi]
-    near = near <= window + slack
     live = None
-    if np.count_nonzero(near) * _SPARSE < near.size:
-        live = np.flatnonzero(near)
-        live += start
-    del near
+    # the filter runs where the block's mean tag spacing is wider than the
+    # window; where it is not, most tags are candidates and it would only
+    # add a pass
+    if window * (hi - start) < times[hi] - times[start]:
+        # a tag that passes either test has later - earlier at most window
+        # and half an ulp of T + window, T the largest time compared; the
+        # subtraction and window + slack each round by at most half an ulp
+        # more, so with four ulps of slack every such tag is a candidate
+        slack = 4.0 * np.spacing(times[hi] + window)
+        near = times[start + 1:hi + 1] - times[start:hi]
+        near = near <= window + slack
+        if np.count_nonzero(near) * _SPARSE < near.size:
+            live = np.flatnonzero(near)
+            live += start
+        del near
     k = 1
     while True:
         if live is None:

@@ -47,10 +47,6 @@ _POISSON_MAX_TERMS = 512
 # most geometric gaps drawn at once
 _MAX_BATCH = 1 << 20
 
-# while batch * (n_pulses - last) is below this, a batch's sums cannot
-# wrap in int64, so they ascend and one search finds the first past the end
-_NO_WRAP = 1 << 62
-
 
 class SourceKind(enum.Enum):
     SUB_POISSONIAN = "sub_poissonian"
@@ -242,12 +238,17 @@ def sample_events(
     Each batch's gaps are summed in place in one index array reserved for
     the expected count and 6 sigmas more, grown by an eighth if a run draws
     past that, and a batch ends the run at the ``np.searchsorted`` of
-    ``n_pulses`` in its sums.  The class uniforms are drawn a batch at a
-    time once every gap is drawn, so memory peaks near the index array and
-    one batch, and the draws are those of one ``rng.random`` over the run.
+    ``n_pulses`` in its sums.  Where those int64 sums could wrap, which
+    takes a run of 2^43 pulses or more, the batch is summed as uint64 steps
+    from the latest event instead, exact up to the first past the end.  The
+    class uniforms are drawn a batch at a time once every gap is drawn, so
+    memory peaks near the index array and one batch, and the draws are those
+    of one ``rng.random`` over the run.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
+    if n_pulses >= 2**63:
+        raise ValueError("n_pulses must be below 2^63, the range of an int64 pulse index")
     probs = np.asarray(probs, dtype=np.float64)
     class_type = np.min_scalar_type(probs.size)
     p = min(1.0, float(probs[1:].sum()))
@@ -268,20 +269,35 @@ def sample_events(
         np.ceil(gaps, out=gaps)
         # at least 1, also for p = 1 and an exponential of exactly 0; a gap
         # reaching past the last pulse ends the run, so clipping it there
-        # changes nothing and bounds the batch's sums
-        np.clip(gaps, 1.0, n_pulses - last, out=gaps)
-        # summed where they are kept if the batch fits, else in its own
-        # buffer, cast in place (a forward one-dimensional copy)
+        # changes nothing and bounds the batch's sums by last + batch * bound.
+        # Past 2^53 pulses the float can round n_pulses - last down; it is
+        # raised an ulp then, so a clipped gap still reaches the end
+        bound = float(n_pulses - last)
+        if bound < n_pulses - last:
+            bound = math.nextafter(bound, math.inf)
+        np.clip(gaps, 1.0, bound, out=gaps)
         fits = filled + batch <= index.size
-        sums = index[filled:filled + batch] if fits else gaps.view(np.int64)
-        np.copyto(sums, gaps, casting="unsafe")
-        sums[0] += last  # carried through the sums
-        np.cumsum(sums, out=sums)
-        if batch * (n_pulses - last) < _NO_WRAP:
+        if last + batch * int(bound) < 2**63:
+            # no sum wraps in int64, so they ascend and one search finds the
+            # first past the end.  They are summed where they are kept if the
+            # batch fits, else in its own buffer, cast in place (a forward
+            # one-dimensional copy)
+            sums = index[filled:filled + batch] if fits else gaps.view(np.int64)
+            np.copyto(sums, gaps, casting="unsafe")
+            sums[0] += last  # carried through the sums
+            np.cumsum(sums, out=sums)
             kept = int(np.searchsorted(sums, n_pulses))
-        else:  # sums past the end may wrap, so only the first one past is sure
-            past = sums >= n_pulses
+        else:
+            # the steps from the latest event, summed in uint64, are exact up
+            # to the first past the end, which is below 2 * 2^63
+            steps = gaps.astype(np.uint64)
+            np.cumsum(steps, out=steps)
+            past = steps >= n_pulses - last
             kept = int(np.argmax(past)) if past.any() else batch
+            sums = steps[:kept].view(np.int64)  # below n_pulses - last
+            sums += last
+            del steps, past
+            fits = False
         if not fits:
             if filled + kept > index.size:
                 grown = np.empty((filled + kept) * 9 // 8, dtype=np.int64)

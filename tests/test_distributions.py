@@ -202,8 +202,11 @@ def test_routing_matches_the_binomial_oracle(e, h, photon_type):
         ([1.0, 1e-300], 10**12),
         # every gap clipped to the run, 2^62 exactly, so a batch's int64 sums wrap
         ([1.0, 1e-300], 2**62 - 1),
+        # a first gap of 2^63, past int64 but not uint64
+        ([1.0, 1e-300], 2**63 - 1),
     ],
-    ids=["half", "every-pulse", "rare", "multi-batch", "never", "vanishing", "wrapping"],
+    ids=["half", "every-pulse", "rare", "multi-batch", "never", "vanishing", "wrapping",
+         "int64-max"],
 )
 def test_event_indices_increase_within_the_run(probs, n):
     rng = np.random.default_rng(43)
@@ -402,6 +405,54 @@ def test_event_memory_is_one_index_and_one_batch(short, monkeypatch):
     # uniforms with its masks; while it grows, the old index is live too
     held = 8 * index.size * (2.2 if short else 1.0) + index.size + 32 * batch
     assert peak < held + 100_000
+
+
+def _events_exactly(probs, n_pulses, rng, batch):
+    """sample_events in Python ints, which cannot wrap, with each batch's
+    reach: the latest event before it, and that plus its gaps, each
+    clipped to the run as sample_events clips them."""
+    probs = np.asarray(probs, dtype=np.float64)
+    scale = -math.log1p(-float(probs[1:].sum()))
+    index, reaches, last = [], [], -1
+    while last < n_pulses:
+        gaps = np.ceil(rng.standard_exponential(batch) / scale).tolist()
+        gaps = [max(1, int(min(gap, n_pulses - last))) for gap in gaps]
+        reaches.append((last, last + sum(gaps)))
+        for gap in gaps:
+            last += gap
+            if last >= n_pulses:
+                break
+            index.append(last)
+    cdf = np.cumsum(probs[1:])
+    u = rng.random(len(index)) * cdf[-1]
+    classes = np.searchsorted(cdf, u, side="right") + 1
+    return np.array(index, dtype=np.int64), classes, reaches
+
+
+@pytest.mark.parametrize("n", [3 * 2**61, 2**63 - 1])
+def test_runs_near_int64_max_end_at_the_last_pulse(n, monkeypatch):
+    # batches of 8 gaps of about 1e18 pulses, over 40 seeds.  Some batch
+    # starts within 2^59 of the end and its 8 gaps, clipped to the run,
+    # carry its sums past 2^63; at 2^63 - 1 every sum past the end is past
+    # it; and a distance to the end that a float rounds down must still be
+    # reached by a clipped gap
+    monkeypatch.setattr(sources, "_MAX_BATCH", 8)
+    probs = np.array([1.0, 1e-18])
+    near_the_end = False
+    for seed in range(40):
+        index, classes = sample_events(probs, n, np.random.default_rng([79, seed]))
+        oracle, oracle_classes, reaches = _events_exactly(
+            probs, n, np.random.default_rng([79, seed]), 8)
+        near_the_end |= any(n - last < 2**59 and end >= 2**63 for last, end in reaches)
+        assert index.size == oracle.size > 0, seed
+        assert np.array_equal(index, oracle) and np.array_equal(classes, oracle_classes)
+        assert index[0] >= 0 and index[-1] < n
+    assert near_the_end
+
+
+def test_pulse_counts_past_an_int64_index_are_refused():
+    with pytest.raises(ValueError, match="n_pulses must be below 2"):
+        sample_events(np.array([0.5, 0.5]), 2**63, np.random.default_rng(0))
 
 
 def test_negative_pulse_count_is_refused():

@@ -191,9 +191,10 @@ def test_tags_spilled_across_windows_keep_their_detectors(monkeypatch, reserve_s
 @pytest.mark.parametrize("eff", [1.0, 0.37])
 @pytest.mark.parametrize("preset", ["nv", "siv", "siv80", "ideal10", "ideal95", "wcp", "decoy"])
 def test_windows_are_the_repeated_index_and_its_delays(preset, eff, ratio, monkeypatch):
-    # about 8,000 tags in windows of 2^8: the few-photon windows insert the
-    # copies of their multiphoton events, the Poisson ones repeat the index,
-    # and both must give the tags of np.repeat and exponential(lifetime)
+    # about 8,000 tags in windows of 2^8: each window inserts the copies of
+    # its multiphoton events, few for the emitters and 14-23% of events for
+    # the Poisson sources, and must give the tags of np.repeat and
+    # exponential(lifetime)
     source = get_preset(preset)
     n = math.ceil(8_000 / (source.mu * eff))
     monkeypatch.setattr(hbt, "_WINDOW_TAGS", 1 << 8)
