@@ -149,16 +149,28 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     Every subcommand is registered with its help line, but only the one
     being run, the first token of ``argv`` that is not an option, gets its
     flags: with every command's flags, building and parsing a session's
-    argv took 1.2 ms against 0.7 (best of 200 calls, 2 cores).
+    argv took 1.2 ms against 0.7 (best of 200 calls, 2 cores).  argparse
+    makes a help formatter for each flag it adds, and each would ask the
+    terminal for its width, so the first formatter of a build asks, as
+    argparse would, and hands its width to the rest.
     """
     chosen = next((token for token in argv if not token.startswith("-")), None)
+    width = None
+
+    def formatter(prog: str) -> argparse.HelpFormatter:
+        nonlocal width
+        made = argparse.HelpFormatter(prog, width=width)
+        width = made._width
+        return made
+
     parser = argparse.ArgumentParser(
         prog="spsqkd",
         description="Single-photon QKD bench simulator and rate analysis.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command][1])
+        p = sub.add_parser(command, help=_COMMANDS[command][1], formatter_class=formatter)
         if command != chosen:
             continue
         p.add_argument("--config", help="key = value settings file")

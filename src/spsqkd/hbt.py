@@ -204,7 +204,11 @@ def simulate_hbt(
         nonlocal times, dets, filled
         b, e = filled, filled + part_times.size
         if e > times.size:
-            times, dets = np.resize(times, e + e // 8), np.resize(dets, e + e // 8)
+            # one new buffer each and a copy of the filled part; np.resize
+            # would tile the whole old array into twice its size
+            grown_times, grown_dets = np.empty(e + e // 8), np.empty(e + e // 8, np.uint8)
+            grown_times[:b], grown_dets[:b] = times[:b], dets[:b]
+            times, dets = grown_times, grown_dets
         times[b:e] = part_times
         dets[b:e] = part_dets
         filled = e

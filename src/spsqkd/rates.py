@@ -16,7 +16,11 @@ single-photon yield is known exactly.
 
 Each formula is evaluated as a numpy array over the link efficiencies of a
 whole distance sweep, with the click probability and signal error rate from
-``channel``; the decoy optimum searches (intensity x efficiency) tiles.
+``channel``.  The decoy optimum searches (intensity x efficiency) tiles and
+evaluates only the intensities a bound cannot rule out: the rate is a
+concave single-photon gain less a concave error-correction cost, so between
+two evaluated intensities it lies under the gain's end tangents less the
+cost's chord (``_decoy_optimum`` gives the proof and its rounding slack).
 The scalar entry points are one-point calls into the same kernels.  The
 module only computes; its callers write the curves.
 
@@ -63,8 +67,30 @@ _MU_GRID = np.linspace(0.005, 1.0, 200)
 # each grid intensity's single-photon weight mu e^-mu, taken with math.exp
 _MU_WEIGHT = np.array([mu * math.exp(-mu) for mu in map(float, _MU_GRID)])[:, None]
 
-# elements of a decoy search tile: every grid intensity x 81 efficiencies
+# elements of a decoy search tile: the knot intensities (or as many other
+# rows) x 780 efficiencies
 _TILE = 1 << 14
+
+# the decoy search's knots, every 10th intensity and the last; each interior
+# row, ascending, and the segment between two knots it lies in
+_KNOT_STEP = 10
+_KNOTS = np.r_[0 : _MU_GRID.size : _KNOT_STEP, _MU_GRID.size - 1]
+_KNOT_MU, _KNOT_WEIGHT = _MU_GRID[_KNOTS, None], _MU_WEIGHT[_KNOTS]
+_INTERIOR = np.delete(np.arange(_MU_GRID.size), _KNOTS)
+_INTERIOR_SEGMENT = _INTERIOR // _KNOT_STEP
+
+
+def _tangent_crossings() -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the height where mu e^-mu's two end tangents cross, and
+    how far along the segment they cross, as columns."""
+    a, b = _MU_GRID[_KNOTS[:-1]], _MU_GRID[_KNOTS[1:]]
+    wa, wb = _KNOT_WEIGHT[:-1, 0], _KNOT_WEIGHT[1:, 0]
+    da, db = np.exp(-a) * (1.0 - a), np.exp(-b) * (1.0 - b)
+    cross = (wb - wa + da * a - db * b) / (da - db)
+    return (wa + da * (cross - a))[:, None], ((cross - a) / (b - a))[:, None]
+
+
+_SEGMENT_W, _SEGMENT_T = _tangent_crossings()
 
 # the laser curves a sweep can set against its sources, as the module docstring names them
 RIVALS = ("wcp", "decoy")
@@ -92,7 +118,8 @@ def _entropy(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x)
     h = np.subtract(1.0, x, out=np.empty(x.shape) if out is None else out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.log2(h) * h  # (1 - x) log2(1 - x)
+        rest = np.log2(h)
+        rest *= h  # (1 - x) log2(1 - x)
         h = np.multiply(np.log2(x, out=h), x, out=h)
         h += rest
     np.negative(h, out=h)
@@ -183,44 +210,121 @@ def _decoy_optimum(
     """Best decoy-state rate over ``_MU_GRID`` at each efficiency, and its intensity.
 
     The intensity is the first grid value reaching the maximum, and
-    ``_MU_GRID[0]`` where every rate is 0.  The search runs over tiles of
-    (intensity x efficiency), ``_TILE`` elements at most, each value computed
-    once per tile, in place, with the operands of the one-point formula in its
-    order, so every rate is the same to the bit; the argmax over a tile's
-    intensities keeps the first on a tie.  Memory is the two curves and a tile.
+    ``_MU_GRID[0]`` where every rate is 0.  The search runs over tiles of at
+    most ``_TILE`` (intensity x efficiency) elements, and evaluates only the
+    intensities a bound cannot rule out.  Each rate it evaluates is computed
+    in place, with the operands of the one-point formula in its order, so it
+    is the same to the bit.
+
+    The bound.  Before the clock's ``Q rep``, the rate is ``A W - f phi``,
+    with ``A = y1 (1 - h2(e1))``, ``W = mu e^-mu`` and ``phi = p h2(e)``.
+    W is concave on the grid, since ``W'' = e^-mu (mu - 2)``.  phi is concave
+    too.  It is the perspective ``p hc(x / p)`` of the capped entropy
+    ``hc(t) = h2(min(t, 1/2))``, taken at ``x = mis mu eta + dark / 2`` and
+    ``p = min(mu eta + dark, 1)``.  That perspective is jointly concave, and
+    it does not fall as p grows, since ``hc(t) - t hc'(t) >= hc(0) = 0``.
+    x is affine in mu and p concave, so phi is concave.  So between two
+    knots a < b, W lies under both of its end tangents, and phi lies over its
+    chord.  The rate there is at most the greater of its two knot values and
+    ``A W* - f chord(mu*)``, where mu* is the point where W's tangents cross
+    and W* is their height there (``_segment_bounds``).
+
+    The skip.  The knots are every 10th intensity and the last.  A segment's
+    interior is skipped only if its bound, raised by a rounding slack, then
+    scaled by ``Q rep``, is finite and strictly below the best knot rate in
+    every column of the tile.  The slack is 2^-40 of the largest term,
+    ``A e^-1 + f min(eta + dark, 1)``, plus the smallest normal float; the
+    rates and the bound round by a few dozen ulps of that term, or a few
+    subnormal steps.  So each skipped rate is at most the bound before the
+    scaling, and rounding is monotone, so after it too: every skipped rate
+    is below the maximum.  The first row reaching the maximum is then among
+    the rows evaluated: the knots, then the open interiors, as whole rows in
+    chunks of the tile.  Memory is the two curves and a tile.
     """
     # asymptotic decoy analysis: the single-photon yield and error rate are
     # pinned exactly, so only true single-photon detections feed the key
     dark, mis = link.dark_count_prob, link.misalignment
-    mu = _MU_GRID[:, None]
+    scale = _Q * rep_rate_hz
     best_rate, best_mu = np.empty(eta.shape), np.empty(eta.shape)
-    width = _TILE // mu.size
-    buffers = np.empty((3, mu.size * width))
-    for c in range(0, eta.size, width):
-        eta_c = eta[c : c + width]
-        y1 = 1.0 - (1.0 - eta_c) * (1.0 - dark)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e1 = np.minimum(0.5, (mis * eta_c + 0.5 * dark) / y1)
-        secure1 = 1.0 - _entropy(e1)
+    width = _TILE // _KNOTS.size
+    depth = _TILE // width
+    buffers = np.empty((3, _TILE))
+
+    def row_rates(mu, weight, eta_c, y1, secure1):
+        """The rates of intensities ``mu`` (a column) over ``eta_c`` before
+        the clock's scale and the floor at 0, and their p h2(e)."""
         p, e, h = (b[: mu.size * eta_c.size].reshape(mu.size, -1) for b in buffers)
         # channel.click_probability, then channel.error_rate_model over it
         np.minimum(np.add(np.multiply(mu, eta_c, out=p), dark, out=p), 1.0, out=p)
         np.add(np.multiply(mis * mu, eta_c, out=e), 0.5 * dark, out=e)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.fmin(np.divide(e, p, out=e), 0.5, out=e)
+        phi = np.multiply(p, _entropy(e, out=h), out=e)
         # (-p f) h2(e) + q1 (1 - h2(e1)), as p (-f) is (-p) f to the bit; a
         # link that cannot click has q1 = 0, so its rate floors at 0
         p *= -f_ec
-        p *= _entropy(e, out=h)
-        q1 = np.multiply(_MU_WEIGHT, y1, out=h)
+        p *= h
+        q1 = np.multiply(weight, y1, out=h)
         q1 *= secure1
         p += q1
+        return p, phi
+
+    def scaled(x):
         with np.errstate(over="ignore"):  # -inf, floored to 0 as in _tagged_rate
-            rate = _positive(np.multiply(p, _Q * rep_rate_hz, out=p))
-        top = rate.argmax(axis=0)
-        best_rate[c : c + width] = rate[top, np.arange(eta_c.size)]
-        best_mu[c : c + width] = _MU_GRID[top]
+            return np.multiply(x, scale, out=x)
+
+    for c in range(0, eta.size, width):
+        eta_c = eta[c : c + width]
+        cols = np.arange(eta_c.size)
+        y1 = 1.0 - (1.0 - eta_c) * (1.0 - dark)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e1 = np.minimum(0.5, (mis * eta_c + 0.5 * dark) / y1)
+        secure1 = 1.0 - _entropy(e1)
+        knots, phi = row_rates(_KNOT_MU, _KNOT_WEIGHT, eta_c, y1, secure1)
+        bound = scaled(_segment_bounds(knots, phi, y1 * secure1, eta_c + dark, f_ec))
+        top = _positive(scaled(knots)).argmax(axis=0)
+        best, row = knots[top, cols], _KNOTS[top]
+        shut = np.isfinite(bound) & (bound < best)
+        rows = _INTERIOR[~shut.all(axis=1)[_INTERIOR_SEGMENT]]
+        for r in range(0, rows.size, depth):
+            chunk = rows[r : r + depth]
+            rate, _ = row_rates(_MU_GRID[chunk, None], _MU_WEIGHT[chunk], eta_c, y1, secure1)
+            rate = _positive(scaled(rate))
+            top = rate.argmax(axis=0)
+            rival, rival_row = rate[top, cols], chunk[top]
+            # the first row on a tie, as over all the rows evaluated, ascending
+            take = (rival > best) | ((rival == best) & (rival_row < row))
+            best, row = np.where(take, rival, best), np.where(take, rival_row, row)
+        best_rate[c : c + width] = best
+        best_mu[c : c + width] = _MU_GRID[row]
     return best_rate, best_mu
+
+
+def _segment_bounds(knots, phi, a, reach, f_ec: float) -> np.ndarray:
+    """Bound on each segment's rates before the clock's scale, per column,
+    with the rounding slack added, written over ``phi``'s rows but the last.
+
+    ``knots`` holds the knot rates before the scale, ``phi`` their
+    ``p h2(e)``, ``a`` each column's ``y1 (1 - h2(e1))`` and ``reach`` its
+    ``eta + dark``, which bounds p.  On a segment the rate is at most the
+    greater of its end values and ``a W* - f chord(mu*)``; the slack is
+    ``2^-40 (a e^-1 + f min(reach, 1))`` and the smallest normal float.  See
+    ``_decoy_optimum`` for the proof.
+    """
+    bound, step = phi[:-1], np.subtract(phi[1:], phi[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        step *= _SEGMENT_T
+        bound += step
+        bound *= -f_ec
+        bound += np.multiply(_SEGMENT_W, a, out=step)
+        np.maximum(bound, knots[1:], out=bound)
+        np.maximum(bound, knots[:-1], out=bound)
+        slack = a * math.exp(-1.0)
+        slack += f_ec * np.minimum(reach, 1.0)
+        slack *= 2.0**-40
+        slack += 2.0**-1022
+        bound += slack
+    return bound
 
 
 def gllp_rate(inputs: RateInputs, e_mu: float | None = None) -> float:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -177,7 +178,13 @@ def test_tags_spilled_across_windows_keep_their_detectors(monkeypatch, reserve_s
                       lifetime_ns=5000.0)
     monkeypatch.setattr(hbt, "_WINDOW_TAGS", 4)
     monkeypatch.setattr(hbt, "_RESERVE_SIGMAS", reserve_sigmas)
-    stream = simulate_hbt(slow, 4_000, _rng(8, 1), splitter_ratio=0.3)
+    simulate_hbt(slow, 4_000, _rng(8, 1), splitter_ratio=0.3)  # first-call caches
+    tracemalloc.start()
+    try:
+        stream = simulate_hbt(slow, 4_000, _rng(8, 1), splitter_ratio=0.3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     joined, dets = _windows_alone(slow, 4_000, _rng(8, 1), 4, splitter_ratio=0.3)
     assert np.count_nonzero(np.diff(joined) < 0) > 100
     # the stream is the joined windows put in order by one stable sort
@@ -185,6 +192,12 @@ def test_tags_spilled_across_windows_keep_their_detectors(monkeypatch, reserve_s
     assert np.all(np.diff(stream.times_ns) >= 0)
     assert np.array_equal(stream.times_ns, joined[order])
     assert np.array_equal(stream.detectors, dets[order])
+    if reserve_sigmas < 0:
+        # each growth copies the filled part into buffers an eighth larger, so
+        # the stream holds at most 9/8 of its tags; np.resize tiled the old
+        # buffer into twice its size, and held 35.6 KB here for 17.5 KB of tags
+        tags = stream.times_ns.nbytes + stream.detectors.nbytes
+        assert held <= 9 / 8 * tags + 8192
 
 
 @pytest.mark.parametrize("ratio", [0.5, 0.3])

@@ -15,14 +15,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spsqkd import rates
 from spsqkd.channel import LinkSpec, click_probability, error_rate_model, fibre_transmission
 from spsqkd.config import format_csv
 from spsqkd.rates import (
+    _INTERIOR,
+    _INTERIOR_SEGMENT,
+    _KNOTS,
     _MU_GRID,
+    _MU_WEIGHT,
     _TILE,
     RIVALS,
     RateInputs,
     _decoy_optimum,
+    _segment_bounds,
     binary_entropy,
     critical_efficiency,
     crossover_distance,
@@ -304,8 +310,9 @@ def _assert_decoy_search_exact(eta, link, rep=1e6, f_ec=1.22):
     return rate, mu
 
 
-# a tile spans every intensity and _TILE // 200 efficiencies: one tile, one
-# either side of its width, and many tiles with a remainder
+# the dense search's tile spanned every intensity and _TILE // 200
+# efficiencies: one tile, one either side of its width, and many tiles with
+# a remainder
 _WIDTH = _TILE // _MU_GRID.size
 _SWEEP_LENGTHS = [1, _WIDTH - 1, _WIDTH, _WIDTH + 1, 40 * _WIDTH + 17]
 
@@ -365,6 +372,164 @@ def test_decoy_search_memory_is_the_curves_and_a_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * eta.nbytes + 8 * tile_bytes
+
+
+# ---- the certified search: knots, segment bounds, and the rows a bound
+# cannot rule out
+
+
+_LINKS = [LinkSpec(), LinkSpec(dark_count_prob=0.0), LinkSpec(misalignment=0.0),
+          LinkSpec(dark_count_prob=1e-3, misalignment=0.1, attenuation_db_per_km=0.2)]
+_LINK_IDS = ["default", "no-darks", "no-misalignment", "noisy"]
+# a tile of the certified search spans the knots and _TILE // 21 efficiencies
+_KNOT_WIDTH = _TILE // _KNOTS.size
+
+
+def _eta(link, dmax, n):
+    return link.setup_efficiency * fibre_transmission(np.linspace(0.0, dmax, n),
+                                                      link.attenuation_db_per_km)
+
+
+@pytest.mark.parametrize("n", [_KNOT_WIDTH - 1, _KNOT_WIDTH, _KNOT_WIDTH + 1,
+                               3 * _KNOT_WIDTH + 17])
+@pytest.mark.parametrize("link", _LINKS, ids=_LINK_IDS)
+def test_decoy_search_matches_around_its_tile_width(n, link):
+    # out to 300 km, so tiles hold live and dead columns side by side
+    _assert_decoy_search_exact(_eta(link, 300.0, n), link)
+
+
+@pytest.mark.parametrize("n", [1, 5, _KNOT_WIDTH + 1])
+@pytest.mark.parametrize("rep, f_ec", [(1e300, 1.22), (1e6, 1e300), (1e300, 1e300),
+                                       (1.7e308, 1.7e308)])
+@pytest.mark.parametrize("link", _LINKS, ids=_LINK_IDS)
+def test_decoy_search_at_clocks_that_overflow(n, rep, f_ec, link, monkeypatch):
+    # near 1e300 the error-correction cost scales past the float range: the
+    # rates overflow to -inf (floored to 0), and where f_ec * rep does, so do
+    # bounds, which keep their segments.  The search warns of nothing; the
+    # oracle's overflow is its own
+    scaled = []
+    real = rates._segment_bounds
+
+    def spy(*args):
+        bound = real(*args)
+        with np.errstate(over="ignore"):
+            scaled.append(bound * (0.5 * rep))
+        return bound
+
+    monkeypatch.setattr(rates, "_segment_bounds", spy)
+    eta = _eta(link, 150.0, n)
+    rate, mu = _decoy_optimum(eta, link, rep, f_ec)
+    with np.errstate(over="ignore"):
+        want_rate, want_mu = _decoy_by_intensity(eta, link, rep, f_ec)
+    assert rate.tobytes() == want_rate.tobytes() and np.array_equal(mu, want_mu)
+    if f_ec * rep > 1e310:
+        assert not all(np.isfinite(b).all() for b in scaled)
+
+
+def test_decoy_optimum_at_the_grid_ends():
+    # no noise: the rate is the single-photon gain, rising to mu = 1
+    link = LinkSpec(dark_count_prob=0.0, misalignment=0.0)
+    rate, mu = _assert_decoy_search_exact(_eta(link, 150.0, 301), link)
+    assert rate.all() and np.all(mu == 1.0)
+    # without darks the rate is mu eta (e^-mu (1 - h2(m)) - f h2(m)), which
+    # peaks where (1 - mu) e^-mu = f h2(m) / (1 - h2(m)), here 0.99: mu 0.005
+    link = LinkSpec(dark_count_prob=0.0, misalignment=0.1)
+    f_ec = 0.99 * (1.0 - binary_entropy(0.1)) / binary_entropy(0.1)
+    rate, mu = _assert_decoy_search_exact(_eta(link, 150.0, 301), link, f_ec=f_ec)
+    assert rate.all() and np.all(mu == _MU_GRID[0])
+
+
+def _rates_by_row(eta, link, f_ec):
+    """Every grid intensity's rate before the clock and the floor, and its
+    p h2(e), in the search's operand order, one intensity at a time."""
+    dark, mis = link.dark_count_prob, link.misalignment
+    y1 = 1.0 - (1.0 - eta) * (1.0 - dark)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = np.minimum(0.5, (mis * eta + 0.5 * dark) / y1)
+    secure1 = 1.0 - rates._entropy(e1)
+    raw, phi = np.empty((2, _MU_GRID.size, eta.size))
+    for r, mu in enumerate(_MU_GRID):
+        p = np.minimum(mu * eta + dark, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.fmin((mis * mu * eta + 0.5 * dark) / p, 0.5)
+        h = rates._entropy(e)
+        phi[r] = p * h
+        raw[r] = p * -f_ec * h + _MU_WEIGHT[r] * y1 * secure1
+    return raw, phi, y1 * secure1
+
+
+@pytest.mark.parametrize("rep", [1e-320, 3e-321])
+@pytest.mark.parametrize("link", _LINKS[:3], ids=_LINK_IDS[:3])  # the noisy link never keys
+def test_decoy_search_keeps_the_first_of_tied_maxima(rep, link):
+    # a clock this slow rounds every rate to a few subnormal steps, so many
+    # intensities tie at each maximum; the search must keep the first
+    eta = _eta(link, 60.0, 2 * _KNOT_WIDTH + 5)
+    rate, mu = _assert_decoy_search_exact(eta, link, rep)
+    raw = _rates_by_row(eta, link, 1.22)[0] * (0.5 * rep)
+    ties = np.count_nonzero(raw == rate, axis=0)
+    assert (ties[rate > 0] > 1).mean() > 0.5
+
+
+def test_decoy_search_where_the_clock_rounds_every_rate_to_zero():
+    # half the smallest subnormal clock: every rate reads 0, a flat maximum
+    eta = _eta(LinkSpec(), 60.0, _KNOT_WIDTH + 3)
+    rate, mu = _assert_decoy_search_exact(eta, LinkSpec(), 5e-324)
+    assert not rate.any() and np.all(mu == _MU_GRID[0])
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    dmax=st.floats(min_value=0.0, max_value=300.0),
+    attenuation=st.floats(min_value=0.0, max_value=1.0),
+    setup=st.floats(min_value=1e-3, max_value=1.0),
+    dark=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=0.5)),
+    mis=st.floats(min_value=0.0, max_value=0.5),
+    f_ec=st.one_of(st.floats(min_value=1.0, max_value=2.0),
+                   st.floats(min_value=1.0, max_value=1e300)),
+)
+@example(n=40, dmax=150.0, attenuation=0.4, setup=0.31, dark=2.4e-5, mis=0.03, f_ec=1.22)
+@example(n=40, dmax=150.0, attenuation=0.4, setup=0.31, dark=0.0, mis=0.0, f_ec=1.22)
+@example(n=3, dmax=0.0, attenuation=0.0, setup=1.0, dark=0.0, mis=0.5, f_ec=1e300)
+@settings(max_examples=150, deadline=None)
+def test_every_interior_rate_lies_below_its_segment_bound(n, dmax, attenuation, setup,
+                                                          dark, mis, f_ec):
+    # the certificate itself: each rate between two knots, in the search's
+    # rounding, is below its segment's bound wherever the bound is finite,
+    # and so stays below it once both are scaled by the clock
+    link = LinkSpec(attenuation_db_per_km=attenuation, setup_efficiency=setup,
+                    dark_count_prob=dark, misalignment=mis)
+    eta = _eta(link, dmax, n)
+    raw, phi, a = _rates_by_row(eta, link, f_ec)
+    bound = _segment_bounds(raw[_KNOTS], phi[_KNOTS].copy(), a, eta + dark, f_ec)
+    inner, inner_bound = raw[_INTERIOR], bound[_INTERIOR_SEGMENT]
+    finite = np.isfinite(inner_bound)
+    assert np.all(inner[finite] < inner_bound[finite])
+
+
+@pytest.mark.parametrize(
+    "link, interior",
+    [(LinkSpec(), 18), (LinkSpec(dark_count_prob=0.0, misalignment=0.0), 8), (_LINKS[3], 0)],
+    ids=["default", "noiseless", "dead"],
+)
+def test_decoy_search_evaluates_the_knots_and_the_segments_beside_the_optimum(
+    link, interior, monkeypatch
+):
+    # on the benchmark's sweep (0-60 km in 0.05 km steps) every optimum lies
+    # at mu 0.49-0.51, so of the 20 segments only the two around the knot at
+    # mu = 0.505 are evaluated, 18 interior rows; at mu = 1 only the last
+    # segment, 8 rows; and where no rate is positive, none
+    sizes = []
+    real = rates._entropy
+
+    def spy(x, out=None):
+        sizes.append(np.size(x))
+        return real(x, out)
+
+    monkeypatch.setattr(rates, "_entropy", spy)
+    eta = _eta(link, 60.0, 1201)
+    _decoy_optimum(eta, link, 1e6, 1.22)
+    # one entropy of e1 per efficiency, then the rows
+    assert (sum(sizes) - eta.size) / eta.size == _KNOTS.size + interior
 
 
 def test_crossover_semantics():
