@@ -123,6 +123,35 @@ def _detector_clicks(
     return u < fires0[row], u >= quiet1[row]
 
 
+def _coin_flips(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Exactly ``rng.integers(0, 2, count, dtype=np.uint8)``, read from the
+    raw PCG64 words, with the generator left in the same state.
+
+    numpy takes one byte per flip from 32-bit draws, low byte first, and at
+    range 2 Lemire's method returns the byte's top bit with no rejection.
+    A 32-bit draw is the buffered high half of the last word when one is
+    held, else the low half of a new word, whose high half is then held.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    halves = -(-count // 4)
+    held = min(halves, state["has_uint32"])
+    fresh = halves - held
+    words = bitgen.random_raw(-(-fresh // 2)).astype("<u8", copy=False)
+    flips = np.empty(count, dtype=np.uint8)
+    head = min(count, 4 * held)
+    flips[:head] = (state["uinteger"] >> np.arange(7, 8 * head, 8)) & 1
+    np.right_shift(words.view(np.uint8)[: count - head], 7, out=flips[head:])
+    if halves:
+        state = bitgen.state
+        # numpy leaves the last high half in uinteger, held or used
+        state["has_uint32"] = fresh & 1
+        if fresh:
+            state["uinteger"] = int(words[-1] >> np.uint64(32))
+        bitgen.state = state
+    return flips
+
+
 def run_session(
     source: SourceSpec,
     link: LinkSpec,
@@ -142,11 +171,18 @@ def run_session(
     draw; then routing, double-click resolution, disclosure choice) always
     comes from ``rng``, drawn in that fixed order, with the protocol bits
     drawn right after the clicking pulses when not given, so a seed pins the
-    whole run.
+    whole run.  ``rng`` must run on PCG64, as ``default_rng`` does: its coin
+    flips are read from the raw words, and any other bit generator is
+    refused.
 
     A ``disclose_fraction`` of zero discloses nothing and reads the QBER off
     every sifted bit, standing in for an authenticated sample.
     """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ValueError(
+            f"run_session reads raw PCG64 words; rng's bit generator is "
+            f"{type(rng.bit_generator).__name__}"
+        )
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
     if not 0.0 <= disclose_fraction < 1.0:
@@ -168,7 +204,7 @@ def run_session(
                                    link.dark_count_prob)
     pulse_index = clicks.pulse_index
     if protocol_bits is None:
-        triplets = rng.integers(0, 2, (pulse_index.size, 3), dtype=np.uint8)
+        triplets = _coin_flips(rng, 3 * pulse_index.size).reshape(-1, 3)
     else:
         # bit j of pulse i is bit 3i + j of the stream, most significant first
         pos = 3 * pulse_index[:, None] + np.arange(3)
@@ -186,7 +222,7 @@ def run_session(
     bob_bit = (click1 & ~click0).astype(np.uint8)
     n_double = int(double.sum())
     if double_click_policy == "random":
-        bob_bit[double] = rng.integers(0, 2, n_double, dtype=np.uint8)
+        bob_bit[double] = _coin_flips(rng, n_double)
         sift = matched
     else:
         sift = matched & single
@@ -204,10 +240,11 @@ def run_session(
     disclosed_count = int(disclose_fraction * n_sifted)
     if disclosed_count > 0:
         disclosed_mask[rng.permutation(n_sifted)[:disclosed_count]] = True
-    compared = disclosed_mask if disclose_fraction > 0.0 else ~disclosed_mask
     qber = float("nan")
-    if compared.any():
-        qber = float(np.mean(sift_alice[compared] != sift_bob[compared]))
+    if disclosed_count > 0:
+        qber = float(np.mean(sift_alice[disclosed_mask] != sift_bob[disclosed_mask]))
+    elif disclose_fraction == 0.0 and n_sifted > 0:
+        qber = np.count_nonzero(sift_alice != sift_bob) / n_sifted
 
     return SessionResult(
         n_pulses=n_pulses,

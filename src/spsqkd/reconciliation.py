@@ -605,6 +605,21 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     )
 
 
+def _fft_length(k: int) -> int:
+    """Least 2^a 3^b 5^c at or above ``k``, a length pocketfft transforms
+    in radix passes alone."""
+    best = 1 << (k - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # least power of two times odd at or above k
+            best = min(best, odd << (-(-k // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def privacy_amplify(
     key,
     leaked_bits: int,
@@ -622,9 +637,13 @@ def privacy_amplify(
     and a noisier key would be paid out longer.
 
     The matrix-vector product is an integer convolution, computed with a
-    real FFT at the first power-of-two length of at least n + m - 1 in
-    O((n + m) log(n + m)): the circular wrap folds the lags past that
-    length onto lags below n - 1, which the hash does not read.  Every
+    real FFT at the least 5-smooth length (2^a 3^b 5^c) of at least
+    n + m - 1 in O((n + m) log(n + m)): the circular wrap folds the lags
+    past that length onto lags below n - 1, which the hash does not read.
+    The diagonals are ``integers(0, 2, n + m - 1, dtype=np.int64)`` of
+    ``default_rng(SeedSequence([hash_seed]))``: at range 2 numpy returns
+    the top bit of each 32-bit half of the raw PCG64 words, low half
+    first, so they are read straight from those words.  Every
     exact sum is an integer of at most n, so rounding recovers it bit for
     bit while the float error stays below 1/2; the hash raises
     ``ArithmeticError`` if the largest rounding error reaches 0.25 instead
@@ -652,13 +671,16 @@ def privacy_amplify(
     if m == 0:
         return SecretKey(np.zeros(0, dtype=np.uint8), inputs, aborted=True)
 
-    rng = np.random.default_rng(np.random.SeedSequence([hash_seed]))
-    # drawn as int64, which fixes the stream, and held as the float64 the
-    # FFT reads; each array is dropped as soon as it is used
-    diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64).astype(np.float64)
+    lags = n + m - 1
+    words = np.random.PCG64(np.random.SeedSequence([hash_seed])).random_raw(-(-lags // 2))
+    # held as the float64 the FFT reads; each array is dropped as soon as
+    # it is used
+    diagonals = np.empty(lags)
+    np.right_shift(words.astype("<u8", copy=False).view("<u4")[:lags], 31, out=diagonals)
+    del words
     # Toeplitz matrix T[i, j] = diagonals[i - j + n - 1]; row i of T @ key is
     # the full convolution at lag i + n - 1
-    size = 1 << (n + m - 2).bit_length()
+    size = _fft_length(lags)
     spectrum = np.fft.rfft(diagonals, size)
     del diagonals
     spectrum *= np.fft.rfft(bits, size)

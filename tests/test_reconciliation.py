@@ -11,6 +11,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -978,14 +979,16 @@ def test_privacy_amplify_avalanche():
 @example(n=1, m=1, seed=0)
 @example(n=2000, m=1, seed=1)
 @example(n=2000, m=2000, seed=2)
-@example(n=1000, m=25, seed=3)
-@example(n=1000, m=26, seed=4)
+@example(n=1000, m=1, seed=3)
+@example(n=1000, m=2, seed=4)
+@example(n=1000, m=10, seed=5)
 @settings(max_examples=150, deadline=None)
 def test_privacy_amplify_matches_direct_convolution(n, m, seed):
     # with delta = qber = margin = 0 the output length is n - leaked_bits,
     # so every m from 1 to n is reachable; np.convolve is the O(n m) oracle.
-    # The FFT length is the first power of two of at least n + m - 1: the
-    # examples put n + m - 1 at exactly 1024 and one past it
+    # The FFT length is the least 5-smooth number of at least n + m - 1:
+    # the examples put n + m - 1 at 1000 = 2^3 5^3, one past it, and at the
+    # prime 1009, the last two transforming at 1024
     m = min(m, n)
     key = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
     sk = privacy_amplify(key, n - m, 0.0, 0.0, safety_margin=0, hash_seed=seed)
@@ -994,6 +997,38 @@ def test_privacy_amplify_matches_direct_convolution(n, m, seed):
     expect = np.convolve(diagonals, key.astype(np.int64))[n - 1 : n - 1 + m] & 1
     assert sk.bits.dtype == np.uint8
     assert np.array_equal(sk.bits, expect)
+
+
+def test_fft_length_is_the_least_5_smooth_number():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    least = 5000  # 2^3 5^4
+    for k in range(5000, 0, -1):
+        if smooth(k):
+            least = k
+        assert reconciliation._fft_length(k) == least
+
+
+def test_privacy_amplify_memory_at_a_5_smooth_length():
+    # n + m - 1 = 2^20 + 1 transforms at 2^5 3^8 5 = 1,049,760: two spectra
+    # of 524,881 complex bins (8.4 MB each) and the key as float64 (4.8 MB)
+    # are live at once, about 21.6 MB.  The next power of two, 2^21, would
+    # double both spectra, to about 38.5 MB in all
+    n = 600_000
+    m = (1 << 20) + 2 - n
+    key = np.random.default_rng(21).integers(0, 2, n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        sk = privacy_amplify(key, n - m, 0.0, 0.0, safety_margin=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sk) == m
+    assert peak < 28 * (n + m - 1)
 
 
 def test_privacy_amplify_validation():
