@@ -124,32 +124,9 @@ def _detector_clicks(
 
 
 def _coin_flips(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Exactly ``rng.integers(0, 2, count, dtype=np.uint8)``, read from the
-    raw PCG64 words, with the generator left in the same state.
-
-    numpy takes one byte per flip from 32-bit draws, low byte first, and at
-    range 2 Lemire's method returns the byte's top bit with no rejection.
-    A 32-bit draw is the buffered high half of the last word when one is
-    held, else the low half of a new word, whose high half is then held.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    halves = -(-count // 4)
-    held = min(halves, state["has_uint32"])
-    fresh = halves - held
-    words = bitgen.random_raw(-(-fresh // 2)).astype("<u8", copy=False)
-    flips = np.empty(count, dtype=np.uint8)
-    head = min(count, 4 * held)
-    flips[:head] = (state["uinteger"] >> np.arange(7, 8 * head, 8)) & 1
-    np.right_shift(words.view(np.uint8)[: count - head], 7, out=flips[head:])
-    if halves:
-        state = bitgen.state
-        # numpy leaves the last high half in uinteger, held or used
-        state["has_uint32"] = fresh & 1
-        if fresh:
-            state["uinteger"] = int(words[-1] >> np.uint64(32))
-        bitgen.state = state
-    return flips
+    """``count`` fair coin flips as uint8 0/1: the bits of ``rng.bytes``,
+    most significant first, one bit per flip."""
+    return np.unpackbits(np.frombuffer(rng.bytes(-(-count // 8)), np.uint8), count=count)
 
 
 def run_session(
@@ -171,18 +148,11 @@ def run_session(
     draw; then routing, double-click resolution, disclosure choice) always
     comes from ``rng``, drawn in that fixed order, with the protocol bits
     drawn right after the clicking pulses when not given, so a seed pins the
-    whole run.  ``rng`` must run on PCG64, as ``default_rng`` does: its coin
-    flips are read from the raw words, and any other bit generator is
-    refused.
+    whole run.
 
     A ``disclose_fraction`` of zero discloses nothing and reads the QBER off
     every sifted bit, standing in for an authenticated sample.
     """
-    if type(rng.bit_generator) is not np.random.PCG64:
-        raise ValueError(
-            f"run_session reads raw PCG64 words; rng's bit generator is "
-            f"{type(rng.bit_generator).__name__}"
-        )
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
     if not 0.0 <= disclose_fraction < 1.0:

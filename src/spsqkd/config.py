@@ -31,9 +31,10 @@ __all__ = [
 ]
 
 # most events one run may keep: session detections, g2 tags or cascade key
-# bits.  At the cap a wcp session (1.8e8 pulses) takes 10.5-10.8 s and
-# 1.02 GB max RSS, an nv one (1.85e9 pulses) 11.7 s and 0.95 GB, a cascade
-# 11 s and 0.85 GB (2-core VM), so a larger expected count is a mistyped size
+# bits.  At the cap a wcp session (1.8e8 pulses) takes 4-5 s and 0.7 GB max
+# RSS, an nv one (1.85e9 pulses) 3.9 s and 0.8 GB, a cascade 3.7 s and
+# 0.83 GB (2-core VM; CHANGES.md, the session-coins entry, and ROADMAP's
+# "Caps" table), so a larger expected count is a mistyped size
 MAX_EVENTS = 1 << 24
 
 # rows format_csv lays out with one format string and one tuple, so a

@@ -25,7 +25,7 @@ from .hbt import CorrelationHistogram, InsufficientDataError, LifetimeFit, corre
 from .hbt import fit_lifetime, g2_at_zero, simulate_hbt
 from .rates import binary_entropy
 from .reconciliation import ReconciliationConfig, ReconciliationOutcome, cascade
-from .reconciliation import check_shuffle_budget, privacy_amplify
+from .reconciliation import check_cascade_budget, privacy_amplify
 from .sources import SourceSpec, multiphoton_probability
 
 __all__ = [
@@ -98,7 +98,7 @@ def run_experiment_detailed(
 
     Before any pulse, and before ``run_session`` checks its own settings,
     ``ValueError`` refuses a run expecting over ``config.MAX_EVENTS`` detections
-    (named ``pulses``) or a sifted key, half of them, over CASCADE's shuffle budget.
+    (named ``pulses``) or a sifted key, half of them, over CASCADE's budgets.
     """
     # settings are refused before any pulse; est_qber is a stand-in until measured
     if safety_margin < 0:
@@ -111,7 +111,7 @@ def run_experiment_detailed(
     )
     detections = n_pulses * exact_click_probability(source, link)
     check_events("pulses", n_pulses, detections, "detections")
-    check_shuffle_budget(round(detections / 2), n_passes)
+    check_cascade_budget(round(detections / 2), cfg)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
     session = run_session(
         source,
@@ -211,7 +211,7 @@ def run_cascade_trial(
         if n_bits < 8:
             raise ValueError(f"n_bits must be at least 8, got {n_bits}")
         check_events("n_bits", n_bits, n_bits, "key bits")
-        check_shuffle_budget(n_bits, n_passes)
+        check_cascade_budget(n_bits, cfg)
         rng_a = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
         rng_b = np.random.default_rng(np.random.SeedSequence([master_seed, 1]))
         alice = rng_a.integers(0, 2, n_bits, dtype=np.uint8)

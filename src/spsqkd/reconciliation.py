@@ -33,6 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from ._threads import _in_order
+from .bb84 import _coin_flips
 from .config import MAX_EVENTS
 from .rates import binary_entropy
 
@@ -41,7 +42,7 @@ __all__ = [
     "ReconciliationOutcome",
     "SecretKey",
     "cascade",
-    "check_shuffle_budget",
+    "check_cascade_budget",
     "privacy_amplify",
     "iter_transcript",
 ]
@@ -79,15 +80,12 @@ _SEARCH_BATCH = 1 << 14
 # keys from this many bits up have their pass tables built on two threads
 # while the passes run.  Below it the saving is a few ms, about what the
 # thread loses waiting up to the 5 ms GIL switch interval to take the lock
-# back from the drains after each table kernel.  A paired curve of threaded
-# against inline calls with the list-mask drain (nproc=2, 3% errors, 4
-# passes, 10 pairs a size) read time ratios of 1.26 at 2^12, 1.24 at 4,611
-# bits (a 25 km nv session's key), 1.14 at 2^13, 1.10 at 2^14, 1.06 at 2^15
-# and at 45,775 bits (a 1e6-pulse wcp session's key), 1.01 at 2^16, 1.03 at
-# 2^17 and 1.05 at 2^18, threaded winning 0 to 2 pairs a size.  Its CPU
-# time equalled its wall time: no second core was free.  With one free, an
-# earlier curve read 0.96 at 45,775 bits and 0.83 to 0.94 at 2^16 to 2^18,
-# winning every pair
+# back from the drains after each table kernel.  When a second core is
+# free the threads pay: with one free, a 3e5-bit cascade ran x1.5 faster
+# threaded (ROADMAP, "Threads on a free core").  When none is, they lose a
+# little at every size: a paired curve with no core free read time ratios
+# of 1.01 to 1.26 from 2^12 to 2^18 bits (CHANGES.md, the FOUND line after
+# the per-pass mask list entry)
 _THREAD_FROM = 1 << 15
 
 # most raw words the confirmation stage draws and checks at once: a block of
@@ -148,6 +146,13 @@ class ReconciliationConfig:
     @property
     def initial_block(self) -> int:
         return math.ceil(0.73 / self.est_qber)
+
+
+# most random words the confirmation stage may have to draw before it can
+# stop, verify_bits rounds of ceil(n / 64) words: the default verify_bits at
+# the key cap, 13,107,200 words.  Rounds past a few hundred buy nothing a
+# user can state, and 65535 rounds over 1.6e7 bits ran for 99.7 s
+_VERIFY_BUDGET = ReconciliationConfig.verify_bits * -(-MAX_EVENTS // 64)
 
 
 @dataclass(frozen=True)
@@ -362,12 +367,19 @@ def _search_frames(searches: list[int], prefixes) -> bytes:
     return _query_frames(q_pass, q_lo, q_mid, parity)
 
 
-def check_shuffle_budget(n_bits: int, n_passes: int) -> None:
-    """Refuse ``n_passes`` passes over ``n_bits`` key bits past ``_SHUFFLE_BUDGET``."""
-    if n_bits * n_passes > _SHUFFLE_BUDGET:
+def check_cascade_budget(n_bits: int, cfg: ReconciliationConfig) -> None:
+    """Refuse CASCADE over ``n_bits`` key bits past ``_SHUFFLE_BUDGET`` or
+    ``_VERIFY_BUDGET``."""
+    if n_bits * cfg.n_passes > _SHUFFLE_BUDGET:
         raise ValueError(
-            f"n_passes = {n_passes} over {n_bits} key bits needs {n_bits * n_passes:.3g} "
-            f"shuffled bits, over {_SHUFFLE_BUDGET}"
+            f"n_passes = {cfg.n_passes} over {n_bits} key bits needs "
+            f"{n_bits * cfg.n_passes:.3g} shuffled bits, over {_SHUFFLE_BUDGET}"
+        )
+    words = cfg.verify_bits * -(-n_bits // 64)
+    if words > _VERIFY_BUDGET:
+        raise ValueError(
+            f"verify_bits = {cfg.verify_bits} over {n_bits} key bits needs {words:.3g} "
+            f"confirmation words, over {_VERIFY_BUDGET}"
         )
 
 
@@ -413,8 +425,9 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
     The shuffles are held as int32 indices, so keys may hold at most
     2^31 - 1 bits; the command line caps them at ``config.MAX_EVENTS``.
     Every pass's shuffle is held until the call returns, so
-    ``check_shuffle_budget`` caps the key bits times ``n_passes``.  Each
-    pass is shuffled as it starts, except from ``_THREAD_FROM`` (2^15) key
+    ``check_cascade_budget`` caps the key bits times ``n_passes``, and the
+    words a round draws times ``verify_bits``.  Each pass is shuffled as it
+    starts, except from ``_THREAD_FROM`` (2^15) key
     bits up: there ``_threads._in_order`` builds the tables on the calling
     thread and a second one, in pass order, while the calling thread runs
     the passes in order, each as soon as its own tables are built; while
@@ -429,7 +442,7 @@ def cascade(alice_key, bob_key, cfg: ReconciliationConfig) -> ReconciliationOutc
         raise ValueError("keys must have equal length")
     if n < 8:
         raise ValueError("keys must hold at least 8 bits")
-    check_shuffle_budget(n, cfg.n_passes)
+    check_cascade_budget(n, cfg)
 
     # frames are kept as chunks and joined once: growing one buffer by each
     # drain's batch fragments the heap and raises the peak RSS
@@ -640,14 +653,12 @@ def privacy_amplify(
     real FFT at the least 5-smooth length (2^a 3^b 5^c) of at least
     n + m - 1 in O((n + m) log(n + m)): the circular wrap folds the lags
     past that length onto lags below n - 1, which the hash does not read.
-    The diagonals are ``integers(0, 2, n + m - 1, dtype=np.int64)`` of
-    ``default_rng(SeedSequence([hash_seed]))``: at range 2 numpy returns
-    the top bit of each 32-bit half of the raw PCG64 words, low half
-    first, so they are read straight from those words.  Every
-    exact sum is an integer of at most n, so rounding recovers it bit for
-    bit while the float error stays below 1/2; the hash raises
-    ``ArithmeticError`` if the largest rounding error reaches 0.25 instead
-    of returning bits it cannot vouch for.
+    The n + m - 1 diagonals are the bits of the ``bytes`` of
+    ``default_rng(SeedSequence([hash_seed]))``, most significant first, as
+    ``bb84._coin_flips`` draws them.  Every exact sum is an integer of at
+    most n, so rounding recovers it bit for bit while the float error stays
+    below 1/2; the hash raises ``ArithmeticError`` if the largest rounding
+    error reaches 0.25 instead of returning bits it cannot vouch for.
     """
     bits = _as_bits(key, "key")
     n = bits.size
@@ -672,12 +683,8 @@ def privacy_amplify(
         return SecretKey(np.zeros(0, dtype=np.uint8), inputs, aborted=True)
 
     lags = n + m - 1
-    words = np.random.PCG64(np.random.SeedSequence([hash_seed])).random_raw(-(-lags // 2))
-    # held as the float64 the FFT reads; each array is dropped as soon as
-    # it is used
-    diagonals = np.empty(lags)
-    np.right_shift(words.astype("<u8", copy=False).view("<u4")[:lags], 31, out=diagonals)
-    del words
+    # each array is dropped as soon as it is used
+    diagonals = _coin_flips(np.random.default_rng(np.random.SeedSequence([hash_seed])), lags)
     # Toeplitz matrix T[i, j] = diagonals[i - j + n - 1]; row i of T @ key is
     # the full convolution at lag i + n - 1
     size = _fft_length(lags)

@@ -869,27 +869,27 @@ def test_g2_hist_csv_is_pinned(argv, digest, tmp_path, monkeypatch):
         (["session", "--preset", "wcp", "--pulses", "1000000", "--seed", "7",
           "--disclose-fraction", "0.1", "--bits-csv"],
          {"session.summary.txt":
-          "71e33d7a4ddcf53f7cb2b830d7e8ded629a2c97ddd75e4124ee3ce0167a9957d",
+          "dda3444c985b4a3e4005e1a9aa93ea74c9e9aa0f8e8b69b10237f1d54fb03a4e",
           "session.bits.csv":
-          "83a017860aadaa02a4e45ad745368842faf50c6b27bfe170ff92e39403ee5ebb"}),
+          "63c96825b224c08f3937d83e34bd6e4fac61683ba63d787c0bafe43ec2990ff1"}),
         (["session", "--preset", "wcp", "--pulses", "1000000", "--seed", "7"],
          {"session.summary.txt":
-          "f89e502fafcfdb502936cad3503842a989f6b2969ce2e61f459b312cac0e8e2a"}),
+          "ca221d7951de8f51c03fa71b851759ef7fc424da777a0416aaacd1e7fbca8e6f"}),
         (["session", "--preset", "nv", "--pulses", "1000000", "--seed", "7", "--bits-csv"],
          {"session.summary.txt":
-          "c373afbc7c86184fa8f6383e4505d8235299ccc8854e1c6153b799acd4269c6d",
+          "377a7d623cc897f10d228f67e3ce1d30bdbb3d65aa801ae138e0ee5c0c5902ed",
           "session.bits.csv":
-          "6a029b94e2376f0b6da14f3e1b2cf840a01628a6449cb34e99764636fa108030"}),
+          "e5985c3b77407e0cafbba849d7a7d0a7ea457c75a245548f742d9e9f07818f65"}),
         (["session", "--preset", "decoy", "--pulses", "1000000", "--seed", "3"],
          {"session.summary.txt":
-          "db318055b1e44e9e172d9e0ff3c090363930a78aec20e8a9229837cdb4b81aaa"}),
+          "9425aab084e7e71e578441f186d1a02b3d1cd8faf615eb6ef637cd00770653c8"}),
         (["session", "--preset", "siv", "--pulses", "1000000", "--seed", "7"],
          {"session.summary.txt":
-          "4699ccb6e1af0c0d26b506f5de476fbc6ebbd5e76e53a36708ec89048d602ff2"}),
+          "40f00fabf7ae27f988fe89299c5d89c4510f17dee180f04c84b9f6ce4398a102"}),
         (["session", "--preset", "ideal95", "--pulses", "200000", "--distance-km", "10",
           "--seed", "7"],
          {"session.summary.txt":
-          "4df5e3433421dea993690f44aaba6cdd3cc4414deaeba63f2a37930509c94fa8"}),
+          "38f601d8bab56e4f160868016bc72093ceaa01c2caf652088502b5e4d5730202"}),
         (["cascade", "--n-bits", "10000", "--qber", "0.03", "--seed", "5"],
          {"cascade.cascade.txt":
           "cbb9a9d52cec295610a7a5e4e19b1db0741d64073b685829b1213884dbc600d5"}),
@@ -1031,6 +1031,30 @@ def test_cascade_over_the_shuffle_budget_exits_2_before_any_key(
     assert cli.main(["cascade", "--n-bits", str(1 << 24), "--n-passes", "253"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_passes = 253 over 16777216 key bits")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, key_bits",
+    [
+        (["cascade", "--n-bits", "1.6e7"], "over 16000000 key bits"),
+        (["session", "--preset", "wcp", "--pulses", "1e8"], "key bits"),
+    ],
+    ids=["cascade", "session"],
+)
+def test_confirmation_past_its_budget_exits_2_before_any_draw(
+    argv, key_bits, tmp_path, monkeypatch, capsys
+):
+    # 65535 rounds over a 1.6e7-bit key, or a 1e8-pulse wcp session's 4.6e6
+    # sifted bits, ran for 99.7 and 26.6 s before the budget
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("a draw was made past the confirmation budget")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.random, "default_rng", must_not_draw)
+    assert cli.main(argv + ["--verify-bits", "65535", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify_bits = 65535 over ") and key_bits in err
     assert not list(tmp_path.iterdir())
 
 

@@ -4,8 +4,9 @@ The samplers draw only the pulses where something happens, so a seed no
 longer pins per-pulse bytes worth freezing.  These tests pin the
 distributions instead: chi-square statistics of the sampled class counts
 against the photon-number table and the click model, and the ordering of
-the event indices.  CASCADE's confirmation subsets are drawn as packed
-random words, so their bits are held to fair, independent coins here too.
+the event indices.  A session's coin flips are the bits of the generator's
+bytes, and CASCADE's confirmation subsets are drawn as packed random words,
+so both are held to fair, independent coins here too.
 """
 
 import math
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spsqkd import hbt, reconciliation, sources
+from spsqkd import bb84, hbt, reconciliation, sources
 from spsqkd.bb84 import _detector_clicks, run_session
 from spsqkd.channel import LinkSpec, exact_click_probability
 from spsqkd.sources import (
@@ -189,6 +190,52 @@ def test_routing_matches_the_binomial_oracle(e, h, photon_type):
         stat, dof = stat + s, dof + d
     assert dof >= 7  # e = 0 without darks: only mismatched k = 1, 2, 3, 8 vary
     assert stat < _chi2_limit(dof), (stat, dof)
+
+
+def _session_coins(bitgen, seeds, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (Alice's bit, Alice's basis, Bob's basis) triplets and the
+    double-click flips that sessions drew, pooled over one session a seed.
+
+    wcp with a dark probability of 0.2 clicks on about a quarter of the
+    pulses, 2% of them double clicks.
+    """
+    drawn = []
+    coin_flips = bb84._coin_flips
+
+    def record(rng, count):
+        flips = coin_flips(rng, count)
+        drawn.append(flips)
+        return flips
+
+    monkeypatch.setattr(bb84, "_coin_flips", record)
+    link = LinkSpec(dark_count_prob=0.2)
+    for seed in seeds:
+        run_session(get_preset("wcp"), link, 1_000_000,
+                    np.random.Generator(bitgen(np.random.SeedSequence([79, seed]))))
+    assert len(drawn) == 2 * len(seeds)
+    return np.concatenate(drawn[0::2]).reshape(-1, 3), np.concatenate(drawn[1::2])
+
+
+def _fair_within_4_sigma(bits: np.ndarray) -> bool:
+    return abs(float(bits.sum()) - bits.size / 2.0) < 4.0 * math.sqrt(bits.size / 4.0)
+
+
+@pytest.mark.parametrize(
+    "bitgen",
+    [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.PCG64DXSM,
+     np.random.SFC64],
+)
+def test_session_coins_are_fair_and_independent(bitgen, monkeypatch):
+    # about 1.06e6 clicking pulses and 2.1e4 double clicks over four seeds
+    triplets, doubles = _session_coins(bitgen, range(4), monkeypatch)
+    assert triplets.shape[0] > 1_000_000 and doubles.size > 20_000
+    for position in range(3):
+        assert _fair_within_4_sigma(triplets[:, position]), position
+    patterns = np.bincount(triplets @ np.array([4, 2, 1]), minlength=8)
+    stat, dof = _chi2(patterns.astype(np.float64), np.full(8, triplets.shape[0] / 8.0))
+    assert dof == 7
+    assert stat < _chi2_limit(dof), (stat, patterns)
+    assert _fair_within_4_sigma(doubles)
 
 
 @pytest.mark.parametrize(

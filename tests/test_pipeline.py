@@ -123,6 +123,24 @@ def test_session_over_the_shuffle_budget_is_refused_before_sampling(monkeypatch)
     assert calls == []
 
 
+def test_session_over_the_confirmation_budget_is_refused_before_sampling(monkeypatch):
+    # about 4.6e6 expected sifted bits, confirmed over 65535 rounds
+    calls = _spy_on_run_session(monkeypatch)
+    with pytest.raises(ValueError, match=r"^verify_bits = 65535 over .* confirmation words"):
+        run_experiment_detailed(get_preset("wcp"), LinkSpec(), 100_000_000, master_seed=1,
+                                verify_bits=65535)
+    assert calls == []
+
+
+def test_cascade_trial_over_the_confirmation_budget_is_refused_before_any_key(monkeypatch):
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("a key was drawn past the confirmation budget")
+
+    monkeypatch.setattr(np.random, "default_rng", must_not_draw)
+    with pytest.raises(ValueError, match=r"^verify_bits = 65535 over 16000000 key bits"):
+        run_cascade_trial(16_000_000, 0.03, master_seed=1, verify_bits=65535)
+
+
 
 @pytest.mark.parametrize(
     "kwargs, setting",

@@ -29,7 +29,7 @@ from spsqkd.reconciliation import (
     MSG_VERIFY,
     ReconciliationConfig,
     cascade,
-    check_shuffle_budget,
+    check_cascade_budget,
     iter_transcript,
     privacy_amplify,
 )
@@ -706,9 +706,24 @@ def test_cascade_refuses_shuffles_past_the_budget():
     key = np.zeros(1 << 24, dtype=np.uint8)
     with pytest.raises(ValueError, match="n_passes = 5 over 16777216 key bits"):
         cascade(key, key, ReconciliationConfig(est_qber=0.03, n_passes=5))
-    check_shuffle_budget(1 << 24, 4)
+    check_cascade_budget(1 << 24, ReconciliationConfig(est_qber=0.03, n_passes=4))
     with pytest.raises(ValueError, match="n_passes = 5"):
-        check_shuffle_budget(1 << 24, 5)
+        check_cascade_budget(1 << 24, ReconciliationConfig(est_qber=0.03, n_passes=5))
+
+
+def test_cascade_refuses_confirmation_rounds_past_the_budget():
+    # the default 50 rounds fit at the key cap, ceil(n / 64) words each; a
+    # 51st round is refused before any shuffle or draw.  Small keys still
+    # run the full 65535 rounds
+    key = np.zeros(1 << 24, dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"^verify_bits = 51 over 16777216 key bits needs "
+                                         r"1\.34e\+07 confirmation words, over 13107200$"):
+        cascade(key, key, ReconciliationConfig(est_qber=0.03, verify_bits=51))
+    check_cascade_budget(1 << 24, ReconciliationConfig(est_qber=0.03))
+    check_cascade_budget(200 * 64, ReconciliationConfig(est_qber=0.03, verify_bits=65535))
+    with pytest.raises(ValueError, match="verify_bits = 65535 over 12801 key bits"):
+        check_cascade_budget(200 * 64 + 1,
+                             ReconciliationConfig(est_qber=0.03, verify_bits=65535))
 
 
 def test_initial_block_rule():
@@ -992,8 +1007,12 @@ def test_privacy_amplify_matches_direct_convolution(n, m, seed):
     m = min(m, n)
     key = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
     sk = privacy_amplify(key, n - m, 0.0, 0.0, safety_margin=0, hash_seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    diagonals = rng.integers(0, 2, n + m - 1, dtype=np.int64)
+    # the diagonals are the bits of the generator's bytes read as one
+    # big-endian number, most significant first
+    lags = n + m - 1
+    data = np.random.default_rng(np.random.SeedSequence([seed])).bytes(-(-lags // 8))
+    digits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[:lags]
+    diagonals = np.array([int(d) for d in digits], dtype=np.int64)
     expect = np.convolve(diagonals, key.astype(np.int64))[n - 1 : n - 1 + m] & 1
     assert sk.bits.dtype == np.uint8
     assert np.array_equal(sk.bits, expect)

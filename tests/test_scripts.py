@@ -64,7 +64,7 @@ def test_table_reproduction_stdout_is_pinned():
         env=env, capture_output=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    digest = "51f329dbb4c45475e6b0b62ca138b662d67c7368bfa403a5c2d54434f20c231e"
+    digest = "06f7b12b0e122390750932c5146081b9adb2b406e9a9f2418fd58bef781adfae"
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
