@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import os
 import sys
@@ -143,36 +144,16 @@ def _int_arg(text: str) -> int:
     return coerce_value("argument", text, int)
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The program's parser for ``argv``, the arguments it will parse.
-
-    Every subcommand is registered with its help line, but only the one
-    being run, the first token of ``argv`` that is not an option, gets its
-    flags: with every command's flags, building and parsing a session's
-    argv took 1.2 ms against 0.7 (best of 200 calls, 2 cores).  argparse
-    makes a help formatter for each flag it adds, and each would ask the
-    terminal for its width, so the first formatter of a build asks, as
-    argparse would, and hands its width to the rest.
-    """
-    chosen = next((token for token in argv if not token.startswith("-")), None)
-    width = None
-
-    def formatter(prog: str) -> argparse.HelpFormatter:
-        nonlocal width
-        made = argparse.HelpFormatter(prog, width=width)
-        width = made._width
-        return made
-
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The program's parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="spsqkd",
         description="Single-photon QKD bench simulator and rate analysis.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command][1], formatter_class=formatter)
-        if command != chosen:
-            continue
+        p = sub.add_parser(command, help=_COMMANDS[command][1])
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", default=None, help="output file prefix")
         p.add_argument("--quiet", action="store_const", const=True, default=None)
@@ -392,8 +373,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_cfg = load_config_file(args.config) if args.config else {}
         settings = _resolve(args.command, args, file_cfg)

@@ -42,6 +42,10 @@ __all__ = [
 # reconciliation needs a usable working estimate even for error-free runs
 EST_QBER_FLOOR = 0.005
 
+# a sifted key is near Poisson with mean half the expected detections; before
+# any pulse, CASCADE's budgets are checked this many of its sigmas above that
+_SIFT_SIGMAS = 6
+
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic per-task seed word from (master seed, task index)."""
@@ -98,7 +102,8 @@ def run_experiment_detailed(
 
     Before any pulse, and before ``run_session`` checks its own settings,
     ``ValueError`` refuses a run expecting over ``config.MAX_EVENTS`` detections
-    (named ``pulses``) or a sifted key, half of them, over CASCADE's budgets.
+    (named ``pulses``) or a sifted key that could pass CASCADE's budgets: half
+    the expected detections plus ``_SIFT_SIGMAS`` of their Poisson sigmas.
     """
     # settings are refused before any pulse; est_qber is a stand-in until measured
     if safety_margin < 0:
@@ -111,7 +116,8 @@ def run_experiment_detailed(
     )
     detections = n_pulses * exact_click_probability(source, link)
     check_events("pulses", n_pulses, detections, "detections")
-    check_cascade_budget(round(detections / 2), cfg)
+    half = detections / 2
+    check_cascade_budget(math.ceil(half + _SIFT_SIGMAS * math.sqrt(half)), cfg)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
     session = run_session(
         source,

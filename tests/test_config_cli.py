@@ -142,7 +142,7 @@ def test_flag_and_config_key_are_one_setting(command, dest, tmp_path):
     cfg.write_text(f"{setting.key} = {text}\n")
 
     def hash_of(argv):
-        args = cli.build_parser([command, *argv]).parse_args([command, *argv])
+        args = cli.build_parser().parse_args([command, *argv])
         file_cfg = load_config_file(args.config) if args.config else {}
         return config_hash(cli._effective(command, cli._resolve(command, args, file_cfg)))
 
@@ -164,26 +164,128 @@ def _flags(command):
 
 
 def test_program_help_lists_every_command(capsys):
-    text = _help_text(cli.build_parser(["--help"]), ["--help"], capsys)
+    text = _help_text(cli.build_parser(), ["--help"], capsys)
     for command, (_, help_line, _) in cli._COMMANDS.items():
         assert re.search(rf"^ +{command} +{re.escape(help_line)}$", text, re.M), command
 
 
 @pytest.mark.parametrize("command", cli._SCHEMAS)
 def test_command_help_names_every_flag(command, capsys):
-    text = _help_text(cli.build_parser([command, "--help"]), [command, "--help"], capsys)
+    text = _help_text(cli.build_parser(), [command, "--help"], capsys)
     for flag in _flags(command):
         assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), flag
 
 
 @pytest.mark.parametrize("command", cli._SCHEMAS)
-def test_only_the_command_being_run_gets_flags(command, capsys):
-    # the other commands' help lists no flag but its own --help
-    parser = cli.build_parser([command])
-    for other in cli._SCHEMAS:
-        text = _help_text(parser, [other, "--help"], capsys)
-        flags = set(re.findall(r"(?<![\w-])--[\w-]+", text)) - {"--help"}
-        assert flags == (set(_flags(command)) if other == command else set()), other
+def test_command_help_names_exactly_its_own_flags(command, capsys):
+    text = _help_text(cli.build_parser(), [command, "--help"], capsys)
+    flags = set(re.findall(r"(?<![\w-])--[\w-]+", text)) - {"--help"}
+    assert flags == set(_flags(command))
+
+
+# argparse's layout and error wording move between Python versions; these
+# bytes are what the per-command parsers of commit 75bb328 printed on 3.11
+_ARGPARSE_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="help and error bytes pinned on Python 3.11"
+)
+
+# sha256 of `--help` stdout: argv -> COLUMNS -> digest
+_HELP_DIGESTS = {
+    (): {
+        40: "b84c60ba2e35f54881152b2a4b36d4f4f788cc78b10372b4a2dcb285b8aafd6f",
+        80: "87381888326df02e27457a912b1bde93aefa7ecd90c85adb51b37a127574a4a9",
+        200: "87381888326df02e27457a912b1bde93aefa7ecd90c85adb51b37a127574a4a9",
+    },
+    ("session",): {
+        40: "c56a273c1957df706cfe42101378adc2e7552e7ac1fb5d656f089d70e1a36241",
+        80: "9a651bc837d5b2e6b93b96cd3b25354819f95fe757c72257cf38c212d2467fa6",
+        200: "2f3b1c2851d7b439e6242ce85094faa1bb53bf8add85ba64189ededb048ea880",
+    },
+    ("rates",): {
+        40: "3059b69418b7088a031fef1cf3dd9fa28110fac11673b665692cedc34e83f488",
+        80: "d4767317c7b9e44d9db10e7235b3ccc0e3b8d7115c2f7ae9bfcbdd9664d59df9",
+        200: "20bbfbb491ad6d20e18ea81882dd823fbdc410d36ade06842055d752bc616ab5",
+    },
+    ("cascade",): {
+        40: "2ed81b2beda60a8dfa7243a641404ff024cfff279cc4922160917ae50b59989c",
+        80: "47941f00406f11a01aa7a066eea63c4df2d03197c1b691129259c3337b3b18bd",
+        200: "64d0120670715c133df41e6b7253ae2f8a27ff1d50cc51db0576b5b510c08f6c",
+    },
+    ("g2",): {
+        40: "64430df7adb9cd96fc418dec4e5d3497890e381cff41087e084786a94e1f4b83",
+        80: "51908ed03e41c96abbd6f296b86a2553e89764f8cab75f5ef77289526e81384a",
+        200: "ed93737a6867c5b6918fffd4117f2c460327a8b1d2140e0511e82c1b9c3c261a",
+    },
+}
+_HELP_CASES = [(argv, cols) for argv in _HELP_DIGESTS for cols in _HELP_DIGESTS[argv]]
+
+
+def _help_digest(argv, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    text = _help_text(cli.build_parser(), [*argv, "--help"], capsys)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@_ARGPARSE_311
+@pytest.mark.parametrize(
+    "argv, columns", _HELP_CASES, ids=[f"{' '.join(a) or 'spsqkd'}-{c}" for a, c in _HELP_CASES]
+)
+def test_help_bytes_are_pinned(argv, columns, monkeypatch, capsys):
+    assert _help_digest(argv, columns, monkeypatch, capsys) == _HELP_DIGESTS[argv][columns]
+
+
+@_ARGPARSE_311
+def test_help_follows_the_terminal_width_when_printed(monkeypatch, capsys):
+    # the parser is kept for the process, so it must not keep the width it
+    # was first used under
+    cli.build_parser.cache_clear()
+    assert _help_digest(["rates"], 200, monkeypatch, capsys) == _HELP_DIGESTS[("rates",)][200]
+    assert _help_digest(["rates"], 40, monkeypatch, capsys) == _HELP_DIGESTS[("rates",)][40]
+
+
+_USAGE_40 = "usage: spsqkd [-h]\n              {session,rates,cascade,g2}\n              ...\n"
+_USAGE_80 = "usage: spsqkd [-h] {session,rates,cascade,g2} ...\n"
+_BOGUS = ("spsqkd: error: argument command: invalid choice: 'bogus' "
+          "(choose from 'session', 'rates', 'cascade', 'g2')\n")
+_DMAX = "spsqkd: error: unrecognized arguments: --dmax 3\n"
+
+
+@_ARGPARSE_311
+@pytest.mark.parametrize(
+    "argv, columns, err",
+    [
+        (["bogus"], 40, _USAGE_40 + _BOGUS),
+        (["bogus"], 80, _USAGE_80 + _BOGUS),
+        (["bogus"], 200, _USAGE_80 + _BOGUS),
+        # another command's flag
+        (["session", "--dmax", "3"], 40, _USAGE_40 + _DMAX),
+        (["session", "--dmax", "3"], 80, _USAGE_80 + _DMAX),
+        (["session", "--dmax", "3"], 200, _USAGE_80 + _DMAX),
+    ],
+)
+def test_parse_errors_are_pinned(argv, columns, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_a_flag_does_not_leak_into_the_next_call(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["rates", "--dmax", "1", "--wcp", "--out", "first", "--quiet"]) == 0
+    assert cli.main(["rates", "--dmax", "1", "--out", "second", "--quiet"]) == 0
+
+    def columns(name):
+        lines = (tmp_path / f"{name}.rates.csv").read_text().splitlines()
+        return next(line for line in lines if not line.startswith("#"))
+
+    assert (columns("first"), columns("second")) == ("distance_km,nv,wcp", "distance_km,nv")
+    second = (tmp_path / "second.rates.csv").read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "spsqkd.cli", "rates", "--dmax", "1", "--out",
+                    "fresh", "--quiet"], env=env, cwd=tmp_path, check=True)
+    assert second == (tmp_path / "fresh.rates.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -1072,6 +1174,24 @@ def test_session_over_the_shuffle_budget_exits_2_before_the_monte_carlo(
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_passes = 253 over ") and "shuffled bits" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_session_whose_sifted_key_could_pass_the_budget_exits_2_before_the_monte_carlo(
+    tmp_path, monkeypatch, capsys
+):
+    # half the expected detections, 12,790 bits, fit the confirmation budget
+    # of 12,800 bits at 65535 rounds, but at 4 of seeds 1-6 the sifted key
+    # did not, and cascade refused it only after the whole Monte-Carlo
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the session ran with a sifted key that could pass the budget")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pipeline, "run_session", must_not_run)
+    argv = ["session", "--preset", "wcp", "--pulses", "279109", "--verify-bits", "65535"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify_bits = 65535 over ") and "confirmation words" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,6 @@
 """HBT simulation, correlation histogram, g2 and lifetime estimators."""
 
+import gc
 import hashlib
 import math
 import sys
@@ -182,6 +183,10 @@ def test_tags_spilled_across_windows_keep_their_detectors(monkeypatch, reserve_s
     tracemalloc.start()
     try:
         stream = simulate_hbt(slow, 4_000, _rng(8, 1), splitter_ratio=0.3)
+        # a full collection empties the interpreter's free lists, whose blocks
+        # tracemalloc counts as held: how full they were before the call
+        # depends on which tests ran first
+        gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
